@@ -160,6 +160,8 @@ def paired_significance(hyps_a, hyps_b, refs, iterations: int = 10000,
     if not (len(hyps_a) == len(hyps_b) == len(refs)):
         raise ChrfError("line counts differ: A=%d B=%d refs=%d"
                         % (len(hyps_a), len(hyps_b), len(refs)))
+    if not refs:
+        raise ChrfError("empty test set: no sentences to compare")
     if iterations < 1:
         raise ChrfError("iterations must be >= 1")
     stats_a = [sentence_stats(h, r) for h, r in zip(hyps_a, refs)]

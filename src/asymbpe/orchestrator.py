@@ -1,12 +1,15 @@
 """End-to-end sweep driver.
 
-For each (dataset size, repetition): draw a stratified sample of the
-training corpus, learn one merge table per (side, NMO), then for every
-configuration segment all splits, invoke the translation backend, de-segment
-its hypotheses, score CHRF++ against the raw references, and test
-significance against the best symmetric configuration of the same cell.
-Every run leaves a JSON record on disk; completed records are skipped on
-rerun, so an interrupted sweep can resume without changing earlier scores.
+For each (dataset size, repetition) cell: draw a stratified sample of the
+training corpus, learn one merge table per side at the largest NMO and cut
+each smaller table from it (the n-rule table is a prefix of the m-rule
+table), and segment each split once per (side, NMO) into ``<cell>/seg/``.
+Then for every configuration invoke the translation backend on those shared
+files, which it must treat as read-only, de-segment its hypotheses, score
+CHRF++ against the raw references, and test significance against the best
+symmetric configuration of the same cell. Every run leaves a JSON record on
+disk; completed records are skipped on rerun, so an interrupted sweep can
+resume without changing earlier scores.
 
 The backend is an external command template. Two built-in mocks exist for
 pipeline testing: ``mock:echo-reference`` copies the reference file and
@@ -18,7 +21,6 @@ import os
 import shutil
 import string
 import subprocess
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -217,36 +219,46 @@ def _write_lines(path, lines):
     os.replace(tmp, path)
 
 
-def _segment_file(table, src_path, out_path):
-    _write_lines(out_path, [bpe.segment_line(table, line) for line in _read_lines(src_path)])
+def _write_json(path, obj):
+    _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
 
-class _TableStore:
-    """Merge tables keyed by (side, nmo), built once per cell; thread-safe."""
+def _table_path(cell_dir, lang, nmo):
+    return os.path.join(cell_dir, "tables", "%s.%s.bpe" % (lang, format_nmo(nmo)))
 
-    def __init__(self, directory):
-        self.directory = directory
-        self._lock = threading.Lock()
-        self._locks = {}
-        self._tables = {}
 
-    def _key_lock(self, key):
-        with self._lock:
-            return self._locks.setdefault(key, threading.Lock())
+def _cell_tables(cfg, cell_dir, lang, lines, resume) -> dict:
+    """NMO -> merge table for one side of a cell. Greedy BPE tables are
+    prefixes of each other, so one learn at max(nmo_set), or on resume one
+    load of its file, gives every smaller table; resume keeps existing files."""
+    top = _table_path(cell_dir, lang, max(cfg.nmo_set))
+    if resume and os.path.exists(top):
+        full = bpe.MergeTable.load(top)
+    else:
+        full = bpe.learn_bpe(lines, max(cfg.nmo_set))
+    os.makedirs(os.path.dirname(top), exist_ok=True)
+    tables = {}
+    for nmo in cfg.nmo_set:
+        tables[nmo] = bpe.MergeTable(full.rules[:nmo])
+        path = _table_path(cell_dir, lang, nmo)
+        if not (resume and os.path.exists(path)):
+            tables[nmo].save(path)
+    return tables
 
-    def get(self, side: str, nmo: int, train_lines) -> tuple:
-        key = (side, nmo)
-        with self._key_lock(key):
-            if key not in self._tables:
-                path = os.path.join(self.directory, "%s.%s.bpe" % (side, format_nmo(nmo)))
-                if os.path.exists(path):
-                    table = bpe.MergeTable.load(path)
-                else:
-                    table = bpe.learn_bpe(train_lines, nmo)
-                    os.makedirs(self.directory, exist_ok=True)
-                    table.save(path)
-                self._tables[key] = (table, path)
-            return self._tables[key]
+
+def _backend_inputs(cfg, cell_dir, sample_dir, config, testset) -> dict:
+    """Placeholder -> (raw text path, side, NMO, segmented path) for the five
+    segmented inputs of one run. Every run that needs the same split, side
+    and NMO gets the same file under ``<cell>/seg/``."""
+    src, tgt = ("src", config.src_nmo), ("tgt", config.tgt_nmo)
+    rows = (("train_src", "train", os.path.join(sample_dir, "train.src"), src),
+            ("train_tgt", "train", os.path.join(sample_dir, "train.tgt"), tgt),
+            ("valid_src", "valid", cfg.valid_src, src),
+            ("valid_tgt", "valid", cfg.valid_tgt, tgt),
+            ("test_src", "test-" + testset.name, testset.src, src))
+    return {name: (raw, side, nmo, os.path.join(
+                cell_dir, "seg", "%s.%s.%s" % (split, format_nmo(nmo), side)))
+            for name, split, raw, (side, nmo) in rows}
 
 
 def _invoke_backend(cfg: ExperimentConfig, paths: dict, testset: TestSet):
@@ -273,11 +285,7 @@ def _record_path(run_dir):
 
 
 def _save_record(run_dir, record: RunRecord):
-    os.makedirs(run_dir, exist_ok=True)
-    tmp = _record_path(run_dir) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(record.to_dict(), fh, indent=2, sort_keys=True)
-    os.replace(tmp, _record_path(run_dir))
+    _write_json(_record_path(run_dir), record.to_dict())
 
 
 def _load_record(run_dir):
@@ -289,10 +297,10 @@ def _load_record(run_dir):
 
 
 def run_sweep(cfg: ExperimentConfig, resume: bool = True) -> list:
-    """Execute the full sweep; returns one RunRecord per planned run."""
+    """Execute the full sweep; returns one RunRecord per planned run. With
+    ``resume=False`` every artifact is recomputed, whatever is on disk."""
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    manifest = {
+    _write_json(os.path.join(out, "manifest.json"), {
         "schema": SCHEMA_VERSION,
         "direction": cfg.direction,
         "sizes": cfg.sizes,
@@ -301,11 +309,13 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = True) -> list:
         "repetitions": cfg.repetitions,
         "planned_runs": cfg.planned_runs(),
         "significance_iterations": cfg.significance_iterations,
-        "assumptions": ["validation data is segmented with the same "
-                        "per-configuration merge tables as training data"],
-    }
-    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+        "assumptions": [
+            "validation data is segmented with the same per-configuration "
+            "merge tables as training data",
+            "each side learns one table at max(nmo_set); smaller tables are its prefixes",
+            "segmented splits in <cell>/seg/ are shared by all configurations: "
+            "the backend must treat its input paths as read-only"],
+    })
 
     train_src = _read_lines(cfg.train_src)
     train_tgt = _read_lines(cfg.train_tgt)
@@ -331,67 +341,55 @@ def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt,
         src_sample, tgt_sample, _ = sampler.draw_sample(train_src, train_tgt, plan)
         _write_lines(s_src, src_sample)
         _write_lines(s_tgt, tgt_sample)
-        with open(os.path.join(sample_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump({"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict()},
-                      fh, indent=2)
-    sampled_src = _read_lines(s_src)
-    sampled_tgt = _read_lines(s_tgt)
+        _write_json(os.path.join(sample_dir, "manifest.json"),
+                    {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict()})
+    texts = {s_src: _read_lines(s_src), s_tgt: _read_lines(s_tgt)}
 
-    tables = _TableStore(os.path.join(cell_dir, "tables"))
-    # Build shared tables up front so configurations only read them.
-    for nmo in cfg.nmo_set:
-        tables.get(cfg.src_lang, nmo, sampled_src)
-        tables.get(cfg.tgt_lang, nmo, sampled_tgt)
+    jobs = [(config, testset) for config in enumerate_grid(cfg.nmo_set)
+            for testset in cfg.test_sets]
+    records = [_load_record(os.path.join(cell_dir, config.label, testset.name))
+               if resume else None for config, testset in jobs]
+    pending = {i: _backend_inputs(cfg, cell_dir, sample_dir, *jobs[i])
+               for i, rec in enumerate(records)
+               if rec is None or rec.status not in ("done", "failed")}
 
-    configs = enumerate_grid(cfg.nmo_set)
-    jobs = [(config, testset) for config in configs for testset in cfg.test_sets]
+    # Tables and segmented splits are complete before any run starts: no locks.
+    tables = {"src": _cell_tables(cfg, cell_dir, cfg.src_lang, texts[s_src], resume),
+              "tgt": _cell_tables(cfg, cell_dir, cfg.tgt_lang, texts[s_tgt], resume)}
+    for raw, side, nmo, path in sorted({v for inputs in pending.values()
+                                        for v in inputs.values()}):
+        if resume and os.path.exists(path):
+            continue
+        if raw not in texts:
+            texts[raw] = _read_lines(raw)
+        _write_lines(path, [bpe.segment_line(tables[side][nmo], line) for line in texts[raw]])
 
-    def run_one(job):
-        config, testset = job
-        return _run_config(cfg, size, rep, cell_seed, cell_dir, config, testset,
-                           tables, sampled_src, sampled_tgt, resume)
+    def run_one(i):
+        seg = {name: path for name, (_, _, _, path) in pending[i].items()}
+        return _run_config(cfg, size, rep, cell_seed, cell_dir, *jobs[i], seg)
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(run_one, jobs))
+            finished = list(pool.map(run_one, pending))
     else:
-        records = [run_one(job) for job in jobs]
+        finished = [run_one(i) for i in pending]
+    for i, record in zip(pending, finished):
+        records[i] = record
 
     _add_significance(cfg, cell_dir, records)
     return records
 
 
 def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig,
-                testset: TestSet, tables, sampled_src, sampled_tgt, resume):
+                testset: TestSet, seg_paths: dict):
     run_dir = os.path.join(cell_dir, config.label, testset.name)
-    if resume:
-        existing = _load_record(run_dir)
-        if existing is not None and existing.status in ("done", "failed"):
-            return existing
-
     record = RunRecord(config_label=config.label, src_nmo=config.src_nmo,
                        tgt_nmo=config.tgt_nmo, direction=cfg.direction,
                        size=size, rep=rep, testset=testset.name,
                        seed=cell_seed, started=time.time())
-    src_table, src_table_path = tables.get(cfg.src_lang, config.src_nmo, sampled_src)
-    tgt_table, tgt_table_path = tables.get(cfg.tgt_lang, config.tgt_nmo, sampled_tgt)
-
-    paths = {
-        "train_src": os.path.join(run_dir, "train.bpe.src"),
-        "train_tgt": os.path.join(run_dir, "train.bpe.tgt"),
-        "valid_src": os.path.join(run_dir, "valid.bpe.src"),
-        "valid_tgt": os.path.join(run_dir, "valid.bpe.tgt"),
-        "test_src": os.path.join(run_dir, "test.bpe.src"),
-        "model_dir": os.path.join(run_dir, "model"),
-        "hyp_out": os.path.join(run_dir, "hyp.txt"),
-        "config": config.label,
-    }
+    paths = dict(seg_paths, model_dir=os.path.join(run_dir, "model"),
+                 hyp_out=os.path.join(run_dir, "hyp.txt"), config=config.label)
     try:
-        _write_lines(paths["train_src"], [bpe.segment_line(src_table, l) for l in sampled_src])
-        _write_lines(paths["train_tgt"], [bpe.segment_line(tgt_table, l) for l in sampled_tgt])
-        _segment_file(src_table, cfg.valid_src, paths["valid_src"])
-        _segment_file(tgt_table, cfg.valid_tgt, paths["valid_tgt"])
-        _segment_file(src_table, testset.src, paths["test_src"])
         os.makedirs(paths["model_dir"], exist_ok=True)
 
         _invoke_backend(cfg, paths, testset)
@@ -409,7 +407,8 @@ def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig,
         record.chrf = round(score.value, 6)
         record.status = "done"
         record.artifacts = {
-            "src_table": src_table_path, "tgt_table": tgt_table_path,
+            "src_table": _table_path(cell_dir, cfg.src_lang, config.src_nmo),
+            "tgt_table": _table_path(cell_dir, cfg.tgt_lang, config.tgt_nmo),
             "hypothesis": paths["hyp_out"], "hypothesis_detok": detok_path,
         }
     except (OrchestratorError, bpe.BpeError, chrf.ChrfError,

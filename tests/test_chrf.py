@@ -128,6 +128,10 @@ class TestPairedSignificance:
         with pytest.raises(ChrfError):
             paired_significance(["a"], ["b", "c"], ["d"], iterations=10, seed=0)
 
+    def test_empty_input_error(self):
+        with pytest.raises(ChrfError, match="empty"):
+            paired_significance([], [], [], iterations=10, seed=0)
+
     def test_p_decreases_with_quality_gap(self):
         rng = random.Random(17)
         words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]

@@ -92,3 +92,11 @@ def test_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "chrf", "--hyp", str(tmp_path / "missing"),
                        "--ref", str(tmp_path / "missing"))
     assert code == 1 and "error:" in err
+
+
+def test_significance_on_empty_files_is_an_error(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    code, _, err = run(capsys, "significance", "--hyp-a", str(empty),
+                       "--hyp-b", str(empty), "--ref", str(empty))
+    assert code == 1 and err.startswith("error:") and "empty" in err

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from asymbpe import bpe
 from asymbpe.orchestrator import (OrchestratorError, RunRecord, collect_records,
                                   emit_report, load_experiment, run_sweep)
 from asymbpe.sweep import BpeConfig
@@ -218,6 +219,121 @@ class TestRunSweep:
         assert rows["High A"][1:3] == ["20", "10"]   # planted best asymmetric
         assert rows["Low A"][1:3] == ["10", "20"]    # planted worst
         assert rows["Baseline"][1:3] == ["20", "20"]  # best symmetric
+
+
+def cell_path(cfg, *parts):
+    return os.path.join(cfg.output_dir, "size50", "rep0", *parts)
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def fresh_table_bytes(cfg, tmp_path, side, nmo):
+    """The table file a separate learn at ``nmo`` writes for the cell's sample."""
+    with open(cell_path(cfg, "sample", "train." + side), encoding="utf-8") as fh:
+        sample = fh.read().splitlines()
+    path = str(tmp_path / "fresh.bpe")
+    bpe.learn_bpe(sample, nmo).save(path)
+    return read_bytes(path)
+
+
+class TestCellArtifacts:
+    def test_one_learn_per_side_per_cell(self, tmp_path, monkeypatch):
+        calls = []
+        learn = bpe.learn_bpe
+        monkeypatch.setattr(bpe, "learn_bpe",
+                            lambda corpus, nmo: calls.append(nmo) or learn(corpus, nmo))
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(str(tmp_path), corpus, sizes=[40, 50],
+                                           nmo_set=[10, 20, 30]))
+        run_sweep(cfg)
+        assert calls == [30] * 4  # 2 cells x 2 sides, each at max(nmo_set)
+
+    @pytest.mark.parametrize("nmo_set", [[10, 20, 30], [5, 500]])
+    def test_tables_match_separate_learns(self, tmp_path, nmo_set):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(str(tmp_path), corpus, nmo_set=nmo_set))
+        run_sweep(cfg)
+        for lang, side in (("en", "src"), ("xx", "tgt")):
+            for nmo in nmo_set:
+                path = cell_path(cfg, "tables", "%s.%d.bpe" % (lang, nmo))
+                assert read_bytes(path) == fresh_table_bytes(cfg, tmp_path, side, nmo)
+        if 500 in nmo_set:  # the toy vocabulary runs out of pairs first
+            assert bpe.MergeTable.load(cell_path(cfg, "tables", "en.500.bpe")).nmo < 500
+
+    def test_configurations_share_segmented_inputs(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        log = tmp_path / "inputs.log"
+        command = ("echo {config} {train_src} {train_tgt} {valid_src} {valid_tgt} "
+                   "{test_src} >> %s && cp %s {hyp_out}" % (log, corpus["test_tgt"]))
+        cfg = load_experiment(write_config(str(tmp_path), corpus,
+                                           backend={"command": command}))
+        records = run_sweep(cfg)
+        assert all(r.status == "done" for r in records)
+        inputs = {}
+        for line in log.read_text(encoding="utf-8").splitlines():
+            label, *paths = line.split()
+            inputs[label] = dict(zip(("train_src", "train_tgt", "valid_src",
+                                      "valid_tgt", "test_src"), paths))
+        for name in ("train_src", "valid_src", "test_src"):  # source NMO 10
+            assert inputs["10_10"][name] == inputs["10_20"][name]
+            assert inputs["10_10"][name] != inputs["20_10"][name]
+        for name in ("train_tgt", "valid_tgt"):  # target NMO 20
+            assert inputs["10_20"][name] == inputs["20_20"][name]
+        seg_dir = cell_path(cfg, "seg")
+        assert all(os.path.dirname(p) == seg_dir
+                   for paths in inputs.values() for p in paths.values())
+        assert sorted(os.listdir(cell_path(cfg, "10_20", "test"))) == [
+            "hyp.detok.txt", "hyp.txt", "model", "record.json"]
+
+    def test_growing_nmo_set_keeps_tables_and_records(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(str(tmp_path), corpus, nmo_set=[10, 20]))
+        run_sweep(cfg)
+        kept = [cell_path(cfg, "tables", name) for name in
+                ("en.10.bpe", "en.20.bpe", "xx.10.bpe", "xx.20.bpe")]
+        kept += [cell_path(cfg, label, "test", "record.json")
+                 for label in ("10_10", "10_20", "20_10", "20_20")]
+        before = {p: (os.stat(p).st_mtime_ns, read_bytes(p)) for p in kept}
+        cfg = load_experiment(write_config(str(tmp_path), corpus, nmo_set=[10, 20, 40]))
+        records = run_sweep(cfg)
+        assert len(records) == 9 and all(r.status == "done" for r in records)
+        assert {p: (os.stat(p).st_mtime_ns, read_bytes(p)) for p in kept} == before
+        assert read_bytes(cell_path(cfg, "tables", "en.40.bpe")) == \
+            fresh_table_bytes(cfg, tmp_path, "src", 40)
+
+    def test_resume_over_finished_cell_learns_and_segments_nothing(self, tmp_path,
+                                                                   monkeypatch):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(str(tmp_path), corpus))
+        first = run_sweep(cfg)
+
+        def forbidden(*args):
+            raise AssertionError("resume over a finished cell recomputed an artifact")
+
+        monkeypatch.setattr(bpe, "learn_bpe", forbidden)
+        monkeypatch.setattr(bpe, "segment_line", forbidden)
+        assert [r.chrf for r in run_sweep(cfg)] == [r.chrf for r in first]
+
+    def test_fresh_run_replaces_stale_tables_and_segments(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(str(tmp_path), corpus))
+        stale_table = cell_path(cfg, "tables", "en.20.bpe")
+        stale_seg = cell_path(cfg, "seg", "train.20.src")
+        for path in (stale_table, stale_seg):
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+        bpe.MergeTable([bpe.MergeRule("q", "z</w>", 0)]).save(stale_table)
+        with open(stale_seg, "w", encoding="utf-8") as fh:
+            fh.write("stale\n")
+        run_sweep(cfg, resume=False)
+        assert read_bytes(stale_table) == fresh_table_bytes(cfg, tmp_path, "src", 20)
+        table = bpe.MergeTable.load(stale_table)
+        with open(cell_path(cfg, "sample", "train.src"), encoding="utf-8") as fh:
+            expected = "".join(bpe.segment_line(table, line.rstrip("\n")) + "\n"
+                               for line in fh)
+        assert read_bytes(stale_seg).decode("utf-8") == expected
 
 
 def make_record(src, tgt, score, size=50, rep=0, direction="en-xx",
