@@ -6,10 +6,18 @@ clipped matches, uniform averaging of precision/recall across the 8 orders,
 and an F-score with beta = 2. Orders empty on both sides are skipped; an
 order empty on one side only contributes 0. Scores are in [0, 100].
 
+Scores and tests work from per-sentence sufficient statistics: an
+``n x 3·orders`` integer matrix (``stats_matrix``) whose row holds one
+sentence's clipped matches, hypothesis totals and reference totals per
+order. A system's matrix is computed once, scored with ``corpus_chrf`` and
+handed to ``paired_significance_stats`` without rescoring any text.
+
 The significance test is paired approximate randomization: each iteration
 swaps every sentence's two system outputs independently with probability
 1/2 and recounts how often the absolute corpus-score difference is at least
-the observed one; p = (count + 1) / (iterations + 1).
+the observed one; p = (count + 1) / (iterations + 1). Several systems tested
+against one baseline with one seed share each drawn swap mask, so every
+system's p-value equals the one a separate pairwise test gives.
 """
 
 from collections import Counter
@@ -45,7 +53,6 @@ class NGramStats:
 class ChrfScore:
     value: float
     beta: float
-    sentence_stats: list
 
 
 @dataclass
@@ -57,29 +64,49 @@ class SignificanceResult:
     observed_difference: float
 
 
-def _ngram_counts(items, n: int) -> Counter:
-    return Counter(tuple(items[i:i + n]) for i in range(len(items) - n + 1))
+def _ngram_counts(seq, n: int) -> Counter:
+    """n-gram counts of a string (keyed by substring) or a tuple of words
+    (keyed by word tuple)."""
+    return Counter(seq[i:i + n] for i in range(len(seq) - n + 1))
 
 
 def sentence_stats(hypothesis: str, reference: str,
                    char_order: int = CHAR_ORDER,
                    word_order: int = WORD_ORDER) -> NGramStats:
     """Per-order clipped n-gram statistics for one sentence pair."""
-    hyp_chars = "".join(hypothesis.split())
-    ref_chars = "".join(reference.split())
-    hyp_words = hypothesis.split()
-    ref_words = reference.split()
+    hyp_words = tuple(hypothesis.split())
+    ref_words = tuple(reference.split())
+    hyp_chars = "".join(hyp_words)
+    ref_chars = "".join(ref_words)
 
     matched, hyp_total, ref_total = [], [], []
     for seq_h, seq_r, max_n in ((hyp_chars, ref_chars, char_order),
                                 (hyp_words, ref_words, word_order)):
         for n in range(1, max_n + 1):
-            h = _ngram_counts(seq_h, n)
-            r = _ngram_counts(seq_r, n)
-            matched.append(sum(min(c, r[g]) for g, c in h.items()))
-            hyp_total.append(sum(h.values()))
-            ref_total.append(sum(r.values()))
+            clipped = _ngram_counts(seq_h, n) & _ngram_counts(seq_r, n)
+            matched.append(sum(clipped.values()))
+            hyp_total.append(max(0, len(seq_h) - n + 1))
+            ref_total.append(max(0, len(seq_r) - n + 1))
     return NGramStats(matched, hyp_total, ref_total)
+
+
+def stats_matrix(hypotheses, references, char_order: int = CHAR_ORDER,
+                 word_order: int = WORD_ORDER) -> np.ndarray:
+    """``n x 3·orders`` int64 matrix of per-sentence statistics: each row is
+    one line's matched, hypothesis-total and reference-total counts."""
+    hypotheses = list(hypotheses)
+    references = list(references)
+    if len(hypotheses) != len(references):
+        raise ChrfError("hypothesis/reference line counts differ: %d vs %d"
+                        % (len(hypotheses), len(references)))
+    if char_order < 0 or word_order < 0:
+        raise ChrfError("n-gram orders must be >= 0, got char %d, word %d"
+                        % (char_order, word_order))
+    rows = []
+    for h, r in zip(hypotheses, references):
+        s = sentence_stats(h, r, char_order, word_order)
+        rows.append(s.matched + s.hyp_total + s.ref_total)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 3 * (char_order + word_order))
 
 
 def _score_from_sums(matched, hyp_total, ref_total, beta: float) -> float:
@@ -100,37 +127,22 @@ def _score_from_sums(matched, hyp_total, ref_total, beta: float) -> float:
 
 
 def corpus_chrf(stats, beta: float = DEFAULT_BETA) -> ChrfScore:
-    """Aggregate sentence statistics into one corpus score."""
-    stats = list(stats)
-    if not stats:
+    """Aggregate sentence statistics, a list of ``NGramStats`` or a
+    ``stats_matrix``, into one corpus score."""
+    if not isinstance(stats, np.ndarray):
+        stats = [s.matched + s.hyp_total + s.ref_total for s in stats]
+    if len(stats) == 0:
         raise ChrfError("empty statistics list")
-    orders = stats[0].orders
-    matched = [0] * orders
-    hyp_total = [0] * orders
-    ref_total = [0] * orders
-    for s in stats:
-        for i in range(orders):
-            matched[i] += s.matched[i]
-            hyp_total[i] += s.hyp_total[i]
-            ref_total[i] += s.ref_total[i]
-    return ChrfScore(_score_from_sums(matched, hyp_total, ref_total, beta), beta, stats)
+    sums = np.asarray(stats, dtype=np.int64).sum(axis=0).tolist()
+    orders = len(sums) // 3
+    return ChrfScore(_score_from_sums(sums[:orders], sums[orders:2 * orders],
+                                      sums[2 * orders:], beta), beta)
 
 
 def corpus_chrf_from_lines(hypotheses, references, beta: float = DEFAULT_BETA,
                            char_order: int = CHAR_ORDER,
                            word_order: int = WORD_ORDER) -> ChrfScore:
-    hypotheses = list(hypotheses)
-    references = list(references)
-    if len(hypotheses) != len(references):
-        raise ChrfError("hypothesis/reference line counts differ: %d vs %d"
-                        % (len(hypotheses), len(references)))
-    return corpus_chrf(
-        [sentence_stats(h, r, char_order, word_order)
-         for h, r in zip(hypotheses, references)], beta)
-
-
-def _stats_matrix(stats) -> np.ndarray:
-    return np.array([s.matched + s.hyp_total + s.ref_total for s in stats], dtype=np.float64)
+    return corpus_chrf(stats_matrix(hypotheses, references, char_order, word_order), beta)
 
 
 def _scores_from_sum_rows(sums: np.ndarray, orders: int, beta: float) -> np.ndarray:
@@ -153,45 +165,63 @@ def _scores_from_sum_rows(sums: np.ndarray, orders: int, beta: float) -> np.ndar
     return np.where(nkept > 0, score, 0.0)
 
 
-def paired_significance(hyps_a, hyps_b, refs, iterations: int = 10000,
-                        seed: int = 0, beta: float = DEFAULT_BETA) -> SignificanceResult:
-    """Paired approximate randomization over per-sentence statistics."""
-    hyps_a, hyps_b, refs = list(hyps_a), list(hyps_b), list(refs)
-    if not (len(hyps_a) == len(hyps_b) == len(refs)):
-        raise ChrfError("line counts differ: A=%d B=%d refs=%d"
-                        % (len(hyps_a), len(hyps_b), len(refs)))
-    if not refs:
-        raise ChrfError("empty test set: no sentences to compare")
+def paired_significance_stats(systems, baseline, iterations: int = 10000,
+                              seed: int = 0, beta: float = DEFAULT_BETA) -> list:
+    """Paired approximate randomization of each system against one baseline,
+    from ``stats_matrix`` statistics. Returns one ``SignificanceResult`` per
+    system (A = the system, B = the baseline). One swap-mask stream drawn
+    from ``seed`` serves every system, so each result equals a separate
+    ``paired_significance`` with the same seed."""
     if iterations < 1:
         raise ChrfError("iterations must be >= 1")
-    stats_a = [sentence_stats(h, r) for h, r in zip(hyps_a, refs)]
-    stats_b = [sentence_stats(h, r) for h, r in zip(hyps_b, refs)]
-    orders = stats_a[0].orders
-
-    mat_a = _stats_matrix(stats_a)
-    mat_b = _stats_matrix(stats_b)
-    base_a = mat_a.sum(axis=0)
+    mat_b = np.asarray(baseline, dtype=np.float64)
+    if mat_b.ndim != 2 or mat_b.shape[0] == 0:
+        raise ChrfError("empty test set: no sentences to compare")
+    n, width = mat_b.shape
+    orders = width // 3
     base_b = mat_b.sum(axis=0)
-    score_a = _scores_from_sum_rows(base_a[None, :], orders, beta)[0]
     score_b = _scores_from_sum_rows(base_b[None, :], orders, beta)[0]
-    observed = score_a - score_b
 
-    diff = mat_b - mat_a  # row-swap moves this much mass from A to B view
+    tests = []  # (A's column sums, row-swap mass moved from A to B, A's score)
+    for system in systems:
+        mat_a = np.asarray(system, dtype=np.float64)
+        if mat_a.shape != mat_b.shape:
+            raise ChrfError("statistics shapes differ: system %s, baseline %s"
+                            % (mat_a.shape, mat_b.shape))
+        base_a = mat_a.sum(axis=0)
+        tests.append((base_a, mat_b - mat_a,
+                      _scores_from_sum_rows(base_a[None, :], orders, beta)[0]))
+
     rng = np.random.default_rng(seed)
-    n = len(refs)
-    count = 0
-    chunk = max(1, min(iterations, 4_000_000 // max(1, n)))
+    counts = [0] * len(tests)
+    chunk = max(1, min(iterations, 4_000_000 // n))
     done = 0
     while done < iterations:
         k = min(chunk, iterations - done)
         mask = rng.random((k, n)) < 0.5
-        shift = mask.astype(np.float64) @ diff
-        sums_a = base_a[None, :] + shift
-        sums_b = base_b[None, :] - shift
-        sa = _scores_from_sum_rows(sums_a, orders, beta)
-        sb = _scores_from_sum_rows(sums_b, orders, beta)
-        count += int(np.sum(np.abs(sa - sb) >= abs(observed) - 1e-12))
+        # Cast per system: a float copy of the mask kept across the loop
+        # raises peak memory by its size.
+        for j, (base_a, diff, score_a) in enumerate(tests):
+            shift = mask.astype(np.float64) @ diff
+            sa = _scores_from_sum_rows(base_a[None, :] + shift, orders, beta)
+            sb = _scores_from_sum_rows(base_b[None, :] - shift, orders, beta)
+            counts[j] += int(np.sum(np.abs(sa - sb) >= abs(score_a - score_b) - 1e-12))
         done += k
-    p = (count + 1) / (iterations + 1)
-    better = "A" if score_a > score_b else ("B" if score_b > score_a else "tie")
-    return SignificanceResult(p, iterations, seed, better, observed)
+
+    results = []
+    for (_, _, score_a), count in zip(tests, counts):
+        better = "A" if score_a > score_b else ("B" if score_b > score_a else "tie")
+        results.append(SignificanceResult((count + 1) / (iterations + 1), iterations,
+                                          seed, better, score_a - score_b))
+    return results
+
+
+def paired_significance(hyps_a, hyps_b, refs, iterations: int = 10000,
+                        seed: int = 0, beta: float = DEFAULT_BETA) -> SignificanceResult:
+    """Paired approximate randomization of system A against system B."""
+    hyps_a, hyps_b, refs = list(hyps_a), list(hyps_b), list(refs)
+    if not (len(hyps_a) == len(hyps_b) == len(refs)):
+        raise ChrfError("line counts differ: A=%d B=%d refs=%d"
+                        % (len(hyps_a), len(hyps_b), len(refs)))
+    return paired_significance_stats([stats_matrix(hyps_a, refs)], stats_matrix(hyps_b, refs),
+                                     iterations, seed, beta)[0]

@@ -2,62 +2,42 @@
 
 import argparse
 import json
-import os
 import sys
+from contextlib import nullcontext
 
 from . import __version__, bpe, chrf, orchestrator, sampler
+from .orchestrator import read_lines, write_lines
 from .sweep import (BpeConfig, SystemResult, recommend, render_tier_text,
                     render_tier_tsv, tier_report)
 
 
-def _open_in(path):
-    return open(path, encoding="utf-8") if path else sys.stdin
-
-
-def _open_out(path):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
+def _map_lines(input_path, output_path, fn):
+    """Write fn(line) for every line of a file or stdin to a file or stdout."""
+    with (open(input_path, encoding="utf-8") if input_path else nullcontext(sys.stdin) as src,
+          open(output_path, "w", encoding="utf-8") if output_path else nullcontext(sys.stdout)
+          as dst):
+        for line in src:
+            dst.write(fn(line.rstrip("\n")) + "\n")
 
 
 def cmd_learn_bpe(args):
-    with open(args.input, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    table = bpe.learn_bpe(lines, args.nmo)
+    table = bpe.learn_bpe(read_lines(args.input), args.nmo)
     table.save(args.output)
     print("learned %d merge rules -> %s" % (table.nmo, args.output), file=sys.stderr)
 
 
 def cmd_apply_bpe(args):
     table = bpe.MergeTable.load(args.table)
-    src = _open_in(args.input)
-    dst = _open_out(args.output)
-    try:
-        for line in src:
-            dst.write(bpe.segment_line(table, line.rstrip("\n")) + "\n")
-    finally:
-        if src is not sys.stdin:
-            src.close()
-        if dst is not sys.stdout:
-            dst.close()
+    _map_lines(args.input, args.output, lambda line: bpe.segment_line(table, line))
 
 
 def cmd_unbpe(args):
-    src = _open_in(args.input)
-    dst = _open_out(args.output)
-    try:
-        for line in src:
-            dst.write(bpe.unsegment(line.rstrip("\n")) + "\n")
-    finally:
-        if src is not sys.stdin:
-            src.close()
-        if dst is not sys.stdout:
-            dst.close()
+    _map_lines(args.input, args.output, bpe.unsegment)
 
 
 def cmd_sample(args):
-    with open(args.src, encoding="utf-8") as fh:
-        src_lines = [line.rstrip("\n") for line in fh]
-    with open(args.tgt, encoding="utf-8") as fh:
-        tgt_lines = [line.rstrip("\n") for line in fh]
+    src_lines = read_lines(args.src)
+    tgt_lines = read_lines(args.tgt)
     boundaries = tuple(int(b) for b in args.bins.split(","))
     bins = sampler.make_bins(boundaries)
     histogram = sampler.bin_histogram(src_lines, tgt_lines, bins)
@@ -65,13 +45,8 @@ def cmd_sample(args):
     sample_src, sample_tgt, indices = sampler.draw_sample(src_lines, tgt_lines, plan)
 
     prefix = args.out_prefix
-    parent = os.path.dirname(prefix)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(prefix + ".src", "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in sample_src)
-    with open(prefix + ".tgt", "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in sample_tgt)
+    write_lines(prefix + ".src", sample_src)
+    write_lines(prefix + ".tgt", sample_tgt)
     with open(prefix + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump({"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict(),
                    "seed": args.seed, "sampled_pairs": len(indices)}, fh, indent=2)
@@ -79,23 +54,16 @@ def cmd_sample(args):
 
 
 def cmd_chrf(args):
-    with open(args.hyp, encoding="utf-8") as fh:
-        hyps = [line.rstrip("\n") for line in fh]
-    with open(args.ref, encoding="utf-8") as fh:
-        refs = [line.rstrip("\n") for line in fh]
-    score = chrf.corpus_chrf_from_lines(hyps, refs, beta=args.beta,
+    score = chrf.corpus_chrf_from_lines(read_lines(args.hyp), read_lines(args.ref),
+                                        beta=args.beta,
                                         char_order=args.char_order,
                                         word_order=args.word_order)
     print("%.2f" % score.value)
 
 
 def cmd_significance(args):
-    def read(path):
-        with open(path, encoding="utf-8") as fh:
-            return [line.rstrip("\n") for line in fh]
-
-    result = chrf.paired_significance(read(args.hyp_a), read(args.hyp_b),
-                                      read(args.ref), iterations=args.iterations,
+    result = chrf.paired_significance(read_lines(args.hyp_a), read_lines(args.hyp_b),
+                                      read_lines(args.ref), iterations=args.iterations,
                                       seed=args.seed)
     print("method: %s" % chrf.SIGNIFICANCE_METHOD)
     print("p-value: %.6f" % result.p_value)

@@ -5,11 +5,16 @@ training corpus, learn one merge table per side at the largest NMO and cut
 each smaller table from it (the n-rule table is a prefix of the m-rule
 table), and segment each split once per (side, NMO) into ``<cell>/seg/``.
 Then for every configuration invoke the translation backend on those shared
-files, which it must treat as read-only, de-segment its hypotheses, score
-CHRF++ against the raw references, and test significance against the best
-symmetric configuration of the same cell. Every run leaves a JSON record on
-disk; completed records are skipped on rerun, so an interrupted sweep can
-resume without changing earlier scores.
+files, which it must treat as read-only, de-segment its hypotheses, and
+compute their per-sentence CHRF++ statistics once: the run's score comes
+from that matrix, and so does its significance test against the best
+symmetric configuration of the same cell and test set. All of a cell's
+systems are tested in one pass that shares each swap mask, since the cell's
+runs share one seed. Every run leaves a JSON record on disk; completed
+records are skipped on rerun, so an interrupted sweep can resume without
+changing earlier scores. A resumed record is re-scored from its
+``hyp.detok.txt`` only when a test needs it: it has no p-value yet, or the
+cell's best symmetric configuration has changed since it was tested.
 
 The backend is an external command template. Two built-in mocks exist for
 pipeline testing: ``mock:echo-reference`` copies the reference file and
@@ -109,6 +114,7 @@ class RunRecord:
     status: str = "pending"            # pending | done | failed
     chrf: float | None = None
     p_vs_baseline: float | None = None
+    baseline: str | None = None        # config label p_vs_baseline was measured against
     failure_reason: str | None = None
     started: float | None = None
     finished: float | None = None
@@ -167,8 +173,15 @@ def load_experiment(path) -> ExperimentConfig:
         raise OrchestratorError("backend requires a 'command' template")
     _check_backend_template(backend["command"])
 
-    if "-" not in raw["direction"]:
-        raise OrchestratorError("direction must look like 'en-hi'")
+    direction = raw["direction"]
+    langs = direction.split("-") if isinstance(direction, str) else []
+    if len(langs) != 2 or not all(langs):
+        raise OrchestratorError("direction must be two language codes like 'en-hi', got %r"
+                                % (direction,))
+    if langs[0] == langs[1]:
+        raise OrchestratorError(
+            "direction %r has one language on both sides; merge tables are named "
+            "by language, so its two sides would share one table file" % direction)
 
     cfg = ExperimentConfig(
         train_src=resolve(raw["train_src"]),
@@ -203,12 +216,15 @@ def load_experiment(path) -> ExperimentConfig:
     return cfg
 
 
-def _read_lines(path):
+def read_lines(path) -> list:
+    """The lines of a UTF-8 text file, without their newlines."""
     with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n") for line in fh]
 
 
-def _write_lines(path, lines):
+def write_lines(path, lines):
+    """Write one line per item atomically (temporary file, then rename),
+    creating the parent directory."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -220,7 +236,7 @@ def _write_lines(path, lines):
 
 
 def _write_json(path, obj):
-    _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
+    write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
 
 def _table_path(cell_dir, lang, nmo):
@@ -267,8 +283,8 @@ def _invoke_backend(cfg: ExperimentConfig, paths: dict, testset: TestSet):
         shutil.copyfile(testset.tgt, paths["hyp_out"])
         return
     if command == MOCK_IDENTITY:
-        _write_lines(paths["hyp_out"],
-                     [bpe.unsegment(line) for line in _read_lines(paths["test_src"])])
+        write_lines(paths["hyp_out"],
+                    [bpe.unsegment(line) for line in read_lines(paths["test_src"])])
         return
     rendered = command.format(**paths)
     proc = subprocess.run(rendered, shell=True, timeout=cfg.backend_timeout,
@@ -317,8 +333,8 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = True) -> list:
             "the backend must treat its input paths as read-only"],
     })
 
-    train_src = _read_lines(cfg.train_src)
-    train_tgt = _read_lines(cfg.train_tgt)
+    train_src = read_lines(cfg.train_src)
+    train_tgt = read_lines(cfg.train_tgt)
     bins = sampler.make_bins(cfg.bin_boundaries)
     histogram = sampler.bin_histogram(train_src, train_tgt, bins)
 
@@ -339,11 +355,11 @@ def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt,
     if not (resume and os.path.exists(s_src) and os.path.exists(s_tgt)):
         plan = sampler.make_sample_plan(histogram, size, cell_seed, cfg.granularity)
         src_sample, tgt_sample, _ = sampler.draw_sample(train_src, train_tgt, plan)
-        _write_lines(s_src, src_sample)
-        _write_lines(s_tgt, tgt_sample)
+        write_lines(s_src, src_sample)
+        write_lines(s_tgt, tgt_sample)
         _write_json(os.path.join(sample_dir, "manifest.json"),
                     {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict()})
-    texts = {s_src: _read_lines(s_src), s_tgt: _read_lines(s_tgt)}
+    texts = {s_src: read_lines(s_src), s_tgt: read_lines(s_tgt)}
 
     jobs = [(config, testset) for config in enumerate_grid(cfg.nmo_set)
             for testset in cfg.test_sets]
@@ -361,8 +377,8 @@ def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt,
         if resume and os.path.exists(path):
             continue
         if raw not in texts:
-            texts[raw] = _read_lines(raw)
-        _write_lines(path, [bpe.segment_line(tables[side][nmo], line) for line in texts[raw]])
+            texts[raw] = read_lines(raw)
+        write_lines(path, [bpe.segment_line(tables[side][nmo], line) for line in texts[raw]])
 
     def run_one(i):
         seg = {name: path for name, (_, _, _, path) in pending[i].items()}
@@ -373,15 +389,18 @@ def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt,
             finished = list(pool.map(run_one, pending))
     else:
         finished = [run_one(i) for i in pending]
-    for i, record in zip(pending, finished):
-        records[i] = record
+    stats = [None] * len(records)
+    for i, (record, matrix) in zip(pending, finished):
+        records[i], stats[i] = record, matrix
 
-    _add_significance(cfg, cell_dir, records)
+    _add_significance(cfg, cell_dir, records, stats)
     return records
 
 
 def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig,
                 testset: TestSet, seg_paths: dict):
+    """Run one configuration on one test set. Returns the saved record and,
+    when the run is done, its CHRF++ statistics matrix (else None)."""
     run_dir = os.path.join(cell_dir, config.label, testset.name)
     record = RunRecord(config_label=config.label, src_nmo=config.src_nmo,
                        tgt_nmo=config.tgt_nmo, direction=cfg.direction,
@@ -394,17 +413,17 @@ def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig,
 
         _invoke_backend(cfg, paths, testset)
 
-        refs = _read_lines(testset.tgt)
-        hyps = _read_lines(paths["hyp_out"])
+        refs = read_lines(testset.tgt)
+        hyps = read_lines(paths["hyp_out"])
         if len(hyps) != len(refs):
             raise OrchestratorError(
                 "hypothesis line count %d does not match test set %d" % (len(hyps), len(refs)))
         detok = [bpe.unsegment(line) for line in hyps]
         detok_path = os.path.join(run_dir, "hyp.detok.txt")
-        _write_lines(detok_path, detok)
+        write_lines(detok_path, detok)
 
-        score = chrf.corpus_chrf_from_lines(detok, refs)
-        record.chrf = round(score.value, 6)
+        matrix = chrf.stats_matrix(detok, refs)
+        record.chrf = round(chrf.corpus_chrf(matrix).value, 6)
         record.status = "done"
         record.artifacts = {
             "src_table": _table_path(cell_dir, cfg.src_lang, config.src_nmo),
@@ -415,36 +434,49 @@ def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig,
             subprocess.TimeoutExpired, OSError) as exc:
         record.status = "failed"
         record.failure_reason = str(exc)
+        matrix = None
     record.finished = time.time()
     _save_record(run_dir, record)
-    return record
+    return record, matrix
 
 
-def _add_significance(cfg, cell_dir, records):
-    """Paired significance of every completed run against the cell baseline."""
+def _add_significance(cfg, cell_dir, records, stats):
+    """Paired significance of completed runs against the cell's best symmetric
+    run, per test set. A run is tested when it has no p-value or was tested
+    against another baseline. ``stats[i]`` is run i's statistics matrix when
+    this sweep scored it, else None; such a run is re-scored from its
+    ``hyp.detok.txt`` only if a test needs it."""
     by_testset = {}
-    for rec in records:
-        by_testset.setdefault(rec.testset, []).append(rec)
+    for i, rec in enumerate(records):
+        if rec.status == "done":
+            by_testset.setdefault(rec.testset, []).append(i)
     for testset_name, cell in by_testset.items():
-        done = [r for r in cell if r.status == "done"]
-        symmetric = [r for r in done if r.src_nmo == r.tgt_nmo]
+        symmetric = [i for i in cell if records[i].src_nmo == records[i].tgt_nmo]
         if not symmetric:
             continue
-        baseline = max(symmetric, key=lambda r: (r.chrf, -r.src_nmo))
-        base_dir = os.path.join(cell_dir, baseline.config_label, testset_name)
-        base_hyps = _read_lines(os.path.join(base_dir, "hyp.detok.txt"))
+        base = max(symmetric, key=lambda i: (records[i].chrf, -records[i].src_nmo))
+        label = records[base].config_label
+        by_seed = {}
+        for i in cell:
+            if records[i].p_vs_baseline is None or records[i].baseline != label:
+                by_seed.setdefault(records[i].seed, []).append(i)
+        if not by_seed:
+            continue
         testset = next(t for t in cfg.test_sets if t.name == testset_name)
-        refs = _read_lines(testset.tgt)
-        for rec in done:
-            if rec.p_vs_baseline is not None:
-                continue
-            run_dir = os.path.join(cell_dir, rec.config_label, testset_name)
-            hyps = _read_lines(os.path.join(run_dir, "hyp.detok.txt"))
-            result = chrf.paired_significance(
-                hyps, base_hyps, refs, iterations=cfg.significance_iterations,
-                seed=rec.seed)
-            rec.p_vs_baseline = round(result.p_value, 6)
-            _save_record(run_dir, rec)
+        refs = read_lines(testset.tgt)
+        for i in [base] + [i for group in by_seed.values() for i in group]:
+            if stats[i] is None:
+                stats[i] = chrf.stats_matrix(read_lines(os.path.join(
+                    cell_dir, records[i].config_label, testset_name, "hyp.detok.txt")), refs)
+        for seed, group in by_seed.items():
+            results = chrf.paired_significance_stats(
+                [stats[i] for i in group], stats[base],
+                iterations=cfg.significance_iterations, seed=seed)
+            for i, result in zip(group, results):
+                rec = records[i]
+                rec.p_vs_baseline = round(result.p_value, 6)
+                rec.baseline = label
+                _save_record(os.path.join(cell_dir, rec.config_label, testset_name), rec)
 
 
 def collect_records(run_dir) -> list:

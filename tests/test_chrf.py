@@ -1,9 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymbpe.chrf import (ChrfError, corpus_chrf, corpus_chrf_from_lines,
-                          paired_significance, sentence_stats)
+                          paired_significance, paired_significance_stats,
+                          sentence_stats, stats_matrix)
 
 # Hand-derived oracle for hyp "the cat" vs ref "the cats": all character
 # n-grams (orders 1-6, whitespace removed) and word n-grams (orders 1-2)
@@ -38,6 +42,23 @@ def oracle_stats(hyp, ref):
     return matched, hyp_total, ref_total
 
 
+def tuple_keyed_stats(hyp, ref, char_order, word_order):
+    """Reference counting: every n-gram keyed by a tuple, matches clipped
+    with min(), totals summed from the counters."""
+    def counts(seq, n):
+        return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
+
+    matched, hyp_total, ref_total = [], [], []
+    for sh, sr, orders in (("".join(hyp.split()), "".join(ref.split()), char_order),
+                           (hyp.split(), ref.split(), word_order)):
+        for n in range(1, orders + 1):
+            h, r = counts(sh, n), counts(sr, n)
+            matched.append(sum(min(c, r[g]) for g, c in h.items()))
+            hyp_total.append(sum(h.values()))
+            ref_total.append(sum(r.values()))
+    return matched, hyp_total, ref_total
+
+
 class TestSentenceStats:
     def test_identity_all_orders_full(self):
         s = sentence_stats("cat", "cat")
@@ -63,6 +84,21 @@ class TestSentenceStats:
         s = sentence_stats("zz a a a", "zz a")
         assert s.matched[6] == 2  # word unigrams: zz + one clipped 'a'
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.sampled_from("ab \tक्ष\u00a0\u2003x"), max_size=30)
+           | st.text(max_size=30),
+           st.text(alphabet=st.sampled_from("ab \tक्ष\u00a0\u2003x"), max_size=30)
+           | st.text(max_size=30),
+           st.integers(0, 7), st.integers(0, 3))
+    def test_matches_tuple_keyed_reference(self, hyp, ref, char_order, word_order):
+        s = sentence_stats(hyp, ref, char_order, word_order)
+        assert (s.matched, s.hyp_total, s.ref_total) == \
+            tuple_keyed_stats(hyp, ref, char_order, word_order)
+
+    def test_whitespace_only_lines(self):
+        s = sentence_stats(" \t ", "\u2003")
+        assert s.matched == s.hyp_total == s.ref_total == [0] * 8
+
 
 class TestCorpusChrf:
     def test_identical_corpus_is_100(self):
@@ -79,6 +115,19 @@ class TestCorpusChrf:
     def test_empty_list_error(self):
         with pytest.raises(ChrfError):
             corpus_chrf([])
+
+    def test_matrix_and_stats_list_score_alike(self):
+        hyps = ["a cat", "the dog ran", "x y z"]
+        refs = ["a cut", "the dog runs", "x z y"]
+        matrix = stats_matrix(hyps, refs)
+        assert matrix.shape == (3, 24)
+        listed = [sentence_stats(h, r) for h, r in zip(hyps, refs)]
+        assert corpus_chrf(matrix).value == corpus_chrf(listed).value == \
+            corpus_chrf_from_lines(hyps, refs).value
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ChrfError, match="orders"):
+            corpus_chrf_from_lines(["a"], ["a"], char_order=-1)
 
     def test_permutation_invariance(self):
         hyps = ["a cat", "the dog ran", "x y z"]
@@ -159,3 +208,54 @@ class TestPairedSignificance:
         bad = ["one junk junk four", "junk six junk eight"]
         assert paired_significance(good, bad, refs, 100, seed=0).better_system == "A"
         assert paired_significance(bad, good, refs, 100, seed=0).better_system == "B"
+
+
+def random_system(refs, rng, rate):
+    return [" ".join(w if rng.random() > rate else "junk" for w in ref.split())
+            for ref in refs]
+
+
+class TestBatchedSignificance:
+    """paired_significance_stats tests several systems on one mask stream;
+    each p-value must equal the pairwise test's exactly."""
+
+    def check_equal_to_pairwise(self, systems, baseline, refs, iterations, seed):
+        batched = paired_significance_stats(
+            [stats_matrix(s, refs) for s in systems], stats_matrix(baseline, refs),
+            iterations=iterations, seed=seed)
+        pairwise = [paired_significance(s, baseline, refs, iterations, seed)
+                    for s in systems]
+        assert batched == pairwise
+        return batched
+
+    def test_equals_pairwise(self):
+        rng = random.Random(4)
+        words = ["alpha", "beta", "gamma", "delta", "eps"]
+        refs = [" ".join(rng.choices(words, k=rng.randint(1, 8))) for _ in range(30)]
+        systems = [random_system(refs, rng, rate) for rate in (0.1, 0.3, 0.5, 0.7)]
+        results = self.check_equal_to_pairwise(systems, systems[1], refs, 700, 11)
+        assert results[1].p_value == 1.0 and results[1].better_system == "tie"
+        assert any(r.p_value < 1.0 for r in results)
+
+    def test_single_sentence(self):
+        refs = ["the cat sat on the mat"]
+        systems = [["the cat sat"], ["a dog"], ["the cat sat on the mat"]]
+        self.check_equal_to_pairwise(systems, ["the cat"], refs, 300, 2)
+
+    def test_iterations_span_several_chunks(self):
+        # 4,000,000 // n masks per chunk: with n = 2,000 a chunk holds 2,000
+        # iterations, so 4,500 iterations need three chunks from one stream.
+        rng = random.Random(9)
+        refs = ["w%d w%d" % (rng.randrange(50), rng.randrange(50)) for _ in range(2000)]
+        systems = [random_system(refs, rng, rate) for rate in (0.2, 0.6)]
+        self.check_equal_to_pairwise(systems, random_system(refs, rng, 0.4), refs, 4500, 5)
+
+    def test_shape_mismatch_rejected(self):
+        a = stats_matrix(["a b"], ["a b"])
+        b = stats_matrix(["a", "b"], ["a", "b"])
+        with pytest.raises(ChrfError, match="shapes differ"):
+            paired_significance_stats([a], b, iterations=10)
+
+    def test_empty_baseline_rejected(self):
+        with pytest.raises(ChrfError, match="empty"):
+            paired_significance_stats([], stats_matrix([], []), iterations=10)

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import sys
 
 from asymbpe.cli import main
 from test_orchestrator import write_config, write_toy_corpus
@@ -30,6 +32,20 @@ def test_learn_apply_unbpe_pipeline(tmp_path, capsys):
                      "--output", str(restored))
     assert code == 0
     assert restored.read_text(encoding="utf-8") == corpus.read_text(encoding="utf-8")
+
+
+def test_apply_bpe_and_unbpe_use_stdin_and_stdout(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat\nthe cat ran\n", encoding="utf-8")
+    table = tmp_path / "table.bpe"
+    assert run(capsys, "learn-bpe", "--input", str(corpus), "--nmo", "8",
+               "--output", str(table))[0] == 0
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("the cats\n"))
+    code, segmented, _ = run(capsys, "apply-bpe", "--table", str(table))
+    assert code == 0 and segmented.count("\n") == 1 and "@@" in segmented
+    monkeypatch.setattr(sys, "stdin", io.StringIO(segmented))
+    assert run(capsys, "unbpe") == (0, "the cats\n", "")
 
 
 def test_sample_emits_files_and_manifest(tmp_path, capsys):

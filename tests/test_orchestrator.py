@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from asymbpe import bpe
+from asymbpe import bpe, chrf
 from asymbpe.orchestrator import (OrchestratorError, RunRecord, collect_records,
                                   emit_report, load_experiment, run_sweep)
 from asymbpe.sweep import BpeConfig
@@ -127,6 +127,19 @@ class TestLoadExperiment:
                             backend={"command": "train {train_src}"})
         with pytest.raises(OrchestratorError, match="hyp_out"):
             load_experiment(path)
+
+    @pytest.mark.parametrize("direction, message", [
+        ("en-en", "one language on both sides"),
+        ("en-hi-x", "two language codes"),
+        ("en-", "two language codes"),
+        ("enhi", "two language codes"),
+    ])
+    def test_malformed_direction_rejected(self, tmp_path, direction, message):
+        corpus = write_toy_corpus(str(tmp_path))
+        path = write_config(str(tmp_path), corpus, direction=direction)
+        with pytest.raises(OrchestratorError, match=message) as err:
+            load_experiment(path)
+        assert repr(direction) in str(err.value)
 
     def test_unknown_placeholder_rejected(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
@@ -334,6 +347,72 @@ class TestCellArtifacts:
             expected = "".join(bpe.segment_line(table, line.rstrip("\n")) + "\n"
                                for line in fh)
         assert read_bytes(stale_seg).decode("utf-8") == expected
+
+
+def planted_backend(tmp_path, corpus, rates):
+    """Backend command whose hypothesis is the reference with the first
+    ``rates[config]`` words of every line replaced by junk."""
+    script = tmp_path / "planted.py"
+    script.write_text(
+        "import sys\n"
+        "config, ref_path, out_path = sys.argv[1:4]\n"
+        "k = %r[config]\n"
+        "with open(ref_path) as fh: lines = [l.split() for l in fh]\n"
+        "with open(out_path, 'w') as fh:\n"
+        "    for toks in lines:\n"
+        "        fh.write(' '.join('junk' if i < k else t for i, t in enumerate(toks)) + '\\n')\n"
+        % rates)
+    return "python3 %s {config} %s {hyp_out}" % (script, corpus["test_tgt"])
+
+
+class TestSignificance:
+    RATES = {"10_10": 2, "20_20": 1, "10_20": 3, "20_10": 0,
+             "40_40": 0, "10_40": 4, "40_10": 1, "20_40": 2, "40_20": 3}
+
+    def test_statistics_computed_once_per_run_and_line(self, tmp_path, monkeypatch):
+        calls = []
+        stats = chrf.sentence_stats
+        monkeypatch.setattr(chrf, "sentence_stats",
+                            lambda h, r, *a: calls.append((h, r)) or stats(h, r, *a))
+        corpus = write_toy_corpus(str(tmp_path))
+        extra = [{"name": "test2", "src": corpus["test_src"], "tgt": corpus["test_tgt"]}]
+        cfg = load_experiment(write_config(
+            str(tmp_path), corpus, workers=2, extra_test_sets=extra,
+            backend={"command": planted_backend(tmp_path, corpus, self.RATES)}))
+        records = run_sweep(cfg)
+        assert all(r.status == "done" and r.p_vs_baseline is not None for r in records)
+        assert len(records) == 8 and len(calls) == 8 * 12  # runs x test lines
+        calls.clear()
+        assert [r.p_vs_baseline for r in run_sweep(cfg)] == \
+            [r.p_vs_baseline for r in records]
+        assert calls == []
+
+    def test_growing_nmo_set_retests_against_new_baseline(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        command = planted_backend(tmp_path, corpus, self.RATES)
+        cfg = load_experiment(write_config(str(tmp_path), corpus, nmo_set=[10, 20],
+                                           backend={"command": command}))
+        first = {r.config_label: r for r in run_sweep(cfg)}
+        assert {r.baseline for r in first.values()} == {"20_20"}
+
+        cfg = load_experiment(write_config(str(tmp_path), corpus, nmo_set=[10, 20, 40],
+                                           backend={"command": command}))
+        grown = run_sweep(cfg)
+        cfg.output_dir = str(tmp_path / "fresh")
+        fresh = run_sweep(cfg)
+        assert {r.baseline for r in grown} == {"40_40"}
+        assert [(r.config_label, r.p_vs_baseline) for r in grown] == \
+            [(r.config_label, r.p_vs_baseline) for r in fresh]
+        persisted = {r.config_label: r for r in collect_records(str(tmp_path / "out"))}
+        assert all(persisted[r.config_label].p_vs_baseline == r.p_vs_baseline
+                   and persisted[r.config_label].baseline == "40_40" for r in fresh)
+        assert any(first[label].p_vs_baseline != persisted[label].p_vs_baseline
+                   for label in first)
+
+    def test_record_without_baseline_field_loads(self, tmp_path):
+        record = make_record(10, 20, 50.0).to_dict()
+        del record["baseline"]
+        assert RunRecord.from_dict(record).baseline is None
 
 
 def make_record(src, tgt, score, size=50, rep=0, direction="en-xx",
