@@ -107,9 +107,21 @@ def word_symbols(word: str) -> tuple:
 
 
 def build_vocab(corpus) -> dict:
-    """Word-frequency vocabulary (as symbol tuples) from lines or a word->freq map."""
+    """Word-frequency vocabulary (as symbol tuples) from lines or a word->freq map.
+
+    A map's frequencies must be positive ints and its words must contain no
+    whitespace (a line could never yield such a word, and the table file
+    separates the two symbols of a rule with a space). Empty words are
+    dropped.
+    """
     if isinstance(corpus, Mapping):
         word_freqs = corpus
+        for word, freq in corpus.items():
+            if not isinstance(freq, int) or isinstance(freq, bool) or freq <= 0:
+                raise BpeError("frequency of word %r must be a positive int, got %r"
+                               % (word, freq))
+            if any(ch.isspace() for ch in word):
+                raise BpeError("word %r contains whitespace" % (word,))
     else:
         word_freqs = Counter()
         for line in corpus:
@@ -163,27 +175,30 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
     """Learn up to ``nmo`` merge rules from the corpus.
 
     corpus: iterable of whitespace-tokenized lines, or a word->frequency
-    mapping. Stops early once no adjacent pair remains. Deterministic:
-    ties go to the lexicographically smallest pair.
+    mapping whose words contain no whitespace and whose frequencies are
+    positive ints. Stops early once no adjacent pair remains.
+    Deterministic: ties go to the lexicographically smallest pair.
+
+    Pair counts are kept incrementally (Sennrich et al. 2016): a merge
+    rescans only the words that contain its pair, and changes only the
+    counts of the pairs next to each merge site. The rules equal those of
+    a learner that recounts every pair after every merge.
     """
     if nmo < 0:
         raise BpeError("nmo must be >= 0, got %d" % nmo)
-    if isinstance(corpus, Mapping):
-        fingerprint = corpus_fingerprint(corpus)
-        vocab_map = build_vocab(corpus)
-    else:
-        lines = list(corpus)
-        fingerprint = corpus_fingerprint(lines)
-        vocab_map = build_vocab(lines)
+    if not isinstance(corpus, Mapping):
+        corpus = list(corpus)
+    vocab_map = build_vocab(corpus)
     if not vocab_map:
         raise BpeError("empty corpus")
+    fingerprint = corpus_fingerprint(corpus)
 
-    words = [[list(sym), freq] for sym, freq in vocab_map.items()]
-    counts = Counter()
-    index = {}  # pair -> set of word ids containing it
+    words = [(list(sym), freq) for sym, freq in vocab_map.items()]
+    counts = {}
+    index = {}  # pair -> ids of the words it occurs in (may hold stale ids)
     for wid, (symbols, freq) in enumerate(words):
         for pair in zip(symbols, symbols[1:]):
-            counts[pair] += freq
+            counts[pair] = counts.get(pair, 0) + freq
             index.setdefault(pair, set()).add(wid)
 
     # Lazy-deletion heap: stale entries are skipped when their recorded
@@ -202,35 +217,62 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
         if best is None:
             break
         rules.append(MergeRule(best[0], best[1], len(rules)))
-        merged = best[0] + best[1]
+        left, right = best
+        merged = left + right
 
-        changed = Counter()
-        for wid in sorted(index.get(best, ())):
+        changed = {}
+        for wid in index.pop(best):
             symbols, freq = words[wid]
-            old_pairs = list(zip(symbols, symbols[1:]))
-            new_symbols = _merge_word(symbols, best, merged)
-            new_pairs = list(zip(new_symbols, new_symbols[1:]))
-            words[wid][0] = new_symbols
-            for p in old_pairs:
-                changed[p] -= freq
-            for p in new_pairs:
-                changed[p] += freq
-            old_set, new_set = set(old_pairs), set(new_pairs)
-            for p in old_set - new_set:
-                members = index.get(p)
-                if members:
-                    members.discard(wid)
-            for p in new_set - old_set:
-                index.setdefault(p, set()).add(wid)
-
-        for p, delta in changed.items():
-            if delta == 0:
+            # Greedy left-to-right merge sites; a stale id finds none.
+            sites = []
+            last = len(symbols) - 1
+            i = 0
+            try:
+                while True:
+                    i = symbols.index(left, i)
+                    if i < last and symbols[i + 1] == right:
+                        sites.append(i)
+                        i += 2
+                    else:
+                        i += 1
+            except ValueError:
+                pass
+            if not sites:
                 continue
-            counts[p] += delta
-            if counts[p] <= 0:
-                del counts[p]
-            else:
-                heapq.heappush(heap, (-counts[p], p))
+            # Pair k is (symbols[k], symbols[k + 1]). A merge at i removes
+            # pairs i - 1, i, i + 1; the merged symbol at new position j
+            # starts pairs j - 1, j. All other pairs are unchanged. Sites
+            # two apart share a pair, so each range starts past the last.
+            done = -1
+            for i in sites:
+                for k in range(max(i - 1, done + 1), min(i + 2, last)):
+                    pair = (symbols[k], symbols[k + 1])
+                    changed[pair] = changed.get(pair, 0) - freq
+                done = i + 1
+            for i in reversed(sites):
+                symbols[i:i + 2] = [merged]
+            last -= len(sites)
+            done = -1
+            for n, i in enumerate(sites):
+                j = i - n
+                for k in range(max(j - 1, done + 1), min(j + 1, last)):
+                    pair = (symbols[k], symbols[k + 1])
+                    changed[pair] = changed.get(pair, 0) + freq
+                    members = index.get(pair)
+                    if members is None:
+                        index[pair] = {wid}
+                    else:
+                        members.add(wid)
+                done = j
+
+        for pair, delta in changed.items():
+            if delta:
+                count = counts.get(pair, 0) + delta
+                if count:
+                    counts[pair] = count
+                    heapq.heappush(heap, (-count, pair))
+                else:
+                    del counts[pair]
 
     return MergeTable(rules, source_fingerprint=fingerprint)
 

@@ -164,7 +164,16 @@ def load_experiment(path) -> ExperimentConfig:
         for key in ("name", "src", "tgt"):
             if key not in extra:
                 raise OrchestratorError("extra test set missing field %r" % key)
-        test_sets.append(TestSet(extra["name"], resolve(extra["src"]), resolve(extra["tgt"])))
+        name = extra["name"]
+        # The name is a directory under each configuration and part of the
+        # segmented file name in <cell>/seg/, so it must be one distinct
+        # path component.
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or "/" in name or os.sep in name):
+            raise OrchestratorError("test set name %r is not a plain file name" % (name,))
+        if any(ts.name == name for ts in test_sets):
+            raise OrchestratorError("test set name %r is used twice" % name)
+        test_sets.append(TestSet(name, resolve(extra["src"]), resolve(extra["tgt"])))
 
     backend = raw["backend"]
     if isinstance(backend, str):

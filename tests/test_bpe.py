@@ -76,6 +76,62 @@ class TestLearn:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+    @pytest.mark.parametrize("freqs, word", [
+        ({"ab": -3, "cd": 1}, "ab"),
+        ({"ab": 0}, "ab"),
+        ({"ab": 2, "cd": 1.5}, "cd"),
+        ({"ab": "2"}, "ab"),
+        ({"ab": True}, "ab"),
+    ])
+    def test_non_positive_int_frequency_rejected(self, freqs, word):
+        with pytest.raises(BpeError, match="positive int") as err:
+            learn_bpe(freqs, 3)
+        assert repr(word) in str(err.value)
+        with pytest.raises(BpeError, match="positive int"):
+            build_vocab(freqs)
+
+    @pytest.mark.parametrize("word", ["a b", "a\tb", "ab\n", "a\u00a0b"])
+    def test_word_with_whitespace_rejected(self, word):
+        with pytest.raises(BpeError, match="whitespace") as err:
+            learn_bpe({word: 2, "cd": 1}, 3)
+        assert repr(word) in str(err.value)
+
+
+# Corpora that stress the merge-site bookkeeping: runs of one letter and
+# alternations give overlapping and adjacent merge sites, one-letter words
+# have no pairs at all.
+STRESS_WORDS = st.one_of(
+    st.builds(lambda c, n: c * n, st.sampled_from("ab"), st.integers(1, 12)),
+    st.builds(lambda a, b, n, tail: ((a + b) * n)[:2 * n - tail],
+              st.sampled_from("ab"), st.sampled_from("bc"), st.integers(1, 6),
+              st.integers(0, 1)),
+    st.sampled_from("abc"),
+    st.text(alphabet="abc", min_size=1, max_size=8),
+)
+
+
+class TestLearnProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(STRESS_WORDS, st.integers(1, 9), min_size=1, max_size=12),
+           st.integers(0, 80))
+    def test_matches_oracle_on_stress_corpora(self, freqs, nmo):
+        # nmo up to 80 runs most of these corpora out of pairs.
+        assert [r.pair for r in learn_bpe(freqs, nmo).rules] == oracle_learn(freqs, nmo)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(STRESS_WORDS, min_size=1, max_size=6), min_size=1, max_size=10),
+           st.integers(0, 80))
+    def test_lines_and_frequency_map_agree(self, lines, nmo):
+        lines = [" ".join(words) for words in lines]
+        freqs = {}
+        for line in lines:
+            for word in line.split():
+                freqs[word] = freqs.get(word, 0) + 1
+        from_lines = learn_bpe(lines, nmo).rules
+        assert from_lines == learn_bpe(freqs, nmo).rules
+        assert [r.pair for r in from_lines] == oracle_learn(freqs, nmo)
+
+
 class TestApply:
     def test_published_segmentation_example(self):
         table = table_from_pairs([("b", "o"), ("s", "u"), ("s", "c"), ("sc", "o" + END)])

@@ -141,6 +141,32 @@ class TestLoadExperiment:
             load_experiment(path)
         assert repr(direction) in str(err.value)
 
+    def extra_sets_config(self, tmp_path, *names):
+        corpus = write_toy_corpus(str(tmp_path))
+        extra = [{"name": n, "src": corpus["test_src"], "tgt": corpus["test_tgt"]}
+                 for n in names]
+        return write_config(str(tmp_path), corpus, extra_test_sets=extra)
+
+    @pytest.mark.parametrize("names", [("test",), ("dev", "dev")])
+    def test_repeated_test_set_name_rejected(self, tmp_path, names):
+        path = self.extra_sets_config(tmp_path, *names)
+        with pytest.raises(OrchestratorError, match="used twice") as err:
+            load_experiment(path)
+        assert repr(names[-1]) in str(err.value)
+
+    def test_empty_test_set_name_rejected(self, tmp_path):
+        path = self.extra_sets_config(tmp_path, "")
+        with pytest.raises(OrchestratorError, match="not a plain file name") as err:
+            load_experiment(path)
+        assert "''" in str(err.value)
+
+    @pytest.mark.parametrize("name", ["dev/a", ".", ".."])
+    def test_test_set_name_must_be_one_path_component(self, tmp_path, name):
+        path = self.extra_sets_config(tmp_path, name)
+        with pytest.raises(OrchestratorError, match="not a plain file name") as err:
+            load_experiment(path)
+        assert repr(name) in str(err.value)
+
     def test_unknown_placeholder_rejected(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
         path = write_config(str(tmp_path), corpus,
