@@ -9,10 +9,10 @@ Tie-breaking is deterministic: among pairs with the maximal count, the
 lexicographically smallest ``(left, right)`` pair (code-point order) wins.
 """
 
-import hashlib
 import heapq
+import os
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 END = "</w>"
@@ -47,7 +47,6 @@ class MergeTable:
     """Ordered list of merge rules; rank equals list position."""
 
     rules: list[MergeRule]
-    source_fingerprint: str = ""
     _pair_ranks: dict = field(default=None, repr=False, compare=False)
     _word_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -61,10 +60,15 @@ class MergeTable:
         return self._pair_ranks
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(TABLE_HEADER + "\n")
-            for rule in self.rules:
-                fh.write("%s %s\n" % (_escape(rule.left), _escape(rule.right)))
+        """Write the table to a temporary file and rename it into place, so a
+        save cut short leaves no torn table."""
+        lines = [TABLE_HEADER] + ["%s %s" % (_escape(r.left), _escape(r.right))
+                                  for r in self.rules]
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+        tmp = os.fspath(path) + ".tmp"
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path) -> "MergeTable":
@@ -144,18 +148,6 @@ def count_pairs(vocab: Mapping) -> Counter:
     return counts
 
 
-def corpus_fingerprint(corpus) -> str:
-    h = hashlib.sha256()
-    if isinstance(corpus, Mapping):
-        for word in sorted(corpus):
-            h.update(("%s\t%d\n" % (word, corpus[word])).encode("utf-8"))
-    else:
-        for line in corpus:
-            h.update(line.encode("utf-8"))
-            h.update(b"\n")
-    return h.hexdigest()
-
-
 def _merge_word(symbols: list, pair, merged: str) -> list:
     """Replace occurrences of pair left-to-right in one greedy pass."""
     out = []
@@ -186,12 +178,9 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
     """
     if nmo < 0:
         raise BpeError("nmo must be >= 0, got %d" % nmo)
-    if not isinstance(corpus, Mapping):
-        corpus = list(corpus)
     vocab_map = build_vocab(corpus)
     if not vocab_map:
         raise BpeError("empty corpus")
-    fingerprint = corpus_fingerprint(corpus)
 
     words = [(list(sym), freq) for sym, freq in vocab_map.items()]
     counts = {}
@@ -274,7 +263,7 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
                 else:
                     del counts[pair]
 
-    return MergeTable(rules, source_fingerprint=fingerprint)
+    return MergeTable(rules)
 
 
 def _encode_word(word: str, pair_ranks: dict) -> list:

@@ -10,7 +10,10 @@ Scores and tests work from per-sentence sufficient statistics: an
 ``n x 3·orders`` integer matrix (``stats_matrix``) whose row holds one
 sentence's clipped matches, hypothesis totals and reference totals per
 order. A system's matrix is computed once, scored with ``corpus_chrf`` and
-handed to ``paired_significance_stats`` without rescoring any text.
+handed to ``paired_significance_stats`` without rescoring any text. The
+score and the test share one scorer, so two systems whose corpus scores are
+equal test as a tie, and the test's observed difference is the difference of
+the two corpus scores to the last bit.
 
 The significance test is paired approximate randomization: each iteration
 swaps every sentence's two system outputs independently with probability
@@ -109,23 +112,6 @@ def stats_matrix(hypotheses, references, char_order: int = CHAR_ORDER,
     return np.array(rows, dtype=np.int64).reshape(len(rows), 3 * (char_order + word_order))
 
 
-def _score_from_sums(matched, hyp_total, ref_total, beta: float) -> float:
-    precisions, recalls = [], []
-    for m, h, r in zip(matched, hyp_total, ref_total):
-        if h == 0 and r == 0:
-            continue
-        precisions.append(m / h if h > 0 else 0.0)
-        recalls.append(m / r if r > 0 else 0.0)
-    if not precisions:
-        return 0.0
-    p = sum(precisions) / len(precisions)
-    r = sum(recalls) / len(recalls)
-    if p + r == 0.0:
-        return 0.0
-    b2 = beta * beta
-    return 100.0 * (1.0 + b2) * p * r / (b2 * p + r)
-
-
 def corpus_chrf(stats, beta: float = DEFAULT_BETA) -> ChrfScore:
     """Aggregate sentence statistics, a list of ``NGramStats`` or a
     ``stats_matrix``, into one corpus score."""
@@ -133,10 +119,9 @@ def corpus_chrf(stats, beta: float = DEFAULT_BETA) -> ChrfScore:
         stats = [s.matched + s.hyp_total + s.ref_total for s in stats]
     if len(stats) == 0:
         raise ChrfError("empty statistics list")
-    sums = np.asarray(stats, dtype=np.int64).sum(axis=0).tolist()
-    orders = len(sums) // 3
-    return ChrfScore(_score_from_sums(sums[:orders], sums[orders:2 * orders],
-                                      sums[2 * orders:], beta), beta)
+    sums = np.asarray(stats, dtype=np.int64).sum(axis=0)
+    return ChrfScore(float(_scores_from_sum_rows(sums[None, :], len(sums) // 3, beta)[0]),
+                     beta)
 
 
 def corpus_chrf_from_lines(hypotheses, references, beta: float = DEFAULT_BETA,

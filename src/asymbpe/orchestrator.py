@@ -192,6 +192,11 @@ def load_experiment(path) -> ExperimentConfig:
             "direction %r has one language on both sides; merge tables are named "
             "by language, so its two sides would share one table file" % direction)
 
+    sizes = raw["sizes"]
+    if not isinstance(sizes, list) or not all(
+            isinstance(s, int) and not isinstance(s, bool) and s > 0 for s in sizes):
+        raise OrchestratorError("sizes must be a list of positive ints, got %r" % (sizes,))
+
     cfg = ExperimentConfig(
         train_src=resolve(raw["train_src"]),
         train_tgt=resolve(raw["train_tgt"]),
@@ -199,7 +204,7 @@ def load_experiment(path) -> ExperimentConfig:
         valid_tgt=resolve(raw["valid_tgt"]),
         test_sets=test_sets,
         direction=raw["direction"],
-        sizes=[int(s) for s in raw["sizes"]],
+        sizes=list(sizes),
         nmo_set=[parse_nmo(v) for v in raw["nmo_set"]],
         backend_command=backend["command"],
         output_dir=resolve(raw["output_dir"]),
@@ -213,8 +218,11 @@ def load_experiment(path) -> ExperimentConfig:
     )
     if not cfg.nmo_set:
         raise OrchestratorError("nmo_set must be non-empty")
-    if cfg.repetitions < 1:
-        raise OrchestratorError("repetitions must be >= 1")
+    if len(set(cfg.nmo_set)) != len(cfg.nmo_set):
+        raise OrchestratorError("nmo_set repeats a value: %r" % (raw["nmo_set"],))
+    for name in ("repetitions", "workers", "significance_iterations"):
+        if getattr(cfg, name) < 1:
+            raise OrchestratorError("%s must be >= 1, got %d" % (name, getattr(cfg, name)))
     for name in ("train_src", "train_tgt", "valid_src", "valid_tgt"):
         if not os.path.exists(getattr(cfg, name)):
             raise OrchestratorError("%s path does not exist: %s" % (name, getattr(cfg, name)))
@@ -525,8 +533,7 @@ def emit_report(records, out_dir) -> dict:
         cells.setdefault((r.direction, r.size, r.rep, r.testset), []).append(r)
     tier_dir = os.path.join(out_dir, "tiers")
     for (direction, size, rep, testset), cell in sorted(cells.items()):
-        results = [SystemResult(BpeConfig(r.src_nmo, r.tgt_nmo), r.chrf,
-                                direction, size, testset, r.p_vs_baseline)
+        results = [SystemResult(BpeConfig(r.src_nmo, r.tgt_nmo), r.chrf, r.p_vs_baseline)
                    for r in cell]
         try:
             report = tier_report(results)

@@ -1,10 +1,11 @@
 """Stratified sampling of parallel corpora by source-sentence token length.
 
 Sentences are binned by source-side token count; samples preserve the bin
-proportions of the full corpus. Quotas use percentages rounded to two
-decimals and are floored to a configurable granularity (default 10), which
-reproduces the slightly-short round totals of the reference protocol
-(e.g. 99,990 for a 100K target).
+proportions of the full corpus. Each bin's share is rounded once, to
+integer basis points (half to even); quotas come from them, and a
+manifest's percentages are basis points / 100. Quotas are floored to a
+configurable granularity (default 10), which reproduces the slightly-short
+round totals of the reference protocol (e.g. 99,990 for a 100K target).
 
 Sampling uses Python's Mersenne Twister (``random.Random(seed)``) with
 ``Random.sample`` per bin, in bin order, so output is reproducible given
@@ -65,11 +66,17 @@ class BinPlan:
     total: int
 
     @property
-    def percentages(self) -> list:
-        """Per-bin share of total, rounded to 2 decimals (quota basis)."""
+    def basis_points(self) -> list:
+        """Per-bin share of total in integer hundredths of a percent, rounded
+        half to even: the quota basis (5.14 % of 100K is exactly 5140)."""
         if self.total == 0:
-            return [0.0] * len(self.bins)
-        return [round(100.0 * c / self.total, 2) for c in self.counts]
+            return [0] * len(self.bins)
+        return [round(10000 * c / self.total) for c in self.counts]
+
+    @property
+    def percentages(self) -> list:
+        """Per-bin share of total in percent: ``basis_points / 100``."""
+        return [bp / 100 for bp in self.basis_points]
 
     def to_dict(self) -> dict:
         return {
@@ -116,11 +123,13 @@ def bin_histogram(src_lines, tgt_lines, bins=None) -> BinPlan:
 
 def make_sample_plan(plan: BinPlan, target_size: int, seed: int,
                      granularity: int = 10) -> SamplePlan:
-    """Per-bin quotas proportional to the plan's percentages.
+    """Per-bin quotas proportional to the plan's basis points.
 
-    quota = floor(pct * target / 100) floored to the granularity, capped at
+    quota = floor(bp * target / 10000) floored to the granularity, capped at
     availability. target == total is the identity sample (quotas = counts).
     """
+    if target_size < 1:
+        raise SamplerError("target size must be >= 1, got %r" % (target_size,))
     if target_size > plan.total:
         raise SamplerError(
             "target size %d exceeds corpus size %d" % (target_size, plan.total))
@@ -128,12 +137,8 @@ def make_sample_plan(plan: BinPlan, target_size: int, seed: int,
         quotas = list(plan.counts)
     else:
         g = max(1, granularity)
-        quotas = []
-        for count in plan.counts:
-            # Integer basis points avoid float drift (5.14% of 100K is 5140).
-            pct100 = round(10000 * count / plan.total)
-            q = (pct100 * target_size // 10000) // g * g
-            quotas.append(min(q, count))
+        quotas = [min((bp * target_size // 10000) // g * g, count)
+                  for bp, count in zip(plan.basis_points, plan.counts)]
     return SamplePlan(list(plan.bins), target_size, quotas, seed, granularity)
 
 

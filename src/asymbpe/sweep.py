@@ -87,9 +87,6 @@ def enumerate_grid(nmo_set) -> list:
 class SystemResult:
     config: BpeConfig
     score: float
-    direction: str = ""
-    dataset_size: int = 0
-    testset: str = ""
     p_vs_baseline: float | None = None
 
 

@@ -8,6 +8,7 @@ import json
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -194,15 +195,15 @@ def test_criterion_10_end_to_end(tmp_path):
     assert all(r.chrf == pytest.approx(100.0, abs=1e-9) for r in records)
 
     artifacts = emit_report(records, cfg.output_dir)
-    lines = open(artifacts["results"]).read().strip().split("\n")
+    lines = Path(artifacts["results"]).read_text(encoding="utf-8").strip().split("\n")
     assert len(lines) == 5 and lines[0].startswith("config\t")
 
     # resume: a second run must not change any persisted score
     record_file = os.path.join(cfg.output_dir, "size100", "rep0",
                                records[0].config_label, "test", "record.json")
-    before = json.load(open(record_file))
+    before = json.loads(Path(record_file).read_text(encoding="utf-8"))
     rerun = run_sweep(cfg)
-    assert json.load(open(record_file)) == before
+    assert json.loads(Path(record_file).read_text(encoding="utf-8")) == before
     assert [r.chrf for r in rerun] == [r.chrf for r in records]
 
     # planted quality: the best configuration is recovered by the tier report

@@ -222,8 +222,21 @@ class TestTableFile:
         path = tmp_path / "t.bpe"
         table.save(path)
         loaded = MergeTable.load(path)
-        assert [r.pair for r in loaded.rules] == [r.pair for r in table.rules]
+        assert loaded == table
         assert path.read_text(encoding="utf-8").splitlines()[0] == "#asym-bpe v1"
+
+    @pytest.mark.parametrize("old", [None, b"#asym-bpe v1\na b</w>\n"])
+    def test_failed_save_leaves_no_torn_table(self, tmp_path, old):
+        # A lone surrogate cannot be encoded, so the save fails: the path
+        # must be absent or keep its old bytes, and no temporary file stays.
+        path = tmp_path / "t.bpe"
+        if old is not None:
+            path.write_bytes(old)
+        table = table_from_pairs([("a", "b</w>"), ("c", "\ud800")])
+        with pytest.raises(UnicodeEncodeError):
+            table.save(path)
+        assert (path.read_bytes() if path.exists() else None) == old
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["t.bpe"])
 
     def test_marker_collision_escaped(self, tmp_path):
         # Corpus text that can merge into the literal end-of-word marker.

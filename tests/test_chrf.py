@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +156,51 @@ class TestCorpusChrf:
             improved = list(hyps)
             improved[i] = refs[i]
             assert corpus_chrf_from_lines(improved, refs).value >= base - 1e-9
+
+
+# One sentence's statistics each. B holds A's 8 orders permuted: the same
+# per-order terms added in another order, whose sums differ in the last bit.
+ROW_A = [0, 4, 0, 1, 1, 1, 0, 2, 3, 6, 5, 5, 7, 1, 9, 3, 1, 5, 1, 3, 3, 3, 2, 8]
+ROW_B = [0, 1, 1, 0, 0, 2, 1, 4, 3, 5, 1, 5, 9, 3, 7, 6, 1, 3, 3, 1, 2, 8, 3, 5]
+
+
+@st.composite
+def stats_rows(draw, n, orders=8):
+    """n rows of per-order (matched, hyp total, ref total) with matched <= both."""
+    rows = []
+    for _ in range(n):
+        hyp = draw(st.lists(st.integers(0, 12), min_size=orders, max_size=orders))
+        ref = draw(st.lists(st.integers(0, 12), min_size=orders, max_size=orders))
+        matched = [draw(st.integers(0, min(h, r))) for h, r in zip(hyp, ref)]
+        rows.append(matched + hyp + ref)
+    return np.array(rows, dtype=np.int64)
+
+
+class TestOneScorer:
+    """The corpus score and the significance test share one scorer, so the
+    test's verdict and observed difference follow the two corpus scores."""
+
+    def check_agrees(self, mat_a, mat_b):
+        a, b = corpus_chrf(mat_a).value, corpus_chrf(mat_b).value
+        result = paired_significance_stats([mat_a], mat_b, iterations=1)[0]
+        assert (result.better_system == "tie") == (a == b)
+        assert (result.better_system == "A") == (a > b)
+        assert result.observed_difference == a - b
+
+    def test_permuted_orders(self):
+        self.check_agrees(np.array([ROW_A]), np.array([ROW_B]))
+        self.check_agrees(np.array([ROW_B]), np.array([ROW_A]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.booleans())
+    def test_verdict_follows_corpus_scores(self, data, n, permute):
+        mat_a = data.draw(stats_rows(n))
+        if permute:
+            order = data.draw(st.permutations(range(8)))
+            mat_b = mat_a[:, [block * 8 + k for block in range(3) for k in order]]
+        else:
+            mat_b = data.draw(stats_rows(n))
+        self.check_agrees(mat_a, mat_b)
 
 
 class TestPairedSignificance:

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import sys
+from pathlib import Path
 
 from asymbpe.cli import main
 from test_orchestrator import write_config, write_toy_corpus
@@ -59,10 +60,11 @@ def test_sample_emits_files_and_manifest(tmp_path, capsys):
                        "--size", "100", "--seed", "5", "--granularity", "1",
                        "--out-prefix", prefix)
     assert code == 0
-    manifest = json.load(open(prefix + ".manifest.json"))
+    manifest = json.loads(Path(prefix + ".manifest.json").read_text(encoding="utf-8"))
     assert manifest["seed"] == 5
-    n = len(open(prefix + ".src").readlines())
-    assert n == len(open(prefix + ".tgt").readlines()) == manifest["sampled_pairs"]
+    n = len(Path(prefix + ".src").read_text(encoding="utf-8").splitlines())
+    assert n == len(Path(prefix + ".tgt").read_text(encoding="utf-8").splitlines())
+    assert n == manifest["sampled_pairs"]
 
 
 def test_chrf_and_significance(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +142,19 @@ class TestLoadExperiment:
             load_experiment(path)
         assert repr(direction) in str(err.value)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sizes", [-5]), ("sizes", [0]), ("sizes", [50, 1.5]), ("sizes", ["50"]),
+        ("sizes", [True]), ("sizes", 50),
+        ("significance_iterations", 0), ("workers", 0), ("repetitions", 0),
+        ("nmo_set", [10, 10]), ("nmo_set", ["1K", 1000]),
+    ])
+    def test_bad_sweep_setting_named(self, tmp_path, field, value):
+        # Each is refused before any sample is drawn or backend run.
+        corpus = write_toy_corpus(str(tmp_path))
+        path = write_config(str(tmp_path), corpus, **{field: value})
+        with pytest.raises(OrchestratorError, match=field):
+            load_experiment(path)
+
     def extra_sets_config(self, tmp_path, *names):
         corpus = write_toy_corpus(str(tmp_path))
         extra = [{"name": n, "src": corpus["test_src"], "tgt": corpus["test_tgt"]}
@@ -254,7 +268,7 @@ class TestRunSweep:
         tier_tsv = os.path.join(cfg.output_dir, "tiers",
                                 "en-xx_size50_rep0_test.tsv")
         rows = {line.split("\t")[0]: line.split("\t")
-                for line in open(tier_tsv).read().strip().split("\n")[1:]}
+                for line in Path(tier_tsv).read_text(encoding="utf-8").strip().split("\n")[1:]}
         assert rows["High A"][1:3] == ["20", "10"]   # planted best asymmetric
         assert rows["Low A"][1:3] == ["10", "20"]    # planted worst
         assert rows["Baseline"][1:3] == ["20", "20"]  # best symmetric
@@ -453,7 +467,7 @@ class TestEmitReport:
     def test_results_tsv_columns(self, tmp_path):
         records = [make_record(500, 1000, 42.5)]
         artifacts = emit_report(records, str(tmp_path))
-        lines = open(artifacts["results"]).read().strip().split("\n")
+        lines = Path(artifacts["results"]).read_text(encoding="utf-8").strip().split("\n")
         assert lines[0].split("\t") == ["config", "src_nmo", "tgt_nmo",
                                         "direction", "size", "rep", "testset",
                                         "chrf", "p_vs_baseline", "status"]
@@ -472,8 +486,8 @@ class TestEmitReport:
                                            direction="hi-en"))
         artifacts = emit_report(records, str(tmp_path))
         assert len(artifacts["tiers"]) == 6
-        tsv = open(os.path.join(str(tmp_path), "tiers",
-                                "hi-en_size50000_rep0_test.tsv")).read()
+        tsv = (tmp_path / "tiers" / "hi-en_size50000_rep0_test.tsv").read_text(
+            encoding="utf-8")
         rows = {l.split("\t")[0]: l.split("\t") for l in tsv.strip().split("\n")[1:]}
         assert rows["High A"][1:5] == ["16K", "500", "29.33", "5.84"]
         assert rows["Baseline"][1:5] == ["4K", "4K", "23.49", "0.00"]
@@ -482,7 +496,7 @@ class TestEmitReport:
     def test_repetition_average(self, tmp_path):
         records = [make_record(500, 1000, s, rep=i) for i, s in enumerate((10, 20, 30))]
         artifacts = emit_report(records, str(tmp_path))
-        summary = open(artifacts["summary"]).read().strip().split("\n")
+        summary = Path(artifacts["summary"]).read_text(encoding="utf-8").strip().split("\n")
         assert summary[1].split("\t")[4] == "20.00"
         assert summary[1].split("\t")[5] == "3"
 
@@ -490,7 +504,7 @@ class TestEmitReport:
         records = [make_record(500, 500, 10.0), make_record(500, 1000, 12.0),
                    make_record(1000, 500, 15.0), make_record(1000, 1000, 11.0)]
         artifacts = emit_report(records, str(tmp_path))
-        lines = open(artifacts["max_trace"]).read().strip().split("\n")[1:]
+        lines = Path(artifacts["max_trace"]).read_text(encoding="utf-8").strip().split("\n")[1:]
         maxima = {int(l.split("\t")[4]): float(l.split("\t")[5]) for l in lines}
         assert maxima == {500: 12.0, 1000: 15.0}
 

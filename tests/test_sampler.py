@@ -62,6 +62,14 @@ class TestBinHistogram:
         plan = full_corpus_plan()
         assert plan.percentages == FULL_CORPUS_PERCENTAGES
 
+    def test_manifest_percentages_are_the_quota_basis(self):
+        # 99.975 % and 0.025 % round half to even in basis points: 9998 and 2.
+        plan = BinPlan(make_bins((10,)), [3999, 1], 4000)
+        assert plan.basis_points == [9998, 2]
+        assert plan.to_dict()["percentages"] == [99.98, 0.02]
+        sample = make_sample_plan(plan, 3000, seed=0, granularity=1)
+        assert sample.per_bin_quota == [2999, 0]
+
 
 class TestSamplePlan:
     def test_quotas_replay_published_sample(self):
@@ -82,6 +90,11 @@ class TestSamplePlan:
     def test_identity_sample(self):
         plan = make_sample_plan(full_corpus_plan(), FULL_CORPUS_TOTAL, seed=7)
         assert plan.per_bin_quota == FULL_CORPUS_BIN_COUNTS
+
+    @pytest.mark.parametrize("target", [0, -5])
+    def test_non_positive_target_error(self, target):
+        with pytest.raises(SamplerError, match="target size must be >= 1"):
+            make_sample_plan(full_corpus_plan(), target, seed=7)
 
     def test_oversized_target_error(self):
         with pytest.raises(SamplerError):
