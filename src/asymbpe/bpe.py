@@ -55,8 +55,13 @@ class MergeTable:
         return len(self.rules)
 
     def pair_ranks(self) -> dict:
+        """Pair -> rank. A pair listed twice keeps its first rank, so every
+        prefix of the table ranks its pairs as the whole table does."""
         if self._pair_ranks is None or len(self._pair_ranks) != len(self.rules):
-            self._pair_ranks = {r.pair: r.rank for r in self.rules}
+            ranks = {}
+            for r in self.rules:
+                ranks.setdefault(r.pair, r.rank)
+            self._pair_ranks = ranks
         return self._pair_ranks
 
     def save(self, path):
@@ -84,7 +89,7 @@ class MergeTable:
                 parts = line.split(" ")
                 if len(parts) != 2:
                     raise BpeError("malformed rule on line %d of %s: %r" % (i + 2, path, line))
-                rules.append(MergeRule(_unescape(parts[0]), _unescape(parts[1]), i))
+                rules.append(MergeRule(_unescape(parts[0]), _unescape(parts[1]), len(rules)))
         return cls(rules)
 
 
@@ -266,14 +271,22 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
     return MergeTable(rules)
 
 
-def _encode_word(word: str, pair_ranks: dict) -> list:
-    """Apply merge rules to one word in ascending rank order.
+def _encode_word(word: str, pair_ranks: dict, bounds) -> list:
+    """Apply merge rules to one word in ascending rank order, and return its
+    symbols under the first ``n`` rules for each ``n`` in ``bounds``
+    (ascending).
 
     Each rule gets one exhaustive left-to-right pass at its turn; merges
     performed by later rules cannot re-trigger earlier ones. Characters
     unseen in training pass through as single-character pieces.
+
+    Ranks only increase (``floor``), so the n-rule prefix table performs
+    exactly the merges made before the first one of rank >= n: the symbols
+    at that point are the word's segmentation at NMO n, and one encode
+    yields every bound's.
     """
     symbols = list(word_symbols(word))
+    snapshots = []
     floor = 0
     while len(symbols) > 1:
         best = None
@@ -284,9 +297,13 @@ def _encode_word(word: str, pair_ranks: dict) -> list:
         if best is None:
             break
         rank, pair = best
+        while len(snapshots) < len(bounds) and bounds[len(snapshots)] <= rank:
+            snapshots.append(symbols)
+        if len(snapshots) == len(bounds):
+            return snapshots
         symbols = _merge_word(symbols, pair, pair[0] + pair[1])
         floor = rank + 1
-    return symbols
+    return snapshots + [symbols] * (len(bounds) - len(snapshots))
 
 
 def apply_bpe(table: MergeTable, sentence: str) -> list:
@@ -296,11 +313,12 @@ def apply_bpe(table: MergeTable, sentence: str) -> list:
     pieces serialize with a trailing "@@". Pure and cacheable per word.
     """
     ranks = table.pair_ranks()
+    bounds = (table.nmo,)
     pieces = []
     for word in sentence.split():
         cached = table._word_cache.get(word)
         if cached is None:
-            cached = _encode_word(word, ranks)
+            cached = _encode_word(word, ranks, bounds)[0]
             table._word_cache[word] = cached
         last = len(cached) - 1
         for i, sym in enumerate(cached):
@@ -315,6 +333,39 @@ def segmentation_to_text(pieces) -> str:
 
 def segment_line(table: MergeTable, sentence: str) -> str:
     return segmentation_to_text(apply_bpe(table, sentence))
+
+
+def segment_lines(table: MergeTable, lines, nmos) -> dict:
+    """NMO -> ``[segment_line(MergeTable(table.rules[:nmo]), line) for line
+    in lines]`` for each NMO in ``nmos``.
+
+    Each distinct word is encoded once with ``table``, and the text of its
+    segmentation at every NMO is rendered once from the encode's snapshots
+    (see ``_encode_word``). ``table`` should hold at least ``max(nmos)``
+    rules, or all the rules its corpus allows.
+    """
+    bounds = sorted(set(nmos))
+    ranks = table.pair_ranks()
+    cache = {}  # word -> its text at each bound
+    columns = [[] for _ in bounds]
+    for line in lines:
+        words = []
+        for word in line.split():
+            texts = cache.get(word)
+            if texts is None:
+                texts, prev, text = [], None, None
+                for symbols in _encode_word(word, ranks, bounds):
+                    if symbols is not prev:
+                        text = "".join([s + CONTINUATION + " " for s in symbols[:-1]]
+                                       + [symbols[-1][:-len(END)]])
+                        prev = symbols
+                    texts.append(text)
+                cache[word] = texts
+            words.append(texts)
+        for k, column in enumerate(columns):
+            column.append(" ".join([texts[k] for texts in words]))
+    by_nmo = dict(zip(bounds, columns))
+    return {nmo: by_nmo[nmo] for nmo in nmos}
 
 
 def unsegment(text: str) -> str:
@@ -342,6 +393,6 @@ def vocabulary(table: MergeTable, corpus) -> Counter:
     types = Counter()
     for symbols, freq in vocab.items():
         word = "".join(symbols)[:-len(END)]
-        for sym in _encode_word(word, ranks):
+        for sym in _encode_word(word, ranks, (table.nmo,))[0]:
             types[sym] += freq
     return types

@@ -122,6 +122,9 @@ def cmd_report(args):
 def cmd_sweep(args):
     cfg = orchestrator.load_experiment(args.config)
     if args.workers is not None:
+        if args.workers < 1:
+            raise orchestrator.OrchestratorError("--workers must be >= 1, got %d"
+                                                 % args.workers)
         cfg.workers = args.workers
     records = orchestrator.run_sweep(cfg, resume=True)
     done = sum(1 for r in records if r.status == "done")

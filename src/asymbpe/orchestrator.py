@@ -1,9 +1,9 @@
 """End-to-end sweep driver.
 
 For each (dataset size, repetition) cell: draw a stratified sample of the
-training corpus, learn one merge table per side at the largest NMO and cut
-each smaller table from it (the n-rule table is a prefix of the m-rule
-table), and segment each split once per (side, NMO) into ``<cell>/seg/``.
+training corpus, learn one merge table per side at the largest NMO (each
+smaller table is its prefix), and segment each split into ``<cell>/seg/`` at
+every NMO of its side, encoding each word once (``bpe.segment_lines``).
 Then for every configuration invoke the translation backend on those shared
 files, which it must treat as read-only, de-segment its hypotheses, and
 compute their per-sentence CHRF++ statistics once: the run's score comes
@@ -220,7 +220,7 @@ def load_experiment(path) -> ExperimentConfig:
         raise OrchestratorError("nmo_set must be non-empty")
     if len(set(cfg.nmo_set)) != len(cfg.nmo_set):
         raise OrchestratorError("nmo_set repeats a value: %r" % (raw["nmo_set"],))
-    for name in ("repetitions", "workers", "significance_iterations"):
+    for name in ("repetitions", "workers", "significance_iterations", "granularity"):
         if getattr(cfg, name) < 1:
             raise OrchestratorError("%s must be >= 1, got %d" % (name, getattr(cfg, name)))
     for name in ("train_src", "train_tgt", "valid_src", "valid_tgt"):
@@ -260,23 +260,21 @@ def _table_path(cell_dir, lang, nmo):
     return os.path.join(cell_dir, "tables", "%s.%s.bpe" % (lang, format_nmo(nmo)))
 
 
-def _cell_tables(cfg, cell_dir, lang, lines, resume) -> dict:
-    """NMO -> merge table for one side of a cell. Greedy BPE tables are
-    prefixes of each other, so one learn at max(nmo_set), or on resume one
-    load of its file, gives every smaller table; resume keeps existing files."""
+def _cell_tables(cfg, cell_dir, lang, sample_path, resume):
+    """One side's merge table at max(nmo_set): learned, or on resume loaded.
+    Greedy BPE tables are prefixes of each other, so each smaller table file
+    is written as its truncation; resume keeps existing files."""
     top = _table_path(cell_dir, lang, max(cfg.nmo_set))
     if resume and os.path.exists(top):
         full = bpe.MergeTable.load(top)
     else:
-        full = bpe.learn_bpe(lines, max(cfg.nmo_set))
+        full = bpe.learn_bpe(read_lines(sample_path), max(cfg.nmo_set))
     os.makedirs(os.path.dirname(top), exist_ok=True)
-    tables = {}
     for nmo in cfg.nmo_set:
-        tables[nmo] = bpe.MergeTable(full.rules[:nmo])
         path = _table_path(cell_dir, lang, nmo)
         if not (resume and os.path.exists(path)):
-            tables[nmo].save(path)
-    return tables
+            bpe.MergeTable(full.rules[:nmo]).save(path)
+    return full
 
 
 def _backend_inputs(cfg, cell_dir, sample_dir, config, testset) -> dict:
@@ -345,7 +343,8 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = True) -> list:
         "assumptions": [
             "validation data is segmented with the same per-configuration "
             "merge tables as training data",
-            "each side learns one table at max(nmo_set); smaller tables are its prefixes",
+            "each side learns one table at max(nmo_set); smaller tables are its prefixes; "
+            "each side encodes every word once at max(nmo_set) and snapshots each smaller NMO",
             "segmented splits in <cell>/seg/ are shared by all configurations: "
             "the backend must treat its input paths as read-only"],
     })
@@ -376,7 +375,6 @@ def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt,
         write_lines(s_tgt, tgt_sample)
         _write_json(os.path.join(sample_dir, "manifest.json"),
                     {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict()})
-    texts = {s_src: read_lines(s_src), s_tgt: read_lines(s_tgt)}
 
     jobs = [(config, testset) for config in enumerate_grid(cfg.nmo_set)
             for testset in cfg.test_sets]
@@ -387,15 +385,16 @@ def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt,
                if rec is None or rec.status not in ("done", "failed")}
 
     # Tables and segmented splits are complete before any run starts: no locks.
-    tables = {"src": _cell_tables(cfg, cell_dir, cfg.src_lang, texts[s_src], resume),
-              "tgt": _cell_tables(cfg, cell_dir, cfg.tgt_lang, texts[s_tgt], resume)}
-    for raw, side, nmo, path in sorted({v for inputs in pending.values()
-                                        for v in inputs.values()}):
-        if resume and os.path.exists(path):
-            continue
-        if raw not in texts:
-            texts[raw] = read_lines(raw)
-        write_lines(path, [bpe.segment_line(tables[side][nmo], line) for line in texts[raw]])
+    tables = {"src": _cell_tables(cfg, cell_dir, cfg.src_lang, s_src, resume),
+              "tgt": _cell_tables(cfg, cell_dir, cfg.tgt_lang, s_tgt, resume)}
+    missing = {}  # (raw file, side) -> [(NMO, segmented path)] not on disk yet
+    for raw, side, nmo, path in sorted({v for inputs in pending.values() for v in inputs.values()}):
+        if not (resume and os.path.exists(path)):
+            missing.setdefault((raw, side), []).append((nmo, path))
+    for (raw, side), targets in missing.items():
+        segmented = bpe.segment_lines(tables[side], read_lines(raw), {n for n, _ in targets})
+        for nmo, path in targets:
+            write_lines(path, segmented[nmo])
 
     def run_one(i):
         seg = {name: path for name, (_, _, _, path) in pending[i].items()}

@@ -130,14 +130,15 @@ def make_sample_plan(plan: BinPlan, target_size: int, seed: int,
     """
     if target_size < 1:
         raise SamplerError("target size must be >= 1, got %r" % (target_size,))
+    if granularity < 1:
+        raise SamplerError("granularity must be >= 1, got %r" % (granularity,))
     if target_size > plan.total:
         raise SamplerError(
             "target size %d exceeds corpus size %d" % (target_size, plan.total))
     if target_size == plan.total:
         quotas = list(plan.counts)
     else:
-        g = max(1, granularity)
-        quotas = [min((bp * target_size // 10000) // g * g, count)
+        quotas = [min((bp * target_size // 10000) // granularity * granularity, count)
                   for bp, count in zip(plan.basis_points, plan.counts)]
     return SamplePlan(list(plan.bins), target_size, quotas, seed, granularity)
 

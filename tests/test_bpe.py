@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from asymbpe import bpe
 from asymbpe.bpe import (END, BpeError, MergeRule, MergeTable, apply_bpe,
                          build_vocab, count_pairs, learn_bpe, segment_line,
-                         segmentation_to_text, unsegment, vocabulary)
+                         segment_lines, segmentation_to_text, unsegment, vocabulary)
 from conftest import oracle_learn, random_word_freqs
 
 
@@ -157,6 +157,62 @@ class TestApply:
         assert apply_bpe(table, "abab ab") == apply_bpe(table, "abab ab")
 
 
+# Words for the multi-NMO segmenter: the stress words above, arbitrary
+# non-whitespace Unicode, and words holding the literal markers.
+SEGMENT_WORDS = st.one_of(
+    STRESS_WORDS,
+    st.text(st.characters().filter(lambda c: not c.isspace()), min_size=1, max_size=8),
+    st.sampled_from(["x</w>a", "x</w>", "</w>", "a@@", "@@b"]),
+)
+
+
+class TestSegmentLines:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(SEGMENT_WORDS, min_size=1, max_size=20),
+           st.lists(st.lists(SEGMENT_WORDS, max_size=6), max_size=6),
+           st.lists(st.one_of(st.just(0), st.integers(0, 90)), min_size=1, max_size=5,
+                    unique=True),
+           st.integers(0, 10))
+    def test_equals_segment_line_on_prefix_tables(self, train, extra, nmos, surplus):
+        # NMOs come unsorted, may be 0, and up to 90 run most corpora out of
+        # pairs; the table may also hold more rules than the largest NMO.
+        lines = [" ".join(train)] + [" ".join(words) for words in extra] + [""]
+        full = learn_bpe(lines, max(nmos) + surplus)
+        got = segment_lines(full, lines, nmos)
+        assert list(got) == nmos
+        for nmo in nmos:
+            prefix = MergeTable(full.rules[:nmo])
+            assert got[nmo] == [segment_line(prefix, line) for line in lines]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b", "ab", "ba", "aa"]),
+                              st.sampled_from(["a", "b", "ab", "a" + END, "b" + END,
+                                               "ab" + END, "ba" + END])),
+                    max_size=12),
+           st.lists(STRESS_WORDS, min_size=1, max_size=8),
+           st.lists(st.integers(0, 14), min_size=1, max_size=4, unique=True))
+    def test_any_rule_list_including_repeated_pairs(self, pairs, words, nmos):
+        # A hand-made table may list a pair twice; its prefixes must still
+        # rank that pair as the whole table does.
+        full = table_from_pairs(pairs)
+        got = segment_lines(full, words, nmos)
+        for nmo in nmos:
+            prefix = table_from_pairs(pairs[:nmo])
+            assert got[nmo] == [segment_line(prefix, word) for word in words]
+
+    def test_one_encode_per_distinct_word(self, monkeypatch):
+        calls = []
+        encode = bpe._encode_word
+        monkeypatch.setattr(bpe, "_encode_word",
+                            lambda word, *args: calls.append(word) or encode(word, *args))
+        full = learn_bpe(["the cat sat", "the cat ran"], 12)
+        got = segment_lines(full, ["the cat sat", "the cat ran", "the  cat"], [12, 0, 3])
+        assert sorted(calls) == ["cat", "ran", "sat", "the"]
+        assert got[0][2] == "t@@ h@@ e c@@ a@@ t"
+        assert got[12] == [segment_line(full, line) for line in
+                           ["the cat sat", "the cat ran", "the  cat"]]
+
+
 class TestUnsegment:
     def test_published_word(self):
         assert unsegment("bo@@ su@@ sco") == "bosusco"
@@ -246,6 +302,15 @@ class TestTableFile:
         loaded = MergeTable.load(path)
         assert [r.pair for r in loaded.rules] == [r.pair for r in table.rules]
         assert segment_line(loaded, "x</w>y") == segment_line(table, "x</w>y")
+
+    def test_blank_lines_do_not_shift_ranks(self, tmp_path):
+        # Ranks are rule positions, so the last rule of a table with a blank
+        # line still applies.
+        path = tmp_path / "t.bpe"
+        path.write_text("#asym-bpe v1\n\na b</w>\n", encoding="utf-8")
+        table = MergeTable.load(path)
+        assert [r.rank for r in table.rules] == [0]
+        assert segment_line(table, "ab") == "ab"
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "t.bpe"

@@ -118,3 +118,24 @@ def test_significance_on_empty_files_is_an_error(tmp_path, capsys):
     code, _, err = run(capsys, "significance", "--hyp-a", str(empty),
                        "--hyp-b", str(empty), "--ref", str(empty))
     assert code == 1 and err.startswith("error:") and "empty" in err
+
+
+def test_sweep_refuses_workers_below_one(tmp_path, capsys):
+    corpus = write_toy_corpus(str(tmp_path))
+    config = write_config(str(tmp_path), corpus)
+    code, _, err = run(capsys, "sweep", "--config", config, "--workers", "-3")
+    assert code == 1 and err.startswith("error:") and "--workers" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sample_refuses_granularity_below_one(tmp_path, capsys):
+    src = tmp_path / "all.src"
+    tgt = tmp_path / "all.tgt"
+    src.write_text("a b\nc d e\n", encoding="utf-8")
+    tgt.write_text("x\ny\n", encoding="utf-8")
+    prefix = str(tmp_path / "s1")
+    code, _, err = run(capsys, "sample", "--src", str(src), "--tgt", str(tgt),
+                       "--size", "1", "--seed", "5", "--granularity", "0",
+                       "--out-prefix", prefix)
+    assert code == 1 and err.startswith("error:") and "granularity" in err
+    assert not os.path.exists(prefix + ".src")

@@ -147,6 +147,7 @@ class TestLoadExperiment:
         ("sizes", [True]), ("sizes", 50),
         ("significance_iterations", 0), ("workers", 0), ("repetitions", 0),
         ("nmo_set", [10, 10]), ("nmo_set", ["1K", 1000]),
+        ("granularity", 0), ("granularity", -5),
     ])
     def test_bad_sweep_setting_named(self, tmp_path, field, value):
         # Each is refused before any sample is drawn or backend run.
@@ -316,6 +317,32 @@ class TestCellArtifacts:
         if 500 in nmo_set:  # the toy vocabulary runs out of pairs first
             assert bpe.MergeTable.load(cell_path(cfg, "tables", "en.500.bpe")).nmo < 500
 
+    def test_segmented_files_match_their_side_tables(self, tmp_path):
+        # Each <cell>/seg/ file is its raw file segmented with the table file
+        # of its side and NMO, on a fresh sweep and on a resume that grows
+        # nmo_set at both ends. valid and test share one raw source file.
+        corpus = write_toy_corpus(str(tmp_path))
+        corpus["valid_src"] = corpus["test_src"]
+        lang = {"src": "en", "tgt": "xx"}
+        for nmo_set in ([10, 20], [5, 10, 20, 40]):
+            cfg = load_experiment(write_config(str(tmp_path), corpus, nmo_set=nmo_set))
+            run_sweep(cfg)
+            raw = {("train", "src"): cell_path(cfg, "sample", "train.src"),
+                   ("train", "tgt"): cell_path(cfg, "sample", "train.tgt"),
+                   ("valid", "src"): corpus["valid_src"],
+                   ("valid", "tgt"): corpus["valid_tgt"],
+                   ("test-test", "src"): corpus["test_src"]}
+            names = sorted(os.listdir(cell_path(cfg, "seg")))
+            assert len(names) == len(raw) * len(nmo_set)
+            for name in names:
+                split, nmo, side = name.split(".")
+                table = bpe.MergeTable.load(
+                    cell_path(cfg, "tables", "%s.%s.bpe" % (lang[side], nmo)))
+                with open(raw[split, side], encoding="utf-8") as fh:
+                    expected = "".join(bpe.segment_line(table, line.rstrip("\n")) + "\n"
+                                       for line in fh)
+                assert read_bytes(cell_path(cfg, "seg", name)).decode("utf-8") == expected
+
     def test_configurations_share_segmented_inputs(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
         log = tmp_path / "inputs.log"
@@ -368,6 +395,7 @@ class TestCellArtifacts:
 
         monkeypatch.setattr(bpe, "learn_bpe", forbidden)
         monkeypatch.setattr(bpe, "segment_line", forbidden)
+        monkeypatch.setattr(bpe, "segment_lines", forbidden)
         assert [r.chrf for r in run_sweep(cfg)] == [r.chrf for r in first]
 
     def test_fresh_run_replaces_stale_tables_and_segments(self, tmp_path):

@@ -96,6 +96,12 @@ class TestSamplePlan:
         with pytest.raises(SamplerError, match="target size must be >= 1"):
             make_sample_plan(full_corpus_plan(), target, seed=7)
 
+    @pytest.mark.parametrize("granularity", [0, -5])
+    def test_granularity_below_one_error(self, granularity):
+        # It used to be treated as 1 while the manifest recorded the raw value.
+        with pytest.raises(SamplerError, match="granularity must be >= 1"):
+            make_sample_plan(full_corpus_plan(), 100_000, seed=7, granularity=granularity)
+
     def test_oversized_target_error(self):
         with pytest.raises(SamplerError):
             make_sample_plan(full_corpus_plan(), FULL_CORPUS_TOTAL + 1, seed=7)
