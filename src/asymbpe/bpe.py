@@ -48,6 +48,7 @@ class MergeTable:
 
     rules: list[MergeRule]
     _pair_ranks: dict = field(default=None, repr=False, compare=False)
+    _ranked_rules: int = field(default=-1, repr=False, compare=False)
     _word_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -57,11 +58,12 @@ class MergeTable:
     def pair_ranks(self) -> dict:
         """Pair -> rank. A pair listed twice keeps its first rank, so every
         prefix of the table ranks its pairs as the whole table does."""
-        if self._pair_ranks is None or len(self._pair_ranks) != len(self.rules):
+        if self._ranked_rules != len(self.rules):
             ranks = {}
             for r in self.rules:
                 ranks.setdefault(r.pair, r.rank)
             self._pair_ranks = ranks
+            self._ranked_rules = len(self.rules)
         return self._pair_ranks
 
     def save(self, path):
@@ -137,20 +139,6 @@ def build_vocab(corpus) -> dict:
             for word in line.split():
                 word_freqs[word] += 1
     return {word_symbols(w): f for w, f in word_freqs.items() if w}
-
-
-def count_pairs(vocab: Mapping) -> Counter:
-    """Adjacent-pair counts over a symbol-tuple vocabulary.
-
-    Overlapping adjacencies all count: ('a','a','a') contributes 2 to (a,a).
-    """
-    if not vocab:
-        raise BpeError("empty corpus")
-    counts = Counter()
-    for symbols, freq in vocab.items():
-        for pair in zip(symbols, symbols[1:]):
-            counts[pair] += freq
-    return counts
 
 
 def _merge_word(symbols: list, pair, merged: str) -> list:

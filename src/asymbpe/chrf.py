@@ -15,6 +15,19 @@ score and the test share one scorer, so two systems whose corpus scores are
 equal test as a tie, and the test's observed difference is the difference of
 the two corpus scores to the last bit.
 
+``stats_matrix`` counts a whole corpus in one vectorised pass, with no
+per-sentence n-gram dictionaries: each line is split once, the characters of
+all lines become one code-point array and the words one array of dense word
+ids. For each order, every n-gram gets an integer key built from the dense
+id of its (line, first n-1 unigrams) and its last unigram; one sort of the
+(line, n-gram, side) keys puts a line's hypothesis and reference runs of the
+same n-gram side by side, and the clipped match is the smaller run. The keys
+are exact, not hashes: an n-gram's key determines its line and unigrams, so
+distinct n-grams never share a key, and every key stays far below 2^63.
+N-grams that would span two lines, or the end of the hypotheses and the
+start of the references, are never formed. ``sentence_stats`` is one row of
+this matrix.
+
 The significance test is paired approximate randomization: each iteration
 swaps every sentence's two system outputs independently with probability
 1/2 and recounts how often the absolute corpus-score difference is at least
@@ -23,7 +36,6 @@ against one baseline with one seed share each drawn swap mask, so every
 system's p-value equals the one a separate pairwise test gives.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,36 +79,73 @@ class SignificanceResult:
     observed_difference: float
 
 
-def _ngram_counts(seq, n: int) -> Counter:
-    """n-gram counts of a string (keyed by substring) or a tuple of words
-    (keyed by word tuple)."""
-    return Counter(seq[i:i + n] for i in range(len(seq) - n + 1))
-
-
 def sentence_stats(hypothesis: str, reference: str,
                    char_order: int = CHAR_ORDER,
                    word_order: int = WORD_ORDER) -> NGramStats:
-    """Per-order clipped n-gram statistics for one sentence pair."""
-    hyp_words = tuple(hypothesis.split())
-    ref_words = tuple(reference.split())
-    hyp_chars = "".join(hyp_words)
-    ref_chars = "".join(ref_words)
+    """Per-order clipped n-gram statistics for one sentence pair: one row of
+    ``stats_matrix``."""
+    row = stats_matrix([hypothesis], [reference], char_order, word_order)[0].tolist()
+    orders = char_order + word_order
+    return NGramStats(row[:orders], row[orders:2 * orders], row[2 * orders:])
 
-    matched, hyp_total, ref_total = [], [], []
-    for seq_h, seq_r, max_n in ((hyp_chars, ref_chars, char_order),
-                                (hyp_words, ref_words, word_order)):
-        for n in range(1, max_n + 1):
-            clipped = _ngram_counts(seq_h, n) & _ngram_counts(seq_r, n)
-            matched.append(sum(clipped.values()))
-            hyp_total.append(max(0, len(seq_h) - n + 1))
-            ref_total.append(max(0, len(seq_r) - n + 1))
-    return NGramStats(matched, hyp_total, ref_total)
+
+def _ngram_stats(ids: np.ndarray, lengths: list, n: int, max_order: int, base: int):
+    """Clipped matches, hypothesis totals and reference totals of n-gram
+    orders 1..max_order, each an ``n x max_order`` int64 array.
+
+    ``ids`` holds the unigram ids (each below ``base``) of the n hypothesis
+    lines followed by the n reference lines; ``lengths`` gives those 2n line
+    lengths. An order-k n-gram is keyed by ``gid * base + last unigram``,
+    where ``gid`` is the dense id of the pair (line, its first k-1 unigrams)
+    found at order k-1 and the line itself at order 1. Keys of different
+    n-grams or lines therefore never collide, and every key stays below
+    ``2 * base * max(n, len(ids))``, far inside int64.
+    """
+    lengths = np.array(lengths, dtype=np.int64)
+    totals = np.maximum(lengths[:, None] - np.arange(max_order), 0)
+    matched = np.zeros((n, max_order), dtype=np.int64)
+    split = int(lengths[:n].sum())  # positions from here on are references
+    end = np.repeat(np.cumsum(lengths), lengths)
+    pos = np.arange(len(ids), dtype=np.int64)
+    gid = np.repeat(np.tile(np.arange(n, dtype=np.int64), 2), lengths)
+    group_line = np.arange(n, dtype=np.int64)
+    for k in range(max_order):
+        if k:
+            keep = pos + k < end[pos]  # the n-gram ends inside its line
+            pos, gid = pos[keep], gid[keep]
+            del keep
+        if not len(pos):
+            break
+        # Sorted (line, n-gram, side) keys put each n-gram's hypothesis run
+        # right before its reference run; the clipped match is the smaller.
+        key = (gid * base + ids[pos + k]) * 2 + (pos >= split)
+        order = np.argsort(key)
+        key = key[order]
+        gram = key >> 1
+        first = np.empty(len(key), dtype=bool)
+        first[0] = True
+        np.not_equal(gram[1:], gram[:-1], out=first[1:])
+        group = np.cumsum(first) - 1
+        runs = np.bincount(group * 2 + (key & 1), minlength=2 * int(group[-1] + 1))
+        group_line = group_line[gram[first] // base]
+        matched[:, k] = np.bincount(group_line, weights=np.minimum(runs[::2], runs[1::2]),
+                                    minlength=n)
+        gid = np.empty_like(group)
+        gid[order] = group
+        del key, order, gram, first, group, runs
+    return matched, totals[:n], totals[n:]
 
 
 def stats_matrix(hypotheses, references, char_order: int = CHAR_ORDER,
                  word_order: int = WORD_ORDER) -> np.ndarray:
     """``n x 3·orders`` int64 matrix of per-sentence statistics: each row is
-    one line's matched, hypothesis-total and reference-total counts."""
+    one line's matched, hypothesis-total and reference-total counts.
+
+    All lines are counted in one batch: the characters (whitespace removed)
+    of every line form one code-point array, the words one array of dense
+    word ids, and each order's n-grams are counted with one sort of their
+    (line, n-gram, side) keys (``_ngram_stats``).
+    """
     hypotheses = list(hypotheses)
     references = list(references)
     if len(hypotheses) != len(references):
@@ -105,17 +154,30 @@ def stats_matrix(hypotheses, references, char_order: int = CHAR_ORDER,
     if char_order < 0 or word_order < 0:
         raise ChrfError("n-gram orders must be >= 0, got char %d, word %d"
                         % (char_order, word_order))
-    rows = []
-    for h, r in zip(hypotheses, references):
-        s = sentence_stats(h, r, char_order, word_order)
-        rows.append(s.matched + s.hyp_total + s.ref_total)
-    return np.array(rows, dtype=np.int64).reshape(len(rows), 3 * (char_order + word_order))
+    n = len(hypotheses)
+    words = [line.split() for line in hypotheses + references]
+    chars = ["".join(w) for w in words]
+    vocab = {}
+    word_ids = np.array([vocab.setdefault(w, len(vocab)) for line in words for w in line],
+                        dtype=np.int64)
+    # surrogatepass: a lone surrogate is one code point, as it is in a str.
+    code_points = np.frombuffer("".join(chars).encode("utf-32-le", "surrogatepass"),
+                                dtype="<u4").astype(np.int64)
+    char_stats = _ngram_stats(code_points, [len(c) for c in chars], n, char_order,
+                              int(code_points.max(initial=0)) + 1)
+    word_stats = _ngram_stats(word_ids, [len(w) for w in words], n, word_order, len(vocab))
+    return np.hstack([part for pair in zip(char_stats, word_stats) for part in pair])
 
 
 def corpus_chrf(stats, beta: float = DEFAULT_BETA) -> ChrfScore:
     """Aggregate sentence statistics, a list of ``NGramStats`` or a
     ``stats_matrix``, into one corpus score."""
     if not isinstance(stats, np.ndarray):
+        stats = list(stats)
+        orders = sorted({s.orders for s in stats})
+        if len(orders) > 1:
+            raise ChrfError("sentence statistics differ in their number of orders: %s"
+                            % orders)
         stats = [s.matched + s.hyp_total + s.ref_total for s in stats]
     if len(stats) == 0:
         raise ChrfError("empty statistics list")

@@ -6,30 +6,13 @@ from hypothesis import strategies as st
 
 from asymbpe import bpe
 from asymbpe.bpe import (END, BpeError, MergeRule, MergeTable, apply_bpe,
-                         build_vocab, count_pairs, learn_bpe, segment_line,
+                         build_vocab, learn_bpe, segment_line,
                          segment_lines, segmentation_to_text, unsegment, vocabulary)
 from conftest import oracle_learn, random_word_freqs
 
 
 def table_from_pairs(pairs):
     return MergeTable([MergeRule(l, r, i) for i, (l, r) in enumerate(pairs)])
-
-
-class TestCountPairs:
-    def test_overlapping_adjacencies(self):
-        counts = count_pairs(build_vocab({"aaab": 3}))
-        assert counts == {("a", "a"): 6, ("a", "b" + END): 3}
-
-    def test_single_symbol_word(self):
-        assert count_pairs(build_vocab({"x": 1})) == {}
-
-    def test_two_words(self):
-        counts = count_pairs(build_vocab({"ab": 2, "ba": 1}))
-        assert counts == {("a", "b" + END): 2, ("b", "a" + END): 1}
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(BpeError):
-            count_pairs({})
 
 
 class TestLearn:
@@ -155,6 +138,14 @@ class TestApply:
     def test_pure_function(self):
         table = table_from_pairs([("a", "b")])
         assert apply_bpe(table, "abab ab") == apply_bpe(table, "abab ab")
+
+    def test_repeated_pair_ranks_built_once(self):
+        table = table_from_pairs([("a", "b"), ("c", "d"), ("a", "b")])
+        ranks = table.pair_ranks()
+        assert ranks == {("a", "b"): 0, ("c", "d"): 1}
+        assert table.pair_ranks() is ranks
+        table.rules.append(MergeRule("ab", "cd", 3))
+        assert table.pair_ranks()[("ab", "cd")] == 3
 
 
 # Words for the multi-NMO segmenter: the stress words above, arbitrary

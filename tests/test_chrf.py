@@ -100,6 +100,43 @@ class TestSentenceStats:
         s = sentence_stats(" \t ", "\u2003")
         assert s.matched == s.hyp_total == s.ref_total == [0] * 8
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ChrfError, match="orders"):
+            sentence_stats("a", "a", -1, 2)
+        with pytest.raises(ChrfError, match="orders"):
+            sentence_stats("a", "a", 6, -1)
+
+
+# Lines mixing empty and whitespace-only text, repeated n-grams, Devanagari,
+# non-BMP code points up to U+10FFFF and a lone surrogate.
+LINE = (st.lists(st.sampled_from(["a", "b", "ab", " ", "\t", "\u00a0", "क्ष",
+                                  "\U0001F600", "\U0010FFFF", "\ud800"]),
+                 max_size=12).map("".join)
+        | st.text(max_size=12))
+
+
+class TestStatsMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(LINE, LINE), max_size=6),
+           st.integers(0, 7), st.integers(0, 3))
+    def test_rows_match_tuple_keyed_reference(self, pairs, char_order, word_order):
+        hyps = [h for h, _ in pairs]
+        refs = [r for _, r in pairs]
+        matrix = stats_matrix(hyps, refs, char_order, word_order)
+        assert matrix.dtype == np.int64
+        assert matrix.shape == (len(pairs), 3 * (char_order + word_order))
+        for row, (hyp, ref) in zip(matrix.tolist(), pairs):
+            matched, hyp_total, ref_total = tuple_keyed_stats(hyp, ref, char_order, word_order)
+            assert row == matched + hyp_total + ref_total
+
+    def test_no_ngram_spans_two_lines(self):
+        # Joined, both sides read "abc"; per line, "bc" is only in a reference.
+        matrix = stats_matrix(["ab", "c"], ["a", "bc"])
+        assert matrix[:, 1].tolist() == [0, 0]  # character bigrams matched
+        for row, (hyp, ref) in zip(matrix.tolist(), [("ab", "a"), ("c", "bc")]):
+            matched, hyp_total, ref_total = tuple_keyed_stats(hyp, ref, 6, 2)
+            assert row == matched + hyp_total + ref_total
+
 
 class TestCorpusChrf:
     def test_identical_corpus_is_100(self):
@@ -129,6 +166,10 @@ class TestCorpusChrf:
     def test_negative_order_rejected(self):
         with pytest.raises(ChrfError, match="orders"):
             corpus_chrf_from_lines(["a"], ["a"], char_order=-1)
+
+    def test_mixed_orders_rejected(self):
+        with pytest.raises(ChrfError, match="number of orders: \\[2, 8\\]"):
+            corpus_chrf([sentence_stats("a b", "a c"), sentence_stats("a", "a", 1, 1)])
 
     def test_permutation_invariance(self):
         hyps = ["a cat", "the dog ran", "x y z"]

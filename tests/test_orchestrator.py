@@ -438,10 +438,10 @@ class TestSignificance:
              "40_40": 0, "10_40": 4, "40_10": 1, "20_40": 2, "40_20": 3}
 
     def test_statistics_computed_once_per_run_and_line(self, tmp_path, monkeypatch):
-        calls = []
-        stats = chrf.sentence_stats
-        monkeypatch.setattr(chrf, "sentence_stats",
-                            lambda h, r, *a: calls.append((h, r)) or stats(h, r, *a))
+        calls = []  # one (hypothesis, reference) entry per row computed
+        stats = chrf.stats_matrix
+        monkeypatch.setattr(chrf, "stats_matrix",
+                            lambda h, r, *a: calls.extend(zip(h, r)) or stats(h, r, *a))
         corpus = write_toy_corpus(str(tmp_path))
         extra = [{"name": "test2", "src": corpus["test_src"], "tgt": corpus["test_tgt"]}]
         cfg = load_experiment(write_config(
