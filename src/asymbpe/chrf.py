@@ -174,6 +174,11 @@ def corpus_chrf(stats, beta: float = DEFAULT_BETA) -> ChrfScore:
     ``stats_matrix``, into one corpus score."""
     if not isinstance(stats, np.ndarray):
         stats = list(stats)
+        for s in stats:
+            if not len(s.matched) == len(s.hyp_total) == len(s.ref_total):
+                raise ChrfError("NGramStats lists differ in length: matched %d, hyp_total %d, "
+                                "ref_total %d" % (len(s.matched), len(s.hyp_total),
+                                                  len(s.ref_total)))
         orders = sorted({s.orders for s in stats})
         if len(orders) > 1:
             raise ChrfError("sentence statistics differ in their number of orders: %s"
@@ -181,9 +186,20 @@ def corpus_chrf(stats, beta: float = DEFAULT_BETA) -> ChrfScore:
         stats = [s.matched + s.hyp_total + s.ref_total for s in stats]
     if len(stats) == 0:
         raise ChrfError("empty statistics list")
-    sums = np.asarray(stats, dtype=np.int64).sum(axis=0)
+    stats = np.asarray(stats, dtype=np.int64)
+    _check_width(stats)
+    sums = stats.sum(axis=0)
     return ChrfScore(float(_scores_from_sum_rows(sums[None, :], len(sums) // 3, beta)[0]),
                      beta)
+
+
+def _check_width(matrix: np.ndarray):
+    """Refuse statistics that are not an ``n x 3·orders`` matrix with at
+    least one order."""
+    if matrix.ndim != 2 or matrix.shape[1] == 0 or matrix.shape[1] % 3:
+        raise ChrfError("statistics of shape %s: the width must be a positive multiple of 3 "
+                        "(matched, hypothesis and reference counts per order)"
+                        % (matrix.shape,))
 
 
 def corpus_chrf_from_lines(hypotheses, references, beta: float = DEFAULT_BETA,
@@ -224,6 +240,7 @@ def paired_significance_stats(systems, baseline, iterations: int = 10000,
     mat_b = np.asarray(baseline, dtype=np.float64)
     if mat_b.ndim != 2 or mat_b.shape[0] == 0:
         raise ChrfError("empty test set: no sentences to compare")
+    _check_width(mat_b)
     n, width = mat_b.shape
     orders = width // 3
     base_b = mat_b.sum(axis=0)

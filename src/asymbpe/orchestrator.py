@@ -3,27 +3,38 @@
 For each (dataset size, repetition) cell: draw a stratified sample of the
 training corpus, learn one merge table per side at the largest NMO (each
 smaller table is its prefix), and segment each split into ``<cell>/seg/`` at
-every NMO of its side, encoding each word once (``bpe.segment_lines``).
-Then for every configuration invoke the translation backend on those shared
-files, which it must treat as read-only, de-segment its hypotheses, and
-compute their per-sentence CHRF++ statistics once: the run's score comes
-from that matrix, and so does its significance test against the best
-symmetric configuration of the same cell and test set. All of a cell's
-systems are tested in one pass that shares each swap mask, since the cell's
-runs share one seed. Every run leaves a JSON record on disk; completed
-records are skipped on rerun, so an interrupted sweep can resume without
-changing earlier scores. A resumed record is re-scored from its
-``hyp.detok.txt`` only when a test needs it: it has no p-value yet, or the
-cell's best symmetric configuration has changed since it was tested.
+every NMO of its side, encoding each word once (``bpe.segment_lines``). The
+source lines of every test set, in config order, form one combined test
+source per source NMO. Then every configuration invokes the translation
+backend once on those shared files, which it must treat as read-only: one
+model per configuration, as in the paper, whatever the number of test sets.
+Its hypothesis file is split back into the test sets by their source line
+counts, and each test set's slice is de-segmented and its per-sentence
+CHRF++ statistics computed once: the run's score comes from that matrix,
+and so does its significance test against the best symmetric configuration
+of the same cell and test set. All of a cell's systems are tested in one
+pass that shares each swap mask, since the cell's runs share one seed.
 
-The backend is an external command template. Two built-in mocks exist for
-pipeline testing: ``mock:echo-reference`` copies the reference file and
-``mock:identity`` copies the de-segmented source.
+A run is one (configuration, test set) pair and leaves a JSON record on
+disk. A backend failure fails every pending run of its configuration; a
+scoring failure fails only its own test set's run. Completed records are
+skipped on rerun, so an interrupted sweep can resume without changing
+earlier scores; a configuration with any pending test set runs the backend
+again over all test sets and writes only the pending records. A resumed
+record is re-scored from its ``hyp.detok.txt`` only when a test needs it: it
+has no p-value yet, or the cell's best symmetric configuration has changed
+since it was tested.
+
+The backend is an external command template; its stdout and stderr go to
+``<cell>/<config>/backend.log``. Two built-in mocks exist for pipeline
+testing: ``mock:echo-reference`` writes the references of every test set
+and ``mock:identity`` the de-segmented source.
 """
 
+import itertools
 import json
+import math
 import os
-import shutil
 import string
 import subprocess
 import time
@@ -128,6 +139,10 @@ class RunRecord:
         return cls(**d)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_backend_template(command: str):
     if command in (MOCK_ECHO_REFERENCE, MOCK_IDENTITY):
         return
@@ -165,12 +180,16 @@ def load_experiment(path) -> ExperimentConfig:
             if key not in extra:
                 raise OrchestratorError("extra test set missing field %r" % key)
         name = extra["name"]
-        # The name is a directory under each configuration and part of the
-        # segmented file name in <cell>/seg/, so it must be one distinct
-        # path component.
+        # The name is a directory under each configuration, so it must be
+        # one distinct path component. The combined test source in
+        # <cell>/seg/ joins the names with '+', so that name identifies the
+        # list of test sets only if no name holds a '+'.
         if (not isinstance(name, str) or name in ("", ".", "..")
                 or "/" in name or os.sep in name):
             raise OrchestratorError("test set name %r is not a plain file name" % (name,))
+        if "+" in name:
+            raise OrchestratorError("test set name %r contains '+', which joins test set "
+                                    "names in the combined test source's file name" % name)
         if any(ts.name == name for ts in test_sets):
             raise OrchestratorError("test set name %r is used twice" % name)
         test_sets.append(TestSet(name, resolve(extra["src"]), resolve(extra["tgt"])))
@@ -193,9 +212,24 @@ def load_experiment(path) -> ExperimentConfig:
             "by language, so its two sides would share one table file" % direction)
 
     sizes = raw["sizes"]
-    if not isinstance(sizes, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) and s > 0 for s in sizes):
+    if not isinstance(sizes, list) or not all(_is_int(s) and s > 0 for s in sizes):
         raise OrchestratorError("sizes must be a list of positive ints, got %r" % (sizes,))
+
+    def integer(name, default, least):
+        value = raw.get(name, default)
+        if not _is_int(value):
+            raise OrchestratorError("%s must be an int, got %r" % (name, value))
+        if value < least:
+            raise OrchestratorError("%s must be >= %d, got %d" % (name, least, value))
+        return value
+
+    timeout = backend.get("timeout")
+    # NaN and infinity fail the range test; bools are not numbers here.
+    if timeout is not None and (isinstance(timeout, bool)
+                                or not isinstance(timeout, (int, float))
+                                or not 0 < timeout < math.inf):
+        raise OrchestratorError("backend.timeout must be a positive number of seconds, got %r"
+                                % (timeout,))
 
     cfg = ExperimentConfig(
         train_src=resolve(raw["train_src"]),
@@ -208,21 +242,20 @@ def load_experiment(path) -> ExperimentConfig:
         nmo_set=[parse_nmo(v) for v in raw["nmo_set"]],
         backend_command=backend["command"],
         output_dir=resolve(raw["output_dir"]),
-        seed=int(raw.get("seed", 0)),
-        repetitions=int(raw.get("repetitions", 1)),
-        workers=int(raw.get("workers", 1)),
-        significance_iterations=int(raw.get("significance_iterations", 10000)),
-        backend_timeout=backend.get("timeout"),
+        # Cell seeds also seed the significance test's generator, which
+        # takes no negative seed.
+        seed=integer("seed", 0, 0),
+        repetitions=integer("repetitions", 1, 1),
+        workers=integer("workers", 1, 1),
+        significance_iterations=integer("significance_iterations", 10000, 1),
+        backend_timeout=timeout,
         bin_boundaries=tuple(raw.get("bins", sampler.DEFAULT_BOUNDARIES)),
-        granularity=int(raw.get("granularity", 10)),
+        granularity=integer("granularity", 10, 1),
     )
     if not cfg.nmo_set:
         raise OrchestratorError("nmo_set must be non-empty")
     if len(set(cfg.nmo_set)) != len(cfg.nmo_set):
         raise OrchestratorError("nmo_set repeats a value: %r" % (raw["nmo_set"],))
-    for name in ("repetitions", "workers", "significance_iterations", "granularity"):
-        if getattr(cfg, name) < 1:
-            raise OrchestratorError("%s must be >= 1, got %d" % (name, getattr(cfg, name)))
     for name in ("train_src", "train_tgt", "valid_src", "valid_tgt"):
         if not os.path.exists(getattr(cfg, name)):
             raise OrchestratorError("%s path does not exist: %s" % (name, getattr(cfg, name)))
@@ -277,36 +310,54 @@ def _cell_tables(cfg, cell_dir, lang, sample_path, resume):
     return full
 
 
-def _backend_inputs(cfg, cell_dir, sample_dir, config, testset) -> dict:
-    """Placeholder -> (raw text path, side, NMO, segmented path) for the five
-    segmented inputs of one run. Every run that needs the same split, side
-    and NMO gets the same file under ``<cell>/seg/``."""
+def _backend_inputs(cfg, cell_dir, sample_dir, config) -> dict:
+    """Placeholder -> (raw text paths, side, NMO, segmented path) for the five
+    segmented inputs of one configuration. Every configuration that needs
+    the same split, side and NMO gets the same file under ``<cell>/seg/``.
+    ``{test_src}`` holds the source lines of every test set in config order,
+    in a file named after the list of test sets."""
     src, tgt = ("src", config.src_nmo), ("tgt", config.tgt_nmo)
-    rows = (("train_src", "train", os.path.join(sample_dir, "train.src"), src),
-            ("train_tgt", "train", os.path.join(sample_dir, "train.tgt"), tgt),
-            ("valid_src", "valid", cfg.valid_src, src),
-            ("valid_tgt", "valid", cfg.valid_tgt, tgt),
-            ("test_src", "test-" + testset.name, testset.src, src))
+    test = "test-" + "+".join(ts.name for ts in cfg.test_sets)
+    rows = (("train_src", "train", (os.path.join(sample_dir, "train.src"),), src),
+            ("train_tgt", "train", (os.path.join(sample_dir, "train.tgt"),), tgt),
+            ("valid_src", "valid", (cfg.valid_src,), src),
+            ("valid_tgt", "valid", (cfg.valid_tgt,), tgt),
+            ("test_src", test, tuple(ts.src for ts in cfg.test_sets), src))
     return {name: (raw, side, nmo, os.path.join(
                 cell_dir, "seg", "%s.%s.%s" % (split, format_nmo(nmo), side)))
             for name, split, raw, (side, nmo) in rows}
 
 
-def _invoke_backend(cfg: ExperimentConfig, paths: dict, testset: TestSet):
+def _log_tail(path, chars=500) -> str:
+    """The last ``chars`` characters of a log file, read from its end."""
+    with open(path, "rb") as fh:
+        fh.seek(max(0, os.path.getsize(path) - 4 * chars - 3))  # UTF-8: <= 4 bytes a char
+        return fh.read().decode("utf-8", "replace").strip()[-chars:]
+
+
+def _invoke_backend(cfg: ExperimentConfig, paths: dict, log_path):
+    """Run the backend once, writing its stdout and stderr to ``log_path``.
+    The mocks write no log."""
     command = cfg.backend_command
     if command == MOCK_ECHO_REFERENCE:
-        shutil.copyfile(testset.tgt, paths["hyp_out"])
+        write_lines(paths["hyp_out"],
+                    [line for ts in cfg.test_sets for line in read_lines(ts.tgt)])
         return
     if command == MOCK_IDENTITY:
         write_lines(paths["hyp_out"],
                     [bpe.unsegment(line) for line in read_lines(paths["test_src"])])
         return
-    rendered = command.format(**paths)
-    proc = subprocess.run(rendered, shell=True, timeout=cfg.backend_timeout,
-                          capture_output=True, text=True)
+    with open(log_path, "wb") as log:
+        try:
+            proc = subprocess.run(command.format(**paths), shell=True,
+                                  timeout=cfg.backend_timeout, stdout=log,
+                                  stderr=subprocess.STDOUT)
+        except subprocess.TimeoutExpired:
+            raise OrchestratorError("backend timed out after %s s (log %s): %s" % (
+                cfg.backend_timeout, log_path, _log_tail(log_path))) from None
     if proc.returncode != 0:
-        raise OrchestratorError("backend exited %d: %s" % (
-            proc.returncode, (proc.stderr or proc.stdout).strip()[-500:]))
+        raise OrchestratorError("backend exited %d (log %s): %s" % (
+            proc.returncode, log_path, _log_tail(log_path)))
     if not os.path.exists(paths["hyp_out"]):
         raise OrchestratorError("backend produced no hypothesis file at %s" % paths["hyp_out"])
 
@@ -345,8 +396,9 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = True) -> list:
             "merge tables as training data",
             "each side learns one table at max(nmo_set); smaller tables are its prefixes; "
             "each side encodes every word once at max(nmo_set) and snapshots each smaller NMO",
-            "segmented splits in <cell>/seg/ are shared by all configurations: "
-            "the backend must treat its input paths as read-only"],
+            "the backend runs once per configuration over all test sets in config order, "
+            "writes one {hyp_out} line per {test_src} line, and must not modify the shared "
+            "<cell>/seg/ inputs"],
     })
 
     train_src = read_lines(cfg.train_src)
@@ -376,84 +428,117 @@ def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt,
         _write_json(os.path.join(sample_dir, "manifest.json"),
                     {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict()})
 
-    jobs = [(config, testset) for config in enumerate_grid(cfg.nmo_set)
-            for testset in cfg.test_sets]
+    # Record c * n_sets + t is configuration c on test set t.
+    configs = enumerate_grid(cfg.nmo_set)
+    n_sets = len(cfg.test_sets)
     records = [_load_record(os.path.join(cell_dir, config.label, testset.name))
-               if resume else None for config, testset in jobs]
-    pending = {i: _backend_inputs(cfg, cell_dir, sample_dir, *jobs[i])
-               for i, rec in enumerate(records)
-               if rec is None or rec.status not in ("done", "failed")}
+               if resume else None for config in configs for testset in cfg.test_sets]
+    pending = {}  # configuration index -> indices of its test sets still to run
+    for i, rec in enumerate(records):
+        if rec is None or rec.status not in ("done", "failed"):
+            pending.setdefault(i // n_sets, []).append(i % n_sets)
+    inputs = {c: _backend_inputs(cfg, cell_dir, sample_dir, configs[c]) for c in pending}
 
     # Tables and segmented splits are complete before any run starts: no locks.
     tables = {"src": _cell_tables(cfg, cell_dir, cfg.src_lang, s_src, resume),
               "tgt": _cell_tables(cfg, cell_dir, cfg.tgt_lang, s_tgt, resume)}
-    missing = {}  # (raw file, side) -> [(NMO, segmented path)] not on disk yet
-    for raw, side, nmo, path in sorted({v for inputs in pending.values() for v in inputs.values()}):
+    missing = {}  # (raw files, side) -> [(NMO, segmented path)] not on disk yet
+    for raw, side, nmo, path in sorted({v for paths in inputs.values() for v in paths.values()}):
         if not (resume and os.path.exists(path)):
             missing.setdefault((raw, side), []).append((nmo, path))
     for (raw, side), targets in missing.items():
-        segmented = bpe.segment_lines(tables[side], read_lines(raw), {n for n, _ in targets})
+        lines = [line for path in raw for line in read_lines(path)]
+        segmented = bpe.segment_lines(tables[side], lines, {n for n, _ in targets})
         for nmo, path in targets:
             write_lines(path, segmented[nmo])
+    test_lines = [len(read_lines(ts.src)) for ts in cfg.test_sets]
 
-    def run_one(i):
-        seg = {name: path for name, (_, _, _, path) in pending[i].items()}
-        return _run_config(cfg, size, rep, cell_seed, cell_dir, *jobs[i], seg)
+    def run_one(c):
+        seg = {name: path for name, (_, _, _, path) in inputs[c].items()}
+        return _run_config(cfg, size, rep, cell_seed, cell_dir, configs[c], pending[c],
+                           seg, test_lines)
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             finished = list(pool.map(run_one, pending))
     else:
-        finished = [run_one(i) for i in pending]
+        finished = [run_one(c) for c in pending]
     stats = [None] * len(records)
-    for i, (record, matrix) in zip(pending, finished):
-        records[i], stats[i] = record, matrix
+    for c, results in zip(pending, finished):
+        for t, (record, matrix) in zip(pending[c], results):
+            records[c * n_sets + t], stats[c * n_sets + t] = record, matrix
 
     _add_significance(cfg, cell_dir, records, stats)
     return records
 
 
-def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig,
-                testset: TestSet, seg_paths: dict):
-    """Run one configuration on one test set. Returns the saved record and,
-    when the run is done, its CHRF++ statistics matrix (else None)."""
-    run_dir = os.path.join(cell_dir, config.label, testset.name)
-    record = RunRecord(config_label=config.label, src_nmo=config.src_nmo,
-                       tgt_nmo=config.tgt_nmo, direction=cfg.direction,
-                       size=size, rep=rep, testset=testset.name,
-                       seed=cell_seed, started=time.time())
-    paths = dict(seg_paths, model_dir=os.path.join(run_dir, "model"),
-                 hyp_out=os.path.join(run_dir, "hyp.txt"), config=config.label)
+def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig, pending: list,
+                seg_paths: dict, test_lines: list):
+    """Run the backend once for one configuration, on the test sources of
+    every test set, and score each pending test set (an index into
+    ``cfg.test_sets``) on its slice of the hypothesis; ``test_lines`` holds
+    each test set's source line count. Returns one (saved record, CHRF++
+    statistics matrix or None) per pending test set; the matrix is None
+    unless the record is done."""
+    config_dir = os.path.join(cell_dir, config.label)
+    started = time.time()
+    paths = dict(seg_paths, model_dir=os.path.join(config_dir, "model"),
+                 hyp_out=os.path.join(config_dir, "hyp.txt"), config=config.label)
+    backend_error = None
     try:
         os.makedirs(paths["model_dir"], exist_ok=True)
-
-        _invoke_backend(cfg, paths, testset)
-
-        refs = read_lines(testset.tgt)
+        _invoke_backend(cfg, paths, os.path.join(config_dir, "backend.log"))
         hyps = read_lines(paths["hyp_out"])
-        if len(hyps) != len(refs):
-            raise OrchestratorError(
-                "hypothesis line count %d does not match test set %d" % (len(hyps), len(refs)))
-        detok = [bpe.unsegment(line) for line in hyps]
-        detok_path = os.path.join(run_dir, "hyp.detok.txt")
-        write_lines(detok_path, detok)
+        if len(hyps) != sum(test_lines):
+            raise OrchestratorError("hypothesis line count %d does not match the %d lines "
+                                    "of the test sources" % (len(hyps), sum(test_lines)))
+    except (OrchestratorError, OSError) as exc:
+        backend_error = str(exc)  # fails every pending test set of the configuration
 
-        matrix = chrf.stats_matrix(detok, refs)
-        record.chrf = round(chrf.corpus_chrf(matrix).value, 6)
-        record.status = "done"
-        record.artifacts = {
-            "src_table": _table_path(cell_dir, cfg.src_lang, config.src_nmo),
-            "tgt_table": _table_path(cell_dir, cfg.tgt_lang, config.tgt_nmo),
-            "hypothesis": paths["hyp_out"], "hypothesis_detok": detok_path,
-        }
-    except (OrchestratorError, bpe.BpeError, chrf.ChrfError,
-            subprocess.TimeoutExpired, OSError) as exc:
-        record.status = "failed"
-        record.failure_reason = str(exc)
-        matrix = None
-    record.finished = time.time()
-    _save_record(run_dir, record)
-    return record, matrix
+    starts = list(itertools.accumulate([0] + test_lines))
+    results = []
+    for t in pending:
+        testset = cfg.test_sets[t]
+        run_dir = os.path.join(config_dir, testset.name)
+        record = RunRecord(config_label=config.label, src_nmo=config.src_nmo,
+                           tgt_nmo=config.tgt_nmo, direction=cfg.direction,
+                           size=size, rep=rep, testset=testset.name,
+                           seed=cell_seed, started=started)
+        matrix, reason = None, backend_error
+        if reason is None:
+            try:
+                matrix = _score_testset(cfg, cell_dir, config, testset,
+                                        hyps[starts[t]:starts[t + 1]], paths["hyp_out"],
+                                        run_dir, record)
+            except (OrchestratorError, bpe.BpeError, chrf.ChrfError, OSError) as exc:
+                reason = str(exc)
+        if matrix is None:
+            record.status, record.failure_reason = "failed", reason
+        record.finished = time.time()
+        _save_record(run_dir, record)
+        results.append((record, matrix))
+    return results
+
+
+def _score_testset(cfg, cell_dir, config, testset, hyps, hyp_path, run_dir, record):
+    """De-segment one test set's hypothesis lines into ``hyp.detok.txt``,
+    score them into ``record`` and return their statistics matrix."""
+    refs = read_lines(testset.tgt)
+    if len(hyps) != len(refs):
+        raise OrchestratorError("test set %r has %d source lines but %d references"
+                                % (testset.name, len(hyps), len(refs)))
+    detok = [bpe.unsegment(line) for line in hyps]
+    detok_path = os.path.join(run_dir, "hyp.detok.txt")
+    write_lines(detok_path, detok)
+    matrix = chrf.stats_matrix(detok, refs)
+    record.chrf = round(chrf.corpus_chrf(matrix).value, 6)
+    record.status = "done"
+    record.artifacts = {
+        "src_table": _table_path(cell_dir, cfg.src_lang, config.src_nmo),
+        "tgt_table": _table_path(cell_dir, cfg.tgt_lang, config.tgt_nmo),
+        "hypothesis": hyp_path, "hypothesis_detok": detok_path,
+    }
+    return matrix
 
 
 def _add_significance(cfg, cell_dir, records, stats):

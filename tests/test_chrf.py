@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymbpe.chrf import (ChrfError, corpus_chrf, corpus_chrf_from_lines,
+from asymbpe.chrf import (ChrfError, NGramStats, corpus_chrf, corpus_chrf_from_lines,
                           paired_significance, paired_significance_stats,
                           sentence_stats, stats_matrix)
 
@@ -166,6 +166,19 @@ class TestCorpusChrf:
     def test_negative_order_rejected(self):
         with pytest.raises(ChrfError, match="orders"):
             corpus_chrf_from_lines(["a"], ["a"], char_order=-1)
+
+    def test_stats_lists_of_unequal_length_rejected(self):
+        with pytest.raises(ChrfError, match="differ in length: matched 2, hyp_total 2, "
+                                            "ref_total 4"):
+            corpus_chrf([NGramStats([1, 1], [1, 1], [1, 1, 5, 5])])
+
+    @pytest.mark.parametrize("width", [5, 4, 0])
+    def test_matrix_width_not_multiple_of_3_rejected(self, width):
+        matrix = np.ones((2, width), dtype=np.int64)
+        with pytest.raises(ChrfError, match="positive multiple of 3"):
+            corpus_chrf(matrix)
+        with pytest.raises(ChrfError, match="positive multiple of 3"):
+            paired_significance_stats([matrix], matrix, iterations=10)
 
     def test_mixed_orders_rejected(self):
         with pytest.raises(ChrfError, match="number of orders: \\[2, 8\\]"):

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,40 @@ class TestLoadExperiment:
         with pytest.raises(OrchestratorError, match="not a plain file name") as err:
             load_experiment(path)
         assert repr(name) in str(err.value)
+
+    def test_plus_in_test_set_name_rejected(self, tmp_path):
+        # '+' joins the names in the combined test source's file name.
+        path = self.extra_sets_config(tmp_path, "dev+x")
+        with pytest.raises(OrchestratorError, match="contains '\\+'") as err:
+            load_experiment(path)
+        assert "'dev+x'" in str(err.value)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "abc"), ("seed", 1.5), ("seed", True), ("seed", -1),
+        ("repetitions", 1.7), ("repetitions", "2"), ("workers", True),
+        ("workers", 2.0), ("significance_iterations", "100"),
+        ("significance_iterations", False), ("granularity", 2.5), ("granularity", "10"),
+        ("backend.timeout", "10"), ("backend.timeout", -1), ("backend.timeout", 0),
+        ("backend.timeout", True), ("backend.timeout", float("nan")),
+        ("backend.timeout", float("inf")),
+    ])
+    def test_mistyped_setting_named(self, tmp_path, field, value):
+        corpus = write_toy_corpus(str(tmp_path))
+        if field == "backend.timeout":
+            overrides = {"backend": {"command": "mock:identity", "timeout": value}}
+        else:
+            overrides = {field: value}
+        path = write_config(str(tmp_path), corpus, **overrides)
+        with pytest.raises(OrchestratorError, match=field.replace(".", "\\.")) as err:
+            load_experiment(path)
+        assert repr(value) in str(err.value)
+
+    def test_timeout_accepts_positive_numbers(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        for timeout in (30, 0.5):
+            path = write_config(str(tmp_path), corpus,
+                                backend={"command": "mock:identity", "timeout": timeout})
+            assert load_experiment(path).backend_timeout == timeout
 
     def test_unknown_placeholder_rejected(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
@@ -365,8 +400,12 @@ class TestCellArtifacts:
         seg_dir = cell_path(cfg, "seg")
         assert all(os.path.dirname(p) == seg_dir
                    for paths in inputs.values() for p in paths.values())
+        # One backend run per configuration; each test set's scored slice
+        # and record sit below it.
+        assert sorted(os.listdir(cell_path(cfg, "10_20"))) == [
+            "backend.log", "hyp.txt", "model", "test"]
         assert sorted(os.listdir(cell_path(cfg, "10_20", "test"))) == [
-            "hyp.detok.txt", "hyp.txt", "model", "record.json"]
+            "hyp.detok.txt", "record.json"]
 
     def test_growing_nmo_set_keeps_tables_and_records(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
@@ -417,20 +456,26 @@ class TestCellArtifacts:
         assert read_bytes(stale_seg).decode("utf-8") == expected
 
 
-def planted_backend(tmp_path, corpus, rates):
+def planted_backend(tmp_path, corpus, rates, refs=None):
     """Backend command whose hypothesis is the reference with the first
-    ``rates[config]`` words of every line replaced by junk."""
+    ``rates[config]`` words of every line replaced by junk. ``refs`` lists
+    the reference files of every test set in config order (default: the
+    main test set's); the script writes one line per ``{test_src}`` line."""
     script = tmp_path / "planted.py"
     script.write_text(
         "import sys\n"
-        "config, ref_path, out_path = sys.argv[1:4]\n"
+        "def read(path):\n"
+        "    with open(path) as fh: return fh.read().splitlines()\n"
+        "config, src_path, out_path, *ref_paths = sys.argv[1:]\n"
         "k = %r[config]\n"
-        "with open(ref_path) as fh: lines = [l.split() for l in fh]\n"
+        "lines = [l.split() for p in ref_paths for l in read(p)]\n"
+        "if len(lines) != len(read(src_path)): sys.exit('one line per test source line')\n"
         "with open(out_path, 'w') as fh:\n"
         "    for toks in lines:\n"
         "        fh.write(' '.join('junk' if i < k else t for i, t in enumerate(toks)) + '\\n')\n"
         % rates)
-    return "python3 %s {config} %s {hyp_out}" % (script, corpus["test_tgt"])
+    return "python3 %s {config} {test_src} {hyp_out} %s" % (
+        script, " ".join(refs or [corpus["test_tgt"]]))
 
 
 class TestSignificance:
@@ -446,7 +491,8 @@ class TestSignificance:
         extra = [{"name": "test2", "src": corpus["test_src"], "tgt": corpus["test_tgt"]}]
         cfg = load_experiment(write_config(
             str(tmp_path), corpus, workers=2, extra_test_sets=extra,
-            backend={"command": planted_backend(tmp_path, corpus, self.RATES)}))
+            backend={"command": planted_backend(tmp_path, corpus, self.RATES,
+                                                [corpus["test_tgt"]] * 2)}))
         records = run_sweep(cfg)
         assert all(r.status == "done" and r.p_vs_baseline is not None for r in records)
         assert len(records) == 8 and len(calls) == 8 * 12  # runs x test lines
@@ -547,3 +593,196 @@ class TestEmitReport:
         loaded = collect_records(cfg.output_dir)
         assert len(loaded) == len(records)
         assert {r.config_label for r in loaded} == {r.config_label for r in records}
+
+
+def write_lines_file(path, lines):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    return str(path)
+
+
+def tagging_backend(tmp_path, fail_config=None):
+    """Backend command that appends its configuration label to calls.log
+    and writes ``line<i>`` for the i-th ``{test_src}`` line; it exits 1
+    without output for ``fail_config``."""
+    script = tmp_path / "tag.py"
+    script.write_text(
+        "import sys\n"
+        "config, src_path, out_path, log_path = sys.argv[1:]\n"
+        "with open(log_path, 'a') as fh: fh.write(config + '\\n')\n"
+        "if config == %r: sys.exit(1)\n"
+        "with open(src_path) as fh: n = len(fh.readlines())\n"
+        "with open(out_path, 'w') as fh: fh.writelines('line%%d\\n' %% i for i in range(n))\n"
+        % fail_config)
+    return "python3 %s {config} {test_src} {hyp_out} %s" % (script, tmp_path / "calls.log")
+
+
+def backend_calls(tmp_path):
+    log = tmp_path / "calls.log"
+    return log.read_text(encoding="utf-8").split() if log.exists() else []
+
+
+def tagged_sets(tmp_path, corpus, n_test2=10, n_refs2=None):
+    """extra_test_sets with one set ``test2`` of ``n_test2`` source lines.
+    The references are the tags the tagging backend writes for a correct
+    split: ``line0..`` for ``test`` (12 lines) and ``line12..`` for test2."""
+    write_lines_file(corpus["test_tgt"], ["line%d" % i for i in range(12)])
+    src = write_lines_file(tmp_path / "test2.src", ["word %d" % i for i in range(n_test2)])
+    tgt = write_lines_file(tmp_path / "test2.tgt",
+                           ["line%d" % (12 + i) for i in range(n_refs2 or n_test2)])
+    return [{"name": "test2", "src": src, "tgt": tgt}]
+
+
+def record_bytes(cfg):
+    return {os.path.relpath(os.path.join(root, "record.json"), cfg.output_dir):
+            read_bytes(os.path.join(root, "record.json"))
+            for root, _dirs, files in os.walk(cfg.output_dir) if "record.json" in files}
+
+
+class TestOneBackendRunPerConfiguration:
+    def test_one_call_per_configuration_and_none_on_resume(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(
+            str(tmp_path), corpus, extra_test_sets=tagged_sets(tmp_path, corpus),
+            backend={"command": tagging_backend(tmp_path)}))
+        records = run_sweep(cfg)
+        assert len(records) == 8 and all(r.status == "done" for r in records)
+        assert sorted(backend_calls(tmp_path)) == ["10_10", "10_20", "20_10", "20_20"]
+        assert sorted(os.listdir(cell_path(cfg, "seg"))) == [
+            "test-test+test2.10.src", "test-test+test2.20.src", "train.10.src",
+            "train.10.tgt", "train.20.src", "train.20.tgt", "valid.10.src",
+            "valid.10.tgt", "valid.20.src", "valid.20.tgt"]
+        run_sweep(cfg)
+        assert len(backend_calls(tmp_path)) == 4
+
+    def test_each_test_set_scores_its_own_slice(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(
+            str(tmp_path), corpus, extra_test_sets=tagged_sets(tmp_path, corpus),
+            backend={"command": tagging_backend(tmp_path)}))
+        records = run_sweep(cfg)
+        assert [(r.config_label, r.testset, r.chrf) for r in records] == [
+            (label, name, 100.0) for label in ("10_10", "10_20", "20_10", "20_20")
+            for name in ("test", "test2")]
+        for name, first, n in (("test", 0, 12), ("test2", 12, 10)):
+            assert read_bytes(cell_path(cfg, "20_10", name, "hyp.detok.txt")).decode() == \
+                "".join("line%d\n" % i for i in range(first, first + n))
+        assert len(read_bytes(cell_path(cfg, "20_10", "hyp.txt")).splitlines()) == 22
+
+    def test_reference_count_off_fails_only_its_test_set(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(
+            str(tmp_path), corpus, extra_test_sets=tagged_sets(tmp_path, corpus, n_refs2=9),
+            backend={"command": tagging_backend(tmp_path)}))
+        records = run_sweep(cfg)
+        assert len(backend_calls(tmp_path)) == 4
+        assert all(r.status == "done" and r.chrf == 100.0 and r.p_vs_baseline == 1.0
+                   for r in records if r.testset == "test")
+        failed = [r for r in records if r.testset == "test2"]
+        assert all(r.status == "failed" and r.chrf is None for r in failed)
+        assert all("'test2' has 10 source lines but 9 references" in r.failure_reason
+                   for r in failed)
+
+    def test_failing_backend_fails_every_test_set_of_its_configuration(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(
+            str(tmp_path), corpus, extra_test_sets=tagged_sets(tmp_path, corpus),
+            backend={"command": tagging_backend(tmp_path, fail_config="10_20")}))
+        records = run_sweep(cfg)
+        assert len(backend_calls(tmp_path)) == 4
+        failed = [r for r in records if r.status == "failed"]
+        assert [(r.config_label, r.testset) for r in failed] == [("10_20", "test"),
+                                                                ("10_20", "test2")]
+        assert failed[0].failure_reason == failed[1].failure_reason
+        assert "backend exited 1" in failed[0].failure_reason
+        assert all(r.status == "done" for r in records if r.config_label != "10_20")
+
+    def test_resume_runs_only_configurations_with_pending_test_sets(self, tmp_path,
+                                                                   monkeypatch):
+        corpus = write_toy_corpus(str(tmp_path))
+        extra = tagged_sets(tmp_path, corpus)
+        rates = {"10_10": 2, "20_20": 1, "10_20": 3, "20_10": 0}
+        refs = [corpus["test_tgt"], extra[0]["tgt"]]
+        path = write_config(str(tmp_path), corpus,
+                            backend={"command": planted_backend(tmp_path, corpus, rates)})
+        run_sweep(load_experiment(path))
+        before = record_bytes(load_experiment(path))
+        assert len(before) == 4
+
+        # Adding a test set leaves every configuration one pending run.
+        command = planted_backend(tmp_path, corpus, rates, refs)
+        cfg = load_experiment(write_config(str(tmp_path), corpus, extra_test_sets=extra,
+                                           backend={"command": command}))
+        calls = []
+        run = subprocess.run
+        monkeypatch.setattr(subprocess, "run",
+                            lambda cmd, **kw: calls.append(cmd) or run(cmd, **kw))
+        grown = run_sweep(cfg)
+        assert len(calls) == 4
+        after = record_bytes(cfg)
+        assert {k: after[k] for k in before} == before
+        assert all(r.status == "done" for r in grown)
+
+        # An interrupted configuration reruns alone.
+        os.remove(cell_path(cfg, "10_20", "test2", "record.json"))
+        calls.clear()
+        resumed = run_sweep(cfg)
+        assert len(calls) == 1 and "10_20" in calls[0]
+        again = record_bytes(cfg)
+        assert {k: v for k, v in again.items() if "10_20/test2" not in k} == \
+            {k: v for k, v in after.items() if "10_20/test2" not in k}
+
+        cfg.output_dir = str(tmp_path / "fresh")
+        fresh = run_sweep(cfg)
+        key = [(r.config_label, r.testset, r.chrf, r.p_vs_baseline) for r in fresh]
+        assert [(r.config_label, r.testset, r.chrf, r.p_vs_baseline) for r in grown] == key
+        assert [(r.config_label, r.testset, r.chrf, r.p_vs_baseline) for r in resumed] == key
+        assert any(p < 1 for *_, p in key)
+
+    def test_echo_reference_scores_100_on_both_sets(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(str(tmp_path), corpus,
+                                           extra_test_sets=tagged_sets(tmp_path, corpus)))
+        records = run_sweep(cfg)
+        assert len(records) == 8
+        assert all(r.status == "done" and r.chrf == pytest.approx(100.0, abs=1e-9)
+                   for r in records)
+        assert not os.path.exists(cell_path(cfg, "10_20", "backend.log"))
+
+    @pytest.mark.parametrize("code", [0, 1])
+    def test_backend_output_kept_in_log(self, tmp_path, code):
+        corpus = write_toy_corpus(str(tmp_path))
+        command = ("c={config}; echo to-stdout-$c; echo to-stderr-$c >&2; "
+                   "cp %s {hyp_out}; exit %d" % (corpus["test_tgt"], code))
+        cfg = load_experiment(write_config(str(tmp_path), corpus,
+                                           backend={"command": command}))
+        records = run_sweep(cfg)
+        log = cell_path(cfg, "10_20", "backend.log")
+        assert read_bytes(log).decode().split() == ["to-stdout-10_20", "to-stderr-10_20"]
+        rec = next(r for r in records if r.config_label == "10_20")
+        if code:
+            assert rec.status == "failed"
+            assert log in rec.failure_reason
+            assert rec.failure_reason.endswith("to-stdout-10_20\nto-stderr-10_20")
+        else:
+            assert rec.status == "done" and rec.failure_reason is None
+
+    def test_failure_reason_keeps_the_last_500_characters(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        command = "python3 -c \"print('x' * 2000 + 'END')\"; exit 3 # {hyp_out}"
+        cfg = load_experiment(write_config(str(tmp_path), corpus,
+                                           backend={"command": command}))
+        reason = run_sweep(cfg)[0].failure_reason
+        assert reason.startswith("backend exited 3 (log ")
+        assert reason.endswith("x" * 497 + "END") and "x" * 498 not in reason
+
+    def test_timeout_fails_the_configuration_and_names_the_log(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(
+            str(tmp_path), corpus, nmo_set=[10],
+            backend={"command": "echo started; exec sleep 5 # {hyp_out}", "timeout": 0.5}))
+        records = run_sweep(cfg)
+        log = cell_path(cfg, "10_10", "backend.log")
+        assert [r.status for r in records] == ["failed"]
+        assert records[0].failure_reason == \
+            "backend timed out after 0.5 s (log %s): started" % log
