@@ -56,14 +56,17 @@ class MergeTable:
         return len(self.rules)
 
     def pair_ranks(self) -> dict:
-        """Pair -> rank. A pair listed twice keeps its first rank, so every
-        prefix of the table ranks its pairs as the whole table does."""
+        """Pair -> rank, the rule's position in the list as in the table file
+        (a rule's own ``rank`` is not read). A pair listed twice keeps its
+        first rank, so every prefix of the table ranks its pairs as the whole
+        table does. A rebuild after rules were appended empties the word cache."""
         if self._ranked_rules != len(self.rules):
             ranks = {}
-            for r in self.rules:
-                ranks.setdefault(r.pair, r.rank)
+            for i, r in enumerate(self.rules):
+                ranks.setdefault(r.pair, i)
             self._pair_ranks = ranks
             self._ranked_rules = len(self.rules)
+            self._word_cache.clear()
         return self._pair_ranks
 
     def save(self, path):

@@ -5,6 +5,10 @@ all whitespace removed, word n-grams of orders 1-2 on whitespace tokens,
 clipped matches, uniform averaging of precision/recall across the 8 orders,
 and an F-score with beta = 2. Orders empty on both sides are skipped; an
 order empty on one side only contributes 0. Scores are in [0, 100].
+The scorer computes precision, recall and the F-score with one masked
+``np.divide`` each, leaving 0 where the denominator is 0. A skipped order
+has both totals 0 and so adds 0 to both sums: only the count of kept
+orders has to leave it out.
 
 Scores and tests work from per-sentence sufficient statistics: an
 ``n x 3·orders`` integer matrix (``stats_matrix``) whose row holds one
@@ -19,11 +23,13 @@ the two corpus scores to the last bit.
 per-sentence n-gram dictionaries: each line is split once, the characters of
 all lines become one code-point array and the words one array of dense word
 ids. For each order, every n-gram gets an integer key built from the dense
-id of its (line, first n-1 unigrams) and its last unigram; one sort of the
-(line, n-gram, side) keys puts a line's hypothesis and reference runs of the
-same n-gram side by side, and the clipped match is the smaller run. The keys
-are exact, not hashes: an n-gram's key determines its line and unigrams, so
-distinct n-grams never share a key, and every key stays far below 2^63.
+id of its (line, first n-1 unigrams) and its last unigram. One ``np.unique``
+of the keys gives each distinct (line, n-gram) a dense id, which is also the
+prefix id of the next order's keys; one ``np.bincount`` of (id, side) gives
+its hypothesis and reference counts, and the clipped match is the smaller.
+The keys are exact, not hashes: an n-gram's key determines its line and
+unigrams, so distinct n-grams never share a key, and every key stays far
+below 2^63.
 N-grams that would span two lines, or the end of the hypotheses and the
 start of the references, are never formed. ``sentence_stats`` is one row of
 this matrix.
@@ -99,7 +105,12 @@ def _ngram_stats(ids: np.ndarray, lengths: list, n: int, max_order: int, base: i
     where ``gid`` is the dense id of the pair (line, its first k-1 unigrams)
     found at order k-1 and the line itself at order 1. Keys of different
     n-grams or lines therefore never collide, and every key stays below
-    ``2 * base * max(n, len(ids))``, far inside int64.
+    ``base * max(n, len(ids))``, far inside int64.
+
+    Per order, ``np.unique(keys, return_inverse=True)`` gives each position
+    its n-gram's dense id, the next order's ``gid``; ``np.bincount(id * 2 +
+    is_reference)`` counts each n-gram on both sides, and the smaller count
+    is its clipped match.
     """
     lengths = np.array(lengths, dtype=np.int64)
     totals = np.maximum(lengths[:, None] - np.arange(max_order), 0)
@@ -116,23 +127,13 @@ def _ngram_stats(ids: np.ndarray, lengths: list, n: int, max_order: int, base: i
             del keep
         if not len(pos):
             break
-        # Sorted (line, n-gram, side) keys put each n-gram's hypothesis run
-        # right before its reference run; the clipped match is the smaller.
-        key = (gid * base + ids[pos + k]) * 2 + (pos >= split)
-        order = np.argsort(key)
-        key = key[order]
-        gram = key >> 1
-        first = np.empty(len(key), dtype=bool)
-        first[0] = True
-        np.not_equal(gram[1:], gram[:-1], out=first[1:])
-        group = np.cumsum(first) - 1
-        runs = np.bincount(group * 2 + (key & 1), minlength=2 * int(group[-1] + 1))
-        group_line = group_line[gram[first] // base]
-        matched[:, k] = np.bincount(group_line, weights=np.minimum(runs[::2], runs[1::2]),
+        gid *= base  # the (line, n-gram) key, built in place
+        gid += ids[pos + k]
+        grams, gid = np.unique(gid, return_inverse=True)
+        counts = np.bincount(gid * 2 + (pos >= split), minlength=2 * len(grams))
+        group_line = group_line[grams // base]
+        matched[:, k] = np.bincount(group_line, weights=np.minimum(counts[::2], counts[1::2]),
                                     minlength=n)
-        gid = np.empty_like(group)
-        gid[order] = group
-        del key, order, gram, first, group, runs
     return matched, totals[:n], totals[n:]
 
 
@@ -143,8 +144,8 @@ def stats_matrix(hypotheses, references, char_order: int = CHAR_ORDER,
 
     All lines are counted in one batch: the characters (whitespace removed)
     of every line form one code-point array, the words one array of dense
-    word ids, and each order's n-grams are counted with one sort of their
-    (line, n-gram, side) keys (``_ngram_stats``).
+    word ids, and each order's n-grams are counted with one ``np.unique`` of
+    their (line, n-gram) keys (``_ngram_stats``).
     """
     hypotheses = list(hypotheses)
     references = list(references)
@@ -212,20 +213,15 @@ def _scores_from_sum_rows(sums: np.ndarray, orders: int, beta: float) -> np.ndar
     m = sums[:, :orders]
     h = sums[:, orders:2 * orders]
     r = sums[:, 2 * orders:]
-    kept = ~((h == 0) & (r == 0))
-    nkept = kept.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        prec = np.where(h > 0, m / np.where(h > 0, h, 1.0), 0.0)
-        rec = np.where(r > 0, m / np.where(r > 0, r, 1.0), 0.0)
-    prec = np.where(kept, prec, 0.0).sum(axis=1)
-    rec = np.where(kept, rec, 0.0).sum(axis=1)
-    safe_n = np.where(nkept > 0, nkept, 1)
-    p = prec / safe_n
-    q = rec / safe_n
+    nkept = ((h > 0) | (r > 0)).sum(axis=1)
+    prec = np.divide(m, h, out=np.zeros(h.shape), where=h > 0).sum(axis=1)
+    rec = np.divide(m, r, out=np.zeros(r.shape), where=r > 0).sum(axis=1)
+    p = prec / np.maximum(nkept, 1)
+    q = rec / np.maximum(nkept, 1)
     b2 = beta * beta
     denom = b2 * p + q
-    score = np.where(denom > 0, 100.0 * (1.0 + b2) * p * q / np.where(denom > 0, denom, 1.0), 0.0)
-    return np.where(nkept > 0, score, 0.0)
+    return np.divide(100.0 * (1.0 + b2) * p * q, denom, out=np.zeros(len(denom)),
+                     where=denom > 0)
 
 
 def paired_significance_stats(systems, baseline, iterations: int = 10000,

@@ -126,7 +126,7 @@ def cmd_sweep(args):
             raise orchestrator.OrchestratorError("--workers must be >= 1, got %d"
                                                  % args.workers)
         cfg.workers = args.workers
-    records = orchestrator.run_sweep(cfg, resume=True)
+    records = orchestrator.run_sweep(cfg)
     done = sum(1 for r in records if r.status == "done")
     failed = sum(1 for r in records if r.status == "failed")
     artifacts = orchestrator.emit_report(records, cfg.output_dir)

@@ -17,10 +17,12 @@ pass that shares each swap mask, since the cell's runs share one seed.
 
 A run is one (configuration, test set) pair and leaves a JSON record on
 disk. A backend failure fails every pending run of its configuration; a
-scoring failure fails only its own test set's run. Completed records are
-skipped on rerun, so an interrupted sweep can resume without changing
-earlier scores; a configuration with any pending test set runs the backend
-again over all test sets and writes only the pending records. A resumed
+scoring failure fails only its own test set's run. Every sweep resumes
+whatever its output directory holds: samples, tables, segmented files and
+completed records on disk are kept and never recomputed, so an interrupted
+sweep can resume without changing earlier scores, and a fresh sweep needs a
+fresh output directory. A configuration with any pending test set runs the
+backend again over all test sets and writes only the pending records. A resumed
 record is re-scored from its ``hyp.detok.txt`` only when a test needs it: it
 has no p-value yet, or the cell's best symmetric configuration has changed
 since it was tested.
@@ -215,6 +217,24 @@ def load_experiment(path) -> ExperimentConfig:
     if not isinstance(sizes, list) or not all(_is_int(s) and s > 0 for s in sizes):
         raise OrchestratorError("sizes must be a list of positive ints, got %r" % (sizes,))
 
+    nmo_set = raw["nmo_set"]
+    if not (isinstance(nmo_set, list) and nmo_set
+            and all(isinstance(v, str) or (_is_int(v) and v >= 0) for v in nmo_set)):
+        raise OrchestratorError("nmo_set must be a non-empty list of non-negative ints or "
+                                "K-strings like '0.5K', got %r" % (nmo_set,))
+    try:
+        nmo_set = [parse_nmo(v) for v in nmo_set]
+    except SweepError as exc:
+        raise OrchestratorError("nmo_set %r: %s" % (raw["nmo_set"], exc)) from None
+    if len(set(nmo_set)) != len(nmo_set):
+        raise OrchestratorError("nmo_set repeats a value: %r" % (raw["nmo_set"],))
+
+    bins = raw.get("bins", list(sampler.DEFAULT_BOUNDARIES))
+    if not (isinstance(bins, list) and all(_is_int(b) and b > 0 for b in bins)
+            and all(a < b for a, b in zip(bins, bins[1:]))):
+        raise OrchestratorError("bins must be a list of positive ints in strictly increasing "
+                                "order, got %r" % (bins,))
+
     def integer(name, default, least):
         value = raw.get(name, default)
         if not _is_int(value):
@@ -239,7 +259,7 @@ def load_experiment(path) -> ExperimentConfig:
         test_sets=test_sets,
         direction=raw["direction"],
         sizes=list(sizes),
-        nmo_set=[parse_nmo(v) for v in raw["nmo_set"]],
+        nmo_set=nmo_set,
         backend_command=backend["command"],
         output_dir=resolve(raw["output_dir"]),
         # Cell seeds also seed the significance test's generator, which
@@ -249,13 +269,9 @@ def load_experiment(path) -> ExperimentConfig:
         workers=integer("workers", 1, 1),
         significance_iterations=integer("significance_iterations", 10000, 1),
         backend_timeout=timeout,
-        bin_boundaries=tuple(raw.get("bins", sampler.DEFAULT_BOUNDARIES)),
+        bin_boundaries=tuple(bins),
         granularity=integer("granularity", 10, 1),
     )
-    if not cfg.nmo_set:
-        raise OrchestratorError("nmo_set must be non-empty")
-    if len(set(cfg.nmo_set)) != len(cfg.nmo_set):
-        raise OrchestratorError("nmo_set repeats a value: %r" % (raw["nmo_set"],))
     for name in ("train_src", "train_tgt", "valid_src", "valid_tgt"):
         if not os.path.exists(getattr(cfg, name)):
             raise OrchestratorError("%s path does not exist: %s" % (name, getattr(cfg, name)))
@@ -293,19 +309,19 @@ def _table_path(cell_dir, lang, nmo):
     return os.path.join(cell_dir, "tables", "%s.%s.bpe" % (lang, format_nmo(nmo)))
 
 
-def _cell_tables(cfg, cell_dir, lang, sample_path, resume):
-    """One side's merge table at max(nmo_set): learned, or on resume loaded.
-    Greedy BPE tables are prefixes of each other, so each smaller table file
-    is written as its truncation; resume keeps existing files."""
+def _cell_tables(cfg, cell_dir, lang, sample_path):
+    """One side's merge table at max(nmo_set): loaded when its file exists,
+    else learned. Greedy BPE tables are prefixes of each other, so each
+    smaller table file missing on disk is written as its truncation."""
     top = _table_path(cell_dir, lang, max(cfg.nmo_set))
-    if resume and os.path.exists(top):
+    if os.path.exists(top):
         full = bpe.MergeTable.load(top)
     else:
         full = bpe.learn_bpe(read_lines(sample_path), max(cfg.nmo_set))
     os.makedirs(os.path.dirname(top), exist_ok=True)
     for nmo in cfg.nmo_set:
         path = _table_path(cell_dir, lang, nmo)
-        if not (resume and os.path.exists(path)):
+        if not os.path.exists(path):
             bpe.MergeTable(full.rules[:nmo]).save(path)
     return full
 
@@ -378,9 +394,9 @@ def _load_record(run_dir):
         return RunRecord.from_dict(json.load(fh))
 
 
-def run_sweep(cfg: ExperimentConfig, resume: bool = True) -> list:
-    """Execute the full sweep; returns one RunRecord per planned run. With
-    ``resume=False`` every artifact is recomputed, whatever is on disk."""
+def run_sweep(cfg: ExperimentConfig) -> list:
+    """Execute the full sweep, resuming from whatever ``cfg.output_dir``
+    holds; returns one RunRecord per planned run."""
     out = cfg.output_dir
     _write_json(os.path.join(out, "manifest.json"), {
         "schema": SCHEMA_VERSION,
@@ -412,15 +428,14 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = True) -> list:
             cell_seed = cfg.seed + rep
             cell_dir = os.path.join(out, "size%d" % size, "rep%d" % rep)
             records.extend(_run_cell(cfg, size, rep, cell_seed, cell_dir,
-                                     train_src, train_tgt, histogram, resume))
+                                     train_src, train_tgt, histogram))
     return records
 
 
-def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt,
-              histogram, resume):
+def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt, histogram):
     sample_dir = os.path.join(cell_dir, "sample")
     s_src, s_tgt = os.path.join(sample_dir, "train.src"), os.path.join(sample_dir, "train.tgt")
-    if not (resume and os.path.exists(s_src) and os.path.exists(s_tgt)):
+    if not (os.path.exists(s_src) and os.path.exists(s_tgt)):
         plan = sampler.make_sample_plan(histogram, size, cell_seed, cfg.granularity)
         src_sample, tgt_sample, _ = sampler.draw_sample(train_src, train_tgt, plan)
         write_lines(s_src, src_sample)
@@ -432,7 +447,7 @@ def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt,
     configs = enumerate_grid(cfg.nmo_set)
     n_sets = len(cfg.test_sets)
     records = [_load_record(os.path.join(cell_dir, config.label, testset.name))
-               if resume else None for config in configs for testset in cfg.test_sets]
+               for config in configs for testset in cfg.test_sets]
     pending = {}  # configuration index -> indices of its test sets still to run
     for i, rec in enumerate(records):
         if rec is None or rec.status not in ("done", "failed"):
@@ -440,11 +455,11 @@ def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt,
     inputs = {c: _backend_inputs(cfg, cell_dir, sample_dir, configs[c]) for c in pending}
 
     # Tables and segmented splits are complete before any run starts: no locks.
-    tables = {"src": _cell_tables(cfg, cell_dir, cfg.src_lang, s_src, resume),
-              "tgt": _cell_tables(cfg, cell_dir, cfg.tgt_lang, s_tgt, resume)}
+    tables = {"src": _cell_tables(cfg, cell_dir, cfg.src_lang, s_src),
+              "tgt": _cell_tables(cfg, cell_dir, cfg.tgt_lang, s_tgt)}
     missing = {}  # (raw files, side) -> [(NMO, segmented path)] not on disk yet
     for raw, side, nmo, path in sorted({v for paths in inputs.values() for v in paths.values()}):
-        if not (resume and os.path.exists(path)):
+        if not os.path.exists(path):
             missing.setdefault((raw, side), []).append((nmo, path))
     for (raw, side), targets in missing.items():
         lines = [line for path in raw for line in read_lines(path)]

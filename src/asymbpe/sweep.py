@@ -41,7 +41,7 @@ def parse_nmo(text) -> int:
                 value = round(float(s[:-1]) * 1000)
             else:
                 value = int(s)
-        except ValueError:
+        except (ValueError, OverflowError):  # OverflowError: "infK"
             raise SweepError("cannot parse NMO value %r" % text) from None
     if value < 0:
         raise SweepError("NMO must be non-negative, got %d" % value)

@@ -48,6 +48,28 @@ def random_word_freqs(rng, max_types=50, alphabet="abcde", max_len=6, max_freq=2
     return freqs
 
 
+def reference_chrf(matrix, beta):
+    """Plain-Python chrF++ of a per-sentence statistics matrix (rows of
+    per-order matched, hypothesis totals, reference totals), independent of
+    the vectorised scorer. Per order of the column sums: the order is
+    skipped when both totals are 0; a precision or recall whose total is 0
+    is 0. Precision and recall are averaged over the kept orders, then
+    combined into the F-beta score (0 with no kept order or both averages 0)."""
+    matrix = [list(map(int, row)) for row in matrix]
+    orders = len(matrix[0]) // 3
+    sums = [sum(column) for column in zip(*matrix)]
+    matched, hyp, ref = sums[:orders], sums[orders:2 * orders], sums[2 * orders:]
+    kept = [k for k in range(orders) if hyp[k] or ref[k]]
+    if not kept:
+        return 0.0
+    p = sum(matched[k] / hyp[k] if hyp[k] else 0.0 for k in kept) / len(kept)
+    q = sum(matched[k] / ref[k] if ref[k] else 0.0 for k in kept) / len(kept)
+    b2 = beta * beta
+    if b2 * p + q == 0:
+        return 0.0
+    return 100.0 * (1 + b2) * p * q / (b2 * p + q)
+
+
 @pytest.fixture
 def rng():
     return random.Random(12345)

@@ -147,6 +147,19 @@ class TestApply:
         table.rules.append(MergeRule("ab", "cd", 3))
         assert table.pair_ranks()[("ab", "cd")] == 3
 
+    def test_rules_ranked_by_position_not_stored_rank(self, tmp_path):
+        assert segment_line(MergeTable([MergeRule("a", "b" + END, 5)]), "ab") == "ab"
+        table = MergeTable([MergeRule("b", "c" + END, 1), MergeRule("a", "b", 0)])
+        table.save(tmp_path / "t.bpe")
+        assert segment_line(table, "abc") == \
+            segment_line(MergeTable.load(tmp_path / "t.bpe"), "abc") == "a@@ bc"
+
+    def test_appended_rule_clears_word_cache(self):
+        table = MergeTable([])
+        assert segment_line(table, "ab ab") == "a@@ b a@@ b"
+        table.rules.append(MergeRule("a", "b" + END, 0))
+        assert segment_line(table, "ab ab") == "ab ab"
+
 
 # Words for the multi-NMO segmenter: the stress words above, arbitrary
 # non-whitespace Unicode, and words holding the literal markers.

@@ -3,8 +3,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from conftest import reference_chrf
 
 from asymbpe.chrf import (ChrfError, NGramStats, corpus_chrf, corpus_chrf_from_lines,
                           paired_significance, paired_significance_stats,
@@ -228,6 +230,32 @@ def stats_rows(draw, n, orders=8):
         matched = [draw(st.integers(0, min(h, r))) for h, r in zip(hyp, ref)]
         rows.append(matched + hyp + ref)
     return np.array(rows, dtype=np.int64)
+
+
+@st.composite
+def sided_stats_rows(draw):
+    """1-4 rows of 1-8 orders whose each order is counted on both sides,
+    empty on the hypothesis side, the reference side or both; sometimes
+    every order is empty on both sides."""
+    orders = draw(st.integers(1, 8))
+    empty = draw(st.lists(st.sampled_from(["", "hyp", "ref", "both"]),
+                          min_size=orders, max_size=orders)
+                 | st.just(["both"] * orders))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        hyp = [0 if e in ("hyp", "both") else draw(st.integers(0, 30)) for e in empty]
+        ref = [0 if e in ("ref", "both") else draw(st.integers(0, 30)) for e in empty]
+        rows.append([draw(st.integers(0, min(h, r))) for h, r in zip(hyp, ref)] + hyp + ref)
+    return np.array(rows, dtype=np.int64)
+
+
+class TestScoringRules:
+    @settings(max_examples=500, deadline=None)
+    @given(sided_stats_rows(), st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    @example(np.zeros((2, 24), dtype=np.int64), 2.0)
+    def test_corpus_score_matches_plain_reference(self, matrix, beta):
+        assert corpus_chrf(matrix, beta).value == \
+            pytest.approx(reference_chrf(matrix, beta), rel=0, abs=1e-9)
 
 
 class TestOneScorer:

@@ -147,7 +147,9 @@ class TestLoadExperiment:
         ("sizes", [-5]), ("sizes", [0]), ("sizes", [50, 1.5]), ("sizes", ["50"]),
         ("sizes", [True]), ("sizes", 50),
         ("significance_iterations", 0), ("workers", 0), ("repetitions", 0),
-        ("nmo_set", [10, 10]), ("nmo_set", ["1K", 1000]),
+        ("nmo_set", [10, 10]), ("nmo_set", ["1K", 1000]), ("nmo_set", [-5, 10]),
+        ("nmo_set", []), ("nmo_set", ["-5"]), ("nmo_set", ["xK"]), ("nmo_set", ["infK"]),
+        ("bins", [10, 10]), ("bins", [0, 5]), ("bins", [20, 10]),
         ("granularity", 0), ("granularity", -5),
     ])
     def test_bad_sweep_setting_named(self, tmp_path, field, value):
@@ -198,6 +200,8 @@ class TestLoadExperiment:
         ("backend.timeout", "10"), ("backend.timeout", -1), ("backend.timeout", 0),
         ("backend.timeout", True), ("backend.timeout", float("nan")),
         ("backend.timeout", float("inf")),
+        ("nmo_set", "1K"), ("nmo_set", [10, 1.5]), ("nmo_set", [True, 20]),
+        ("bins", "abc"), ("bins", [10, "x"]), ("bins", [10, True]),
     ])
     def test_mistyped_setting_named(self, tmp_path, field, value):
         corpus = write_toy_corpus(str(tmp_path))
@@ -436,24 +440,6 @@ class TestCellArtifacts:
         monkeypatch.setattr(bpe, "segment_line", forbidden)
         monkeypatch.setattr(bpe, "segment_lines", forbidden)
         assert [r.chrf for r in run_sweep(cfg)] == [r.chrf for r in first]
-
-    def test_fresh_run_replaces_stale_tables_and_segments(self, tmp_path):
-        corpus = write_toy_corpus(str(tmp_path))
-        cfg = load_experiment(write_config(str(tmp_path), corpus))
-        stale_table = cell_path(cfg, "tables", "en.20.bpe")
-        stale_seg = cell_path(cfg, "seg", "train.20.src")
-        for path in (stale_table, stale_seg):
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-        bpe.MergeTable([bpe.MergeRule("q", "z</w>", 0)]).save(stale_table)
-        with open(stale_seg, "w", encoding="utf-8") as fh:
-            fh.write("stale\n")
-        run_sweep(cfg, resume=False)
-        assert read_bytes(stale_table) == fresh_table_bytes(cfg, tmp_path, "src", 20)
-        table = bpe.MergeTable.load(stale_table)
-        with open(cell_path(cfg, "sample", "train.src"), encoding="utf-8") as fh:
-            expected = "".join(bpe.segment_line(table, line.rstrip("\n")) + "\n"
-                               for line in fh)
-        assert read_bytes(stale_seg).decode("utf-8") == expected
 
 
 def planted_backend(tmp_path, corpus, rates, refs=None):
