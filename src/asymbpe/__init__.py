@@ -8,13 +8,13 @@ over configuration grids.
 
 __version__ = "0.1.0"
 
-from .bpe import MergeRule, MergeTable, apply_bpe, learn_bpe, unsegment, vocabulary
+from .bpe import MergeRule, MergeTable, learn_bpe, unsegment, vocabulary
 from .chrf import corpus_chrf, paired_significance, sentence_stats
 from .sampler import bin_histogram, draw_sample, make_sample_plan
 from .sweep import BpeConfig, classify, enumerate_grid, recommend, tier_report
 
 __all__ = [
-    "MergeRule", "MergeTable", "apply_bpe", "learn_bpe", "unsegment", "vocabulary",
+    "MergeRule", "MergeTable", "learn_bpe", "unsegment", "vocabulary",
     "corpus_chrf", "paired_significance", "sentence_stats",
     "bin_histogram", "draw_sample", "make_sample_plan",
     "BpeConfig", "classify", "enumerate_grid", "recommend", "tier_report",

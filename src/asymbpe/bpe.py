@@ -1,9 +1,12 @@
 """Byte Pair Encoding with an explicit merge-operation budget.
 
-Learns ranked merge tables from a whitespace-tokenized corpus and applies
-them to segment text into subword pieces. The number of merge operations
-(NMO) is the only capacity parameter. Word-final symbols carry the reserved
-marker ``</w>``; non-final pieces render with a trailing ``@@``.
+Learns ranked merge tables from a whitespace-tokenized corpus and segments
+text into subword pieces with them. The number of merge operations (NMO) is
+the only capacity parameter. A ``MergeTable`` is immutable; a rule's rank is
+its position in the table. ``segment_lines`` is the one segmenter: it
+renders every NMO's segmentation of a list of lines from one encode per
+distinct word. Word-final symbols carry the reserved marker ``</w>``;
+non-final pieces render with a trailing ``@@``.
 
 Tie-breaking is deterministic: among pairs with the maximal count, the
 lexicographically smallest ``(left, right)`` pair (code-point order) wins.
@@ -13,7 +16,8 @@ import heapq
 import os
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 END = "</w>"
 ESCAPED_END = "<\\/w>"
@@ -31,43 +35,34 @@ class MergeRule:
 
     left: str
     right: str
-    rank: int
 
     @property
     def pair(self):
         return (self.left, self.right)
 
-    @property
-    def merged(self):
-        return self.left + self.right
 
-
-@dataclass
+@dataclass(frozen=True)
 class MergeTable:
-    """Ordered list of merge rules; rank equals list position."""
+    """Immutable sequence of merge rules; rank equals position."""
 
-    rules: list[MergeRule]
-    _pair_ranks: dict = field(default=None, repr=False, compare=False)
-    _ranked_rules: int = field(default=-1, repr=False, compare=False)
-    _word_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    rules: tuple[MergeRule, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "rules", tuple(self.rules))
 
     @property
     def nmo(self) -> int:
         return len(self.rules)
 
+    @cached_property
     def pair_ranks(self) -> dict:
-        """Pair -> rank, the rule's position in the list as in the table file
-        (a rule's own ``rank`` is not read). A pair listed twice keeps its
-        first rank, so every prefix of the table ranks its pairs as the whole
-        table does. A rebuild after rules were appended empties the word cache."""
-        if self._ranked_rules != len(self.rules):
-            ranks = {}
-            for i, r in enumerate(self.rules):
-                ranks.setdefault(r.pair, i)
-            self._pair_ranks = ranks
-            self._ranked_rules = len(self.rules)
-            self._word_cache.clear()
-        return self._pair_ranks
+        """Pair -> rank, the rule's position in the table, computed once per
+        table. A pair listed twice keeps its first rank, so every prefix of
+        the table ranks its pairs as the whole table does."""
+        ranks = {}
+        for i, r in enumerate(self.rules):
+            ranks.setdefault(r.pair, i)
+        return ranks
 
     def save(self, path):
         """Write the table to a temporary file and rename it into place, so a
@@ -94,7 +89,7 @@ class MergeTable:
                 parts = line.split(" ")
                 if len(parts) != 2:
                     raise BpeError("malformed rule on line %d of %s: %r" % (i + 2, path, line))
-                rules.append(MergeRule(_unescape(parts[0]), _unescape(parts[1]), len(rules)))
+                rules.append(MergeRule(_unescape(parts[0]), _unescape(parts[1])))
         return cls(rules)
 
 
@@ -201,7 +196,7 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
                 break
         if best is None:
             break
-        rules.append(MergeRule(best[0], best[1], len(rules)))
+        rules.append(MergeRule(*best))
         left, right = best
         merged = left + right
 
@@ -297,38 +292,10 @@ def _encode_word(word: str, pair_ranks: dict, bounds) -> list:
     return snapshots + [symbols] * (len(bounds) - len(snapshots))
 
 
-def apply_bpe(table: MergeTable, sentence: str) -> list:
-    """Segment a whitespace-tokenized sentence.
-
-    Returns a list of (piece_text, is_continuation) tuples; continuation
-    pieces serialize with a trailing "@@". Pure and cacheable per word.
-    """
-    ranks = table.pair_ranks()
-    bounds = (table.nmo,)
-    pieces = []
-    for word in sentence.split():
-        cached = table._word_cache.get(word)
-        if cached is None:
-            cached = _encode_word(word, ranks, bounds)[0]
-            table._word_cache[word] = cached
-        last = len(cached) - 1
-        for i, sym in enumerate(cached):
-            text = sym[:-len(END)] if i == last else sym
-            pieces.append((text, i != last))
-    return pieces
-
-
-def segmentation_to_text(pieces) -> str:
-    return " ".join(text + CONTINUATION if cont else text for text, cont in pieces)
-
-
-def segment_line(table: MergeTable, sentence: str) -> str:
-    return segmentation_to_text(apply_bpe(table, sentence))
-
-
 def segment_lines(table: MergeTable, lines, nmos) -> dict:
-    """NMO -> ``[segment_line(MergeTable(table.rules[:nmo]), line) for line
-    in lines]`` for each NMO in ``nmos``.
+    """NMO -> every line of ``lines`` segmented with the first NMO rules of
+    ``table``, for each NMO in ``nmos``. Words are joined by single spaces;
+    every non-final piece of a word ends in ``@@``.
 
     Each distinct word is encoded once with ``table``, and the text of its
     segmentation at every NMO is rendered once from the encode's snapshots
@@ -336,7 +303,7 @@ def segment_lines(table: MergeTable, lines, nmos) -> dict:
     rules, or all the rules its corpus allows.
     """
     bounds = sorted(set(nmos))
-    ranks = table.pair_ranks()
+    ranks = table.pair_ranks
     cache = {}  # word -> its text at each bound
     columns = [[] for _ in bounds]
     for line in lines:
@@ -357,6 +324,11 @@ def segment_lines(table: MergeTable, lines, nmos) -> dict:
             column.append(" ".join([texts[k] for texts in words]))
     by_nmo = dict(zip(bounds, columns))
     return {nmo: by_nmo[nmo] for nmo in nmos}
+
+
+def segment_line(table: MergeTable, sentence: str) -> str:
+    """One line segmented with the whole table."""
+    return segment_lines(table, [sentence], [table.nmo])[table.nmo][0]
 
 
 def unsegment(text: str) -> str:
@@ -380,7 +352,7 @@ def unsegment(text: str) -> str:
 def vocabulary(table: MergeTable, corpus) -> Counter:
     """Subword types (word-final variants distinct) with corpus frequencies."""
     vocab = build_vocab(corpus)
-    ranks = table.pair_ranks()
+    ranks = table.pair_ranks
     types = Counter()
     for symbols, freq in vocab.items():
         word = "".join(symbols)[:-len(END)]

@@ -7,17 +7,20 @@ from contextlib import nullcontext
 
 from . import __version__, bpe, chrf, orchestrator, sampler
 from .orchestrator import read_lines, write_lines
-from .sweep import (BpeConfig, SystemResult, recommend, render_tier_text,
+from .sweep import (BpeConfig, SystemResult, parse_nmo, recommend, render_tier_text,
                     render_tier_tsv, tier_report)
 
 
 def _map_lines(input_path, output_path, fn):
-    """Write fn(line) for every line of a file or stdin to a file or stdout."""
-    with (open(input_path, encoding="utf-8") if input_path else nullcontext(sys.stdin) as src,
-          open(output_path, "w", encoding="utf-8") if output_path else nullcontext(sys.stdout)
-          as dst):
-        for line in src:
-            dst.write(fn(line.rstrip("\n")) + "\n")
+    """Write each line of fn(lines), for the lines of a file or stdin, to a
+    file or stdout. The input is read in full before the output is opened,
+    so the two may name the same file."""
+    with open(input_path, encoding="utf-8") if input_path else nullcontext(sys.stdin) as src:
+        lines = fn([line.rstrip("\n") for line in src])
+    with (open(output_path, "w", encoding="utf-8") if output_path
+          else nullcontext(sys.stdout)) as dst:
+        for line in lines:
+            dst.write(line + "\n")
 
 
 def cmd_learn_bpe(args):
@@ -28,18 +31,21 @@ def cmd_learn_bpe(args):
 
 def cmd_apply_bpe(args):
     table = bpe.MergeTable.load(args.table)
-    _map_lines(args.input, args.output, lambda line: bpe.segment_line(table, line))
+    _map_lines(args.input, args.output,
+               lambda lines: bpe.segment_lines(table, lines, [table.nmo])[table.nmo])
 
 
 def cmd_unbpe(args):
-    _map_lines(args.input, args.output, bpe.unsegment)
+    _map_lines(args.input, args.output, lambda lines: [bpe.unsegment(line) for line in lines])
 
 
 def cmd_sample(args):
     src_lines = read_lines(args.src)
     tgt_lines = read_lines(args.tgt)
-    boundaries = tuple(int(b) for b in args.bins.split(","))
-    bins = sampler.make_bins(boundaries)
+    try:
+        bins = sampler.make_bins([int(b) if b.isdecimal() else b for b in args.bins.split(",")])
+    except sampler.SamplerError as exc:
+        raise sampler.SamplerError("--bins: %s" % exc) from None
     histogram = sampler.bin_histogram(src_lines, tgt_lines, bins)
     plan = sampler.make_sample_plan(histogram, args.size, args.seed, args.granularity)
     sample_src, sample_tgt, indices = sampler.draw_sample(src_lines, tgt_lines, plan)
@@ -145,7 +151,8 @@ def build_parser():
 
     p = sub.add_parser("learn-bpe", help="learn a merge table from a tokenized corpus")
     p.add_argument("--input", required=True)
-    p.add_argument("--nmo", type=int, required=True, help="number of merge operations")
+    p.add_argument("--nmo", type=parse_nmo, required=True,
+                   help="number of merge operations, plain or K-notation (0.5K)")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_learn_bpe)
 

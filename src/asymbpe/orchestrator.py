@@ -230,10 +230,10 @@ def load_experiment(path) -> ExperimentConfig:
         raise OrchestratorError("nmo_set repeats a value: %r" % (raw["nmo_set"],))
 
     bins = raw.get("bins", list(sampler.DEFAULT_BOUNDARIES))
-    if not (isinstance(bins, list) and all(_is_int(b) and b > 0 for b in bins)
-            and all(a < b for a, b in zip(bins, bins[1:]))):
-        raise OrchestratorError("bins must be a list of positive ints in strictly increasing "
-                                "order, got %r" % (bins,))
+    try:
+        sampler.make_bins(bins)
+    except sampler.SamplerError as exc:
+        raise OrchestratorError(str(exc)) from None
 
     def integer(name, default, least):
         value = raw.get(name, default)

@@ -37,13 +37,17 @@ class LengthBin:
 
 
 def make_bins(boundaries=DEFAULT_BOUNDARIES) -> list:
-    """Disjoint bins from upper boundaries, e.g. (10, 15) -> 1-10, 11-15, >=16."""
-    bounds = sorted(boundaries)
+    """Disjoint bins from upper boundaries, e.g. (10, 15) -> 1-10, 11-15, >=16.
+    The boundaries must be a list or tuple of positive ints in strictly
+    increasing order."""
+    if not (isinstance(boundaries, (list, tuple))
+            and all(isinstance(b, int) and not isinstance(b, bool) and b > 0 for b in boundaries)
+            and all(a < b for a, b in zip(boundaries, boundaries[1:]))):
+        raise SamplerError("bins must be a list of positive ints in strictly increasing "
+                           "order, got %r" % (boundaries,))
     bins = []
     lower = 1
-    for b in bounds:
-        if b < lower:
-            raise SamplerError("non-increasing bin boundary %d" % b)
+    for b in boundaries:
         bins.append(LengthBin(lower, b))
         lower = b + 1
     bins.append(LengthBin(lower, None))

@@ -39,6 +39,28 @@ def oracle_learn(word_freqs, nmo):
     return rules
 
 
+def oracle_segment(pairs, word):
+    """Reference encoder: applies the rules in list order, skipping a pair's
+    repeat listings, each with one exhaustive left-to-right pass, and renders
+    every non-final piece with a trailing "@@". Independent of the
+    rank-driven production path."""
+    symbols = list(word_symbols(word))
+    for k, pair in enumerate(pairs):
+        if pair in pairs[:k]:
+            continue
+        out = []
+        i = 0
+        while i < len(symbols):
+            if tuple(symbols[i:i + 2]) == pair:
+                out.append(pair[0] + pair[1])
+                i += 2
+            else:
+                out.append(symbols[i])
+                i += 1
+        symbols = out
+    return " ".join([s + "@@" for s in symbols[:-1]] + [symbols[-1][:-len(END)]])
+
+
 def random_word_freqs(rng, max_types=50, alphabet="abcde", max_len=6, max_freq=20):
     n_types = rng.randint(1, max_types)
     freqs = {}

@@ -82,7 +82,7 @@ def test_criterion_3_roundtrip_mixed_script():
 
 def test_criterion_4_table_1_replay():
     pairs = [("b", "o"), ("s", "u"), ("s", "c"), ("sc", "o" + bpe.END)]
-    table = MergeTable([MergeRule(l, r, i) for i, (l, r) in enumerate(pairs)])
+    table = MergeTable([MergeRule(l, r) for l, r in pairs])
     assert segment_line(table, "bosusco") == "bo@@ su@@ sco"
     empty = MergeTable([])
     for word in ("bosusco", "runs", "a"):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymbpe import bpe
-from asymbpe.bpe import (END, BpeError, MergeRule, MergeTable, apply_bpe,
-                         build_vocab, learn_bpe, segment_line,
-                         segment_lines, segmentation_to_text, unsegment, vocabulary)
-from conftest import oracle_learn, random_word_freqs
+from asymbpe.bpe import (END, BpeError, MergeRule, MergeTable, build_vocab, learn_bpe,
+                         segment_line, segment_lines, unsegment, vocabulary)
+from conftest import oracle_learn, oracle_segment, random_word_freqs
 
 
 def table_from_pairs(pairs):
-    return MergeTable([MergeRule(l, r, i) for i, (l, r) in enumerate(pairs)])
+    return MergeTable([MergeRule(l, r) for l, r in pairs])
+
+
+def oracle_lines(pairs, lines):
+    return [" ".join(oracle_segment(pairs, word) for word in line.split()) for line in lines]
 
 
 class TestLearn:
@@ -128,36 +132,39 @@ class TestApply:
         assert segment_line(table, "cat") == "cat"
 
     def test_empty_sentence(self):
-        assert apply_bpe(MergeTable([]), "") == []
+        assert segment_line(MergeTable([]), "") == ""
+        assert segment_line(MergeTable([]), " \t ") == ""
 
     def test_unknown_characters_pass_through(self):
         table = learn_bpe({"abab": 5}, 3)
-        pieces = apply_bpe(table, "xyz")
-        assert "".join(t for t, _ in pieces) == "xyz"
+        assert segment_line(table, "xyz") == "x@@ y@@ z"
 
     def test_pure_function(self):
         table = table_from_pairs([("a", "b")])
-        assert apply_bpe(table, "abab ab") == apply_bpe(table, "abab ab")
+        assert segment_line(table, "abab ab") == segment_line(table, "abab ab") == \
+            "ab@@ a@@ b a@@ b"
 
     def test_repeated_pair_ranks_built_once(self):
         table = table_from_pairs([("a", "b"), ("c", "d"), ("a", "b")])
-        ranks = table.pair_ranks()
-        assert ranks == {("a", "b"): 0, ("c", "d"): 1}
-        assert table.pair_ranks() is ranks
-        table.rules.append(MergeRule("ab", "cd", 3))
-        assert table.pair_ranks()[("ab", "cd")] == 3
+        assert table.pair_ranks == {("a", "b"): 0, ("c", "d"): 1}
+        assert table.pair_ranks is table.pair_ranks
 
     def test_rules_ranked_by_position_not_stored_rank(self, tmp_path):
-        assert segment_line(MergeTable([MergeRule("a", "b" + END, 5)]), "ab") == "ab"
-        table = MergeTable([MergeRule("b", "c" + END, 1), MergeRule("a", "b", 0)])
+        table = MergeTable([MergeRule("b", "c" + END), MergeRule("a", "b")])
         table.save(tmp_path / "t.bpe")
         assert segment_line(table, "abc") == \
             segment_line(MergeTable.load(tmp_path / "t.bpe"), "abc") == "a@@ bc"
 
-    def test_appended_rule_clears_word_cache(self):
-        table = MergeTable([])
-        assert segment_line(table, "ab ab") == "a@@ b a@@ b"
-        table.rules.append(MergeRule("a", "b" + END, 0))
+    def test_rules_cannot_change_in_place(self):
+        rules = [MergeRule("a", "b" + END)]
+        table = MergeTable(rules)
+        assert isinstance(table.rules, tuple)
+        rules.append(MergeRule("c", "d"))
+        assert table.nmo == 1
+        with pytest.raises(AttributeError):
+            table.rules.append(MergeRule("c", "d"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.rules = (MergeRule("c", "d"),)
         assert segment_line(table, "ab ab") == "ab ab"
 
 
@@ -182,11 +189,13 @@ class TestSegmentLines:
         # pairs; the table may also hold more rules than the largest NMO.
         lines = [" ".join(train)] + [" ".join(words) for words in extra] + [""]
         full = learn_bpe(lines, max(nmos) + surplus)
+        pairs = [r.pair for r in full.rules]
         got = segment_lines(full, lines, nmos)
         assert list(got) == nmos
         for nmo in nmos:
             prefix = MergeTable(full.rules[:nmo])
-            assert got[nmo] == [segment_line(prefix, line) for line in lines]
+            assert got[nmo] == [segment_line(prefix, line) for line in lines] == \
+                oracle_lines(pairs[:nmo], lines)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["a", "b", "ab", "ba", "aa"]),
@@ -202,7 +211,8 @@ class TestSegmentLines:
         got = segment_lines(full, words, nmos)
         for nmo in nmos:
             prefix = table_from_pairs(pairs[:nmo])
-            assert got[nmo] == [segment_line(prefix, word) for word in words]
+            assert got[nmo] == [segment_line(prefix, word) for word in words] == \
+                oracle_lines(pairs[:nmo], words)
 
     def test_one_encode_per_distinct_word(self, monkeypatch):
         calls = []
@@ -254,7 +264,7 @@ class TestSegmentationMonotonicity:
         totals = []
         for nmo in (0, 5, 10, 20, 40):
             table = learn_bpe(freqs, nmo)
-            totals.append(sum(len(apply_bpe(table, line)) for line in corpus))
+            totals.append(sum(len(segment_line(table, line).split()) for line in corpus))
         assert totals == sorted(totals, reverse=True)
 
 
@@ -313,7 +323,7 @@ class TestTableFile:
         path = tmp_path / "t.bpe"
         path.write_text("#asym-bpe v1\n\na b</w>\n", encoding="utf-8")
         table = MergeTable.load(path)
-        assert [r.rank for r in table.rules] == [0]
+        assert [r.pair for r in table.rules] == [("a", "b</w>")]
         assert segment_line(table, "ab") == "ab"
 
     def test_bad_header_rejected(self, tmp_path):
@@ -321,7 +331,3 @@ class TestTableFile:
         path.write_text("nope\na b\n", encoding="utf-8")
         with pytest.raises(BpeError):
             MergeTable.load(path)
-
-
-def test_segmentation_to_text_marks_continuations():
-    assert segmentation_to_text([("ab", True), ("c", False)]) == "ab@@ c"

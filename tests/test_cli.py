@@ -4,7 +4,11 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
+from asymbpe.bpe import MergeTable, learn_bpe
 from asymbpe.cli import main
+from conftest import oracle_segment
 from test_orchestrator import write_config, write_toy_corpus
 
 
@@ -34,6 +38,14 @@ def test_learn_apply_unbpe_pipeline(tmp_path, capsys):
     assert code == 0
     assert restored.read_text(encoding="utf-8") == corpus.read_text(encoding="utf-8")
 
+    # Each reads its whole input before writing, so a file can be rewritten in place.
+    original = corpus.read_text(encoding="utf-8")
+    assert run(capsys, "apply-bpe", "--table", str(table), "--input", str(corpus),
+               "--output", str(corpus))[0] == 0
+    assert corpus.read_text(encoding="utf-8") == segmented.read_text(encoding="utf-8")
+    assert run(capsys, "unbpe", "--input", str(corpus), "--output", str(corpus))[0] == 0
+    assert corpus.read_text(encoding="utf-8") == original
+
 
 def test_apply_bpe_and_unbpe_use_stdin_and_stdout(tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "corpus.txt"
@@ -47,6 +59,42 @@ def test_apply_bpe_and_unbpe_use_stdin_and_stdout(tmp_path, capsys, monkeypatch)
     assert code == 0 and segmented.count("\n") == 1 and "@@" in segmented
     monkeypatch.setattr(sys, "stdin", io.StringIO(segmented))
     assert run(capsys, "unbpe") == (0, "the cats\n", "")
+
+
+def test_learn_bpe_nmo_takes_k_notation(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat\nthe cat ran\nthe mats\n", encoding="utf-8")
+    table = tmp_path / "table.bpe"
+    code, _, err = run(capsys, "learn-bpe", "--input", str(corpus),
+                       "--nmo", "0.5K", "--output", str(table))
+    assert code == 0
+    expected = learn_bpe(corpus.read_text(encoding="utf-8").splitlines(), 500)
+    assert MergeTable.load(table) == expected
+
+    with pytest.raises(SystemExit) as exc:
+        main(["learn-bpe", "--input", str(corpus), "--nmo", "xK",
+              "--output", str(tmp_path / "bad.bpe")])
+    assert exc.value.code != 0
+    assert "--nmo" in capsys.readouterr().err
+    assert not (tmp_path / "bad.bpe").exists()
+
+
+def test_apply_bpe_matches_oracle(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("abab abba baab\naaa bbb ab\nba ab  ab\n\nxy\u0939\u093f ab\n",
+                      encoding="utf-8")
+    table = tmp_path / "table.bpe"
+    assert run(capsys, "learn-bpe", "--input", str(corpus), "--nmo", "6",
+               "--output", str(table))[0] == 0
+    pairs = [r.pair for r in MergeTable.load(table).rules]
+    assert len(pairs) == 6
+
+    segmented = tmp_path / "seg.txt"
+    assert run(capsys, "apply-bpe", "--table", str(table), "--input", str(corpus),
+               "--output", str(segmented))[0] == 0
+    expected = "".join(" ".join(oracle_segment(pairs, word) for word in line.split()) + "\n"
+                       for line in corpus.read_text(encoding="utf-8").splitlines())
+    assert segmented.read_text(encoding="utf-8") == expected
 
 
 def test_sample_emits_files_and_manifest(tmp_path, capsys):
@@ -139,3 +187,17 @@ def test_sample_refuses_granularity_below_one(tmp_path, capsys):
                        "--out-prefix", prefix)
     assert code == 1 and err.startswith("error:") and "granularity" in err
     assert not os.path.exists(prefix + ".src")
+
+
+@pytest.mark.parametrize("bins", ["20,10", "abc", "0,5"])
+def test_sample_refuses_bad_bins(tmp_path, capsys, bins):
+    src = tmp_path / "all.src"
+    tgt = tmp_path / "all.tgt"
+    src.write_text("a b\nc d e\n", encoding="utf-8")
+    tgt.write_text("x\ny\n", encoding="utf-8")
+    prefix = str(tmp_path / "s1")
+    code, _, err = run(capsys, "sample", "--src", str(src), "--tgt", str(tgt),
+                       "--size", "1", "--seed", "5", "--bins", bins,
+                       "--out-prefix", prefix)
+    assert code == 1 and err.startswith("error:") and "--bins" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["all.src", "all.tgt"]
