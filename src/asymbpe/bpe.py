@@ -14,10 +14,11 @@ lexicographically smallest ``(left, right)`` pair (code-point order) wins.
 
 import heapq
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 END = "</w>"
 ESCAPED_END = "<\\/w>"
@@ -115,6 +116,20 @@ def word_symbols(word: str) -> tuple:
     return tuple(chars)
 
 
+def _word_freqs(corpus) -> Mapping:
+    """Word -> frequency from lines or a checked word->freq map (see
+    ``build_vocab``); may hold the empty word."""
+    if isinstance(corpus, Mapping):
+        for word, freq in corpus.items():
+            if not isinstance(freq, int) or isinstance(freq, bool) or freq <= 0:
+                raise BpeError("frequency of word %r must be a positive int, got %r"
+                               % (word, freq))
+            if any(ch.isspace() for ch in word):
+                raise BpeError("word %r contains whitespace" % (word,))
+        return corpus
+    return Counter(chain.from_iterable(map(str.split, corpus)))
+
+
 def build_vocab(corpus) -> dict:
     """Word-frequency vocabulary (as symbol tuples) from lines or a word->freq map.
 
@@ -123,20 +138,7 @@ def build_vocab(corpus) -> dict:
     separates the two symbols of a rule with a space). Empty words are
     dropped.
     """
-    if isinstance(corpus, Mapping):
-        word_freqs = corpus
-        for word, freq in corpus.items():
-            if not isinstance(freq, int) or isinstance(freq, bool) or freq <= 0:
-                raise BpeError("frequency of word %r must be a positive int, got %r"
-                               % (word, freq))
-            if any(ch.isspace() for ch in word):
-                raise BpeError("word %r contains whitespace" % (word,))
-    else:
-        word_freqs = Counter()
-        for line in corpus:
-            for word in line.split():
-                word_freqs[word] += 1
-    return {word_symbols(w): f for w, f in word_freqs.items() if w}
+    return {word_symbols(w): f for w, f in _word_freqs(corpus).items() if w}
 
 
 def _merge_word(symbols: list, pair, merged: str) -> list:
@@ -154,71 +156,113 @@ def _merge_word(symbols: list, pair, merged: str) -> list:
     return out
 
 
+# A pair of symbol ids is keyed by one int: left << _ID_BITS | right.
+_ID_BITS = 32
+_ID_MASK = (1 << _ID_BITS) - 1
+
+
 def learn_bpe(corpus, nmo: int) -> MergeTable:
     """Learn up to ``nmo`` merge rules from the corpus.
 
     corpus: iterable of whitespace-tokenized lines, or a word->frequency
     mapping whose words contain no whitespace and whose frequencies are
-    positive ints. Stops early once no adjacent pair remains.
-    Deterministic: ties go to the lexicographically smallest pair.
+    positive ints. ``nmo`` must be a non-negative int. Stops early once no
+    adjacent pair remains. Deterministic: ties go to the lexicographically
+    smallest pair of symbol texts.
 
     Pair counts are kept incrementally (Sennrich et al. 2016): a merge
     rescans only the words that contain its pair, and changes only the
-    counts of the pairs next to each merge site. The rules equal those of
-    a learner that recounts every pair after every merge.
+    counts of the pairs next to each merge site. Symbols are interned as
+    dense int ids, and a pair is keyed by the exact packing of its two ids.
+    The index lists the words each pair was added to, with duplicates and
+    stale ids; a merged pair's list is deduplicated. Every heap entry
+    ``(-count, left, right, key)`` is an upper bound on its pair's count: a
+    pair is pushed when a merge adds it to a word, and an entry popped above
+    its live count is pushed again at that count. The rules equal those of a
+    learner that recounts every pair after every merge.
     """
-    if nmo < 0:
-        raise BpeError("nmo must be >= 0, got %d" % nmo)
-    vocab_map = build_vocab(corpus)
-    if not vocab_map:
+    if not isinstance(nmo, int) or isinstance(nmo, bool) or nmo < 0:
+        raise BpeError("nmo must be a non-negative int, got %r" % (nmo,))
+    word_freqs = {w: f for w, f in _word_freqs(corpus).items() if w}
+    if not word_freqs:
         raise BpeError("empty corpus")
 
-    words = [(list(sym), freq) for sym, freq in vocab_map.items()]
-    counts = {}
-    index = {}  # pair -> ids of the words it occurs in (may hold stale ids)
-    for wid, (symbols, freq) in enumerate(words):
-        for pair in zip(symbols, symbols[1:]):
-            counts[pair] = counts.get(pair, 0) + freq
-            index.setdefault(pair, set()).add(wid)
+    # Symbol id -> text: every character, then every word-final one.
+    chars = dict.fromkeys("".join(word_freqs))
+    finals = dict.fromkeys(w[-1] for w in word_freqs)
+    texts = list(chars) + [c + END for c in finals]
+    ids = {t: i for i, t in enumerate(texts)}  # symbol text -> id
+    char_id = ids.__getitem__
+    words = []  # word id -> (symbol ids, frequency)
+    counts = defaultdict(int)  # pair key -> count (0 once the pair is gone)
+    index = defaultdict(list)  # pair key -> ids of the words it was added to
+    for wid, (word, freq) in enumerate(word_freqs.items()):
+        symbols = list(map(char_id, word[:-1]))
+        symbols.append(ids[word[-1] + END])
+        words.append((symbols, freq))
+        for left, right in zip(symbols, symbols[1:]):
+            key = left << _ID_BITS | right
+            counts[key] += freq
+            index[key].append(wid)
 
-    # Lazy-deletion heap: stale entries are skipped when their recorded
-    # count no longer matches. Tuple order gives count-desc, pair-asc.
-    heap = [(-c, p) for p, c in counts.items()]
+    heap = [(-c, texts[k >> _ID_BITS], texts[k & _ID_MASK], k) for k, c in counts.items()]
     heapq.heapify(heap)
 
     rules = []
-    while len(rules) < nmo:
-        best = None
-        while heap:
-            neg, pair = heapq.heappop(heap)
-            if counts.get(pair) == -neg:
-                best = pair
-                break
-        if best is None:
-            break
-        rules.append(MergeRule(*best))
-        left, right = best
-        merged = left + right
+    while len(rules) < nmo and heap:
+        neg, left_text, right_text, best = heapq.heappop(heap)
+        count = counts.get(best)
+        if count != -neg:
+            if count:
+                heapq.heappush(heap, (-count, left_text, right_text, best))
+            continue
+        rules.append(MergeRule(left_text, right_text))
+        merged_text = left_text + right_text
+        merged = ids.get(merged_text)
+        if merged is None:
+            merged = ids[merged_text] = len(texts)
+            if merged > _ID_MASK:
+                raise BpeError("more than %d symbols" % (_ID_MASK + 1))
+            texts.append(merged_text)
+        left, right = best >> _ID_BITS, best & _ID_MASK
 
-        changed = {}
-        for wid in index.pop(best):
+        added = []  # keys of the pairs this merge adds to a word
+        for wid in set(index.pop(best)):
             symbols, freq = words[wid]
-            # Greedy left-to-right merge sites; a stale id finds none.
+            n_left = symbols.count(left)
+            if not n_left:
+                continue  # a stale id
+            i = symbols.index(left)
+            if n_left == 1 or (n_left == 2 and left == right):
+                # At most one merge site, at i.
+                last = len(symbols) - 1
+                if i == last or symbols[i + 1] != right:
+                    continue
+                if i:
+                    prev = symbols[i - 1]
+                    counts[prev << _ID_BITS | left] -= freq
+                    key = prev << _ID_BITS | merged
+                    counts[key] += freq
+                    index[key].append(wid)
+                    added.append(key)
+                if i + 1 < last:
+                    nxt = symbols[i + 2]
+                    counts[right << _ID_BITS | nxt] -= freq
+                    key = merged << _ID_BITS | nxt
+                    counts[key] += freq
+                    index[key].append(wid)
+                    added.append(key)
+                symbols[i:i + 2] = (merged,)
+                continue
+            # Greedy left-to-right merge sites.
             sites = []
             last = len(symbols) - 1
-            i = 0
-            try:
-                while True:
-                    i = symbols.index(left, i)
-                    if i < last and symbols[i + 1] == right:
-                        sites.append(i)
-                        i += 2
-                    else:
-                        i += 1
-            except ValueError:
-                pass
-            if not sites:
-                continue
+            while i < last:
+                if symbols[i] == left and symbols[i + 1] == right:
+                    sites.append(i)
+                    i += 2
+                else:
+                    i += 1
             # Pair k is (symbols[k], symbols[k + 1]). A merge at i removes
             # pairs i - 1, i, i + 1; the merged symbol at new position j
             # starts pairs j - 1, j. All other pairs are unchanged. Sites
@@ -226,33 +270,27 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
             done = -1
             for i in sites:
                 for k in range(max(i - 1, done + 1), min(i + 2, last)):
-                    pair = (symbols[k], symbols[k + 1])
-                    changed[pair] = changed.get(pair, 0) - freq
+                    counts[symbols[k] << _ID_BITS | symbols[k + 1]] -= freq
                 done = i + 1
             for i in reversed(sites):
-                symbols[i:i + 2] = [merged]
+                symbols[i:i + 2] = (merged,)
             last -= len(sites)
             done = -1
             for n, i in enumerate(sites):
                 j = i - n
                 for k in range(max(j - 1, done + 1), min(j + 1, last)):
-                    pair = (symbols[k], symbols[k + 1])
-                    changed[pair] = changed.get(pair, 0) + freq
-                    members = index.get(pair)
-                    if members is None:
-                        index[pair] = {wid}
-                    else:
-                        members.add(wid)
+                    key = symbols[k] << _ID_BITS | symbols[k + 1]
+                    counts[key] += freq
+                    index[key].append(wid)
+                    added.append(key)
                 done = j
 
-        for pair, delta in changed.items():
-            if delta:
-                count = counts.get(pair, 0) + delta
-                if count:
-                    counts[pair] = count
-                    heapq.heappush(heap, (-count, pair))
-                else:
-                    del counts[pair]
+        # A greedy pass merges every occurrence of the pair, and no added
+        # pair equals it (the merged text is longer than either side).
+        del counts[best]
+        for key in set(added):
+            heapq.heappush(heap, (-counts[key], texts[key >> _ID_BITS],
+                                  texts[key & _ID_MASK], key))
 
     return MergeTable(rules)
 

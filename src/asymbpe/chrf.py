@@ -51,6 +51,11 @@ WORD_ORDER = 2
 DEFAULT_BETA = 2.0
 
 SIGNIFICANCE_METHOD = "paired-approximate-randomization"
+# Swap-mask cells (iterations x lines) drawn per significance chunk. The
+# float64 draw and the mask's float64 cast each take 8 bytes a cell, so a
+# chunk stays near 2 MB. The draw fills row by row, so the chunk size never
+# changes a p-value.
+_SIGNIFICANCE_CHUNK_CELLS = 250_000
 
 
 class ChrfError(ValueError):
@@ -254,7 +259,7 @@ def paired_significance_stats(systems, baseline, iterations: int = 10000,
 
     rng = np.random.default_rng(seed)
     counts = [0] * len(tests)
-    chunk = max(1, min(iterations, 4_000_000 // n))
+    chunk = max(1, min(iterations, _SIGNIFICANCE_CHUNK_CELLS // n))
     done = 0
     while done < iterations:
         k = min(chunk, iterations - done)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -40,6 +41,36 @@ class TestLearn:
         # (a,b/END) and (b,a/END) both appear once; smaller pair wins.
         table = learn_bpe({"ab": 1, "ba": 1}, 1)
         assert table.rules[0].pair == ("a", "b" + END)
+
+    def test_tie_break_on_text_not_symbol_order(self):
+        # After (a,b), (ab,x) and (b,y) both count 5. "ab" < "b" as text,
+        # but "ab" is the newer symbol and (b,y) the older pair.
+        table = learn_bpe({"abx": 5, "abz": 2, "by": 5}, 2)
+        assert [r.pair for r in table.rules] == [("a", "b"), ("ab", "x" + END)]
+
+    @pytest.mark.parametrize("nmo", [2.5, True, False, "3", None, -1])
+    def test_bad_nmo_rejected(self, nmo):
+        with pytest.raises(BpeError, match="non-negative int") as err:
+            learn_bpe(["ab ab cd"], nmo)
+        assert repr(nmo) in str(err.value)
+
+    def test_pinned_table_digest(self, tmp_path):
+        # A seeded corpus of Latin and Devanagari syllables with many count
+        # ties. The digest pins the saved table byte for byte; it was taken
+        # from the string-keyed learner, before symbols became int ids.
+        rng = random.Random(2016)
+        onsets = list("bdgkmnprstvz") + ["क", "ग", "त", "द", "न", "म", "र", "स"]
+        nuclei = list("aeiou") + ["ा", "ि", "ी", "ु", "े", "ो", ""]
+        syllables = [o + v for o in onsets for v in nuclei]
+        freqs = {}
+        for _ in range(3000):
+            word = "".join(rng.choice(syllables) for _ in range(rng.randint(1, 5)))
+            freqs[word] = freqs.get(word, 0) + rng.randint(1, 40)
+        table = learn_bpe(freqs, 2000)
+        assert table.nmo == 2000
+        table.save(tmp_path / "t.bpe")
+        assert hashlib.sha256((tmp_path / "t.bpe").read_bytes()).hexdigest() == \
+            "e05ed8c4267b109919820c2023b55728fc34d4815266a7f33867e16322cba495"
 
     def test_matches_bruteforce_oracle(self, rng):
         for _ in range(30):
@@ -96,6 +127,12 @@ STRESS_WORDS = st.one_of(
     st.text(alphabet="abc", min_size=1, max_size=8),
 )
 
+# Words of consonant + vowel-sign syllables: every syllable but a bare
+# consonant is two code points, so characters and syllables differ.
+DEVANAGARI_WORDS = st.lists(
+    st.builds(lambda c, v: c + v, st.sampled_from("कखग"), st.sampled_from(["", "ा", "ि", "्"])),
+    min_size=1, max_size=6).map("".join)
+
 
 class TestLearnProperties:
     @settings(max_examples=300, deadline=None)
@@ -103,6 +140,12 @@ class TestLearnProperties:
            st.integers(0, 80))
     def test_matches_oracle_on_stress_corpora(self, freqs, nmo):
         # nmo up to 80 runs most of these corpora out of pairs.
+        assert [r.pair for r in learn_bpe(freqs, nmo).rules] == oracle_learn(freqs, nmo)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(DEVANAGARI_WORDS, st.integers(1, 9), min_size=1, max_size=12),
+           st.integers(0, 60))
+    def test_matches_oracle_on_devanagari(self, freqs, nmo):
         assert [r.pair for r in learn_bpe(freqs, nmo).rules] == oracle_learn(freqs, nmo)
 
     @settings(max_examples=100, deadline=None)

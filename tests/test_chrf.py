@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_chrf
 
+from asymbpe import chrf
 from asymbpe.chrf import (ChrfError, NGramStats, corpus_chrf, corpus_chrf_from_lines,
                           paired_significance, paired_significance_stats,
                           sentence_stats, stats_matrix)
@@ -371,12 +372,23 @@ class TestBatchedSignificance:
         self.check_equal_to_pairwise(systems, ["the cat"], refs, 300, 2)
 
     def test_iterations_span_several_chunks(self):
-        # 4,000,000 // n masks per chunk: with n = 2,000 a chunk holds 2,000
-        # iterations, so 4,500 iterations need three chunks from one stream.
+        # 250,000 // n masks per chunk: with n = 2,000 a chunk holds 125
+        # iterations, so 4,500 iterations need 36 chunks from one stream.
         rng = random.Random(9)
         refs = ["w%d w%d" % (rng.randrange(50), rng.randrange(50)) for _ in range(2000)]
         systems = [random_system(refs, rng, rate) for rate in (0.2, 0.6)]
         self.check_equal_to_pairwise(systems, random_system(refs, rng, 0.4), refs, 4500, 5)
+
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        rng = random.Random(12)
+        refs = ["w%d w%d w%d" % (rng.randrange(30), rng.randrange(30), rng.randrange(30))
+                for _ in range(60)]
+        systems = [stats_matrix(random_system(refs, rng, rate), refs) for rate in (0.2, 0.5)]
+        baseline = stats_matrix(random_system(refs, rng, 0.35), refs)
+        default = paired_significance_stats(systems, baseline, iterations=300, seed=3)
+        monkeypatch.setattr(chrf, "_SIGNIFICANCE_CHUNK_CELLS", 1)
+        assert paired_significance_stats(systems, baseline, iterations=300, seed=3) == default
+        assert any(r.p_value < 1.0 for r in default)
 
     def test_shape_mismatch_rejected(self):
         a = stats_matrix(["a b"], ["a b"])
