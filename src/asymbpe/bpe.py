@@ -118,7 +118,7 @@ def word_symbols(word: str) -> tuple:
 
 def _word_freqs(corpus) -> Mapping:
     """Word -> frequency from lines or a checked word->freq map (see
-    ``build_vocab``); may hold the empty word."""
+    ``build_vocab``), without the empty word."""
     if isinstance(corpus, Mapping):
         for word, freq in corpus.items():
             if not isinstance(freq, int) or isinstance(freq, bool) or freq <= 0:
@@ -126,7 +126,8 @@ def _word_freqs(corpus) -> Mapping:
                                % (word, freq))
             if any(ch.isspace() for ch in word):
                 raise BpeError("word %r contains whitespace" % (word,))
-        return corpus
+        return {w: f for w, f in corpus.items() if w}
+    # str.split() yields no empty word.
     return Counter(chain.from_iterable(map(str.split, corpus)))
 
 
@@ -138,7 +139,7 @@ def build_vocab(corpus) -> dict:
     separates the two symbols of a rule with a space). Empty words are
     dropped.
     """
-    return {word_symbols(w): f for w, f in _word_freqs(corpus).items() if w}
+    return {word_symbols(w): f for w, f in _word_freqs(corpus).items()}
 
 
 def _merge_word(symbols: list, pair, merged: str) -> list:
@@ -183,7 +184,7 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
     """
     if not isinstance(nmo, int) or isinstance(nmo, bool) or nmo < 0:
         raise BpeError("nmo must be a non-negative int, got %r" % (nmo,))
-    word_freqs = {w: f for w, f in _word_freqs(corpus).items() if w}
+    word_freqs = _word_freqs(corpus)
     if not word_freqs:
         raise BpeError("empty corpus")
 
@@ -234,7 +235,8 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
                 continue  # a stale id
             i = symbols.index(left)
             if n_left == 1 or (n_left == 2 and left == right):
-                # At most one merge site, at i.
+                # At most one merge site, at i. Most rescanned words take
+                # this path, which skips the site lists and range loops.
                 last = len(symbols) - 1
                 if i == last or symbols[i + 1] != right:
                     continue
@@ -389,11 +391,9 @@ def unsegment(text: str) -> str:
 
 def vocabulary(table: MergeTable, corpus) -> Counter:
     """Subword types (word-final variants distinct) with corpus frequencies."""
-    vocab = build_vocab(corpus)
     ranks = table.pair_ranks
     types = Counter()
-    for symbols, freq in vocab.items():
-        word = "".join(symbols)[:-len(END)]
+    for word, freq in _word_freqs(corpus).items():
         for sym in _encode_word(word, ranks, (table.nmo,))[0]:
             types[sym] += freq
     return types

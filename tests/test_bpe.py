@@ -321,6 +321,11 @@ class TestVocabulary:
         types = vocabulary(table, {"aaab": 3})
         assert set(types) == {"aa", "a", "b" + END}
 
+    def test_empty_word_of_a_map_is_dropped(self):
+        assert vocabulary(MergeTable([]), {"": 4, "ab": 3}) == {"a": 3, "b" + END: 3}
+        with pytest.raises(BpeError, match="empty corpus"):
+            learn_bpe({"": 4}, 1)
+
     def test_growth_until_saturation(self, rng):
         freqs = random_word_freqs(rng, max_types=40, max_freq=5)
         sizes = [len(vocabulary(learn_bpe(freqs, n), freqs)) for n in range(0, 30, 3)]
