@@ -8,15 +8,15 @@ over configuration grids.
 
 __version__ = "0.1.0"
 
-from .bpe import MergeRule, MergeTable, learn_bpe, unsegment, vocabulary
-from .chrf import corpus_chrf, paired_significance, sentence_stats
+from .bpe import MergeRule, MergeTable, learn_bpe, unsegment
+from .chrf import corpus_chrf, paired_significance
 from .sampler import bin_histogram, draw_sample, make_sample_plan
-from .sweep import BpeConfig, classify, enumerate_grid, recommend, tier_report
+from .sweep import BpeConfig, enumerate_grid, recommend, tier_report
 
 __all__ = [
-    "MergeRule", "MergeTable", "learn_bpe", "unsegment", "vocabulary",
-    "corpus_chrf", "paired_significance", "sentence_stats",
+    "MergeRule", "MergeTable", "learn_bpe", "unsegment",
+    "corpus_chrf", "paired_significance",
     "bin_histogram", "draw_sample", "make_sample_plan",
-    "BpeConfig", "classify", "enumerate_grid", "recommend", "tier_report",
+    "BpeConfig", "enumerate_grid", "recommend", "tier_report",
     "__version__",
 ]

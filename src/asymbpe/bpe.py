@@ -117,8 +117,13 @@ def word_symbols(word: str) -> tuple:
 
 
 def _word_freqs(corpus) -> Mapping:
-    """Word -> frequency from lines or a checked word->freq map (see
-    ``build_vocab``), without the empty word."""
+    """Word -> frequency from whitespace-tokenized lines or a word->freq map.
+
+    A map's frequencies must be positive ints and its words must contain no
+    whitespace (a line could never yield such a word, and the table file
+    separates the two symbols of a rule with a space). Empty words are
+    dropped.
+    """
     if isinstance(corpus, Mapping):
         for word, freq in corpus.items():
             if not isinstance(freq, int) or isinstance(freq, bool) or freq <= 0:
@@ -129,17 +134,6 @@ def _word_freqs(corpus) -> Mapping:
         return {w: f for w, f in corpus.items() if w}
     # str.split() yields no empty word.
     return Counter(chain.from_iterable(map(str.split, corpus)))
-
-
-def build_vocab(corpus) -> dict:
-    """Word-frequency vocabulary (as symbol tuples) from lines or a word->freq map.
-
-    A map's frequencies must be positive ints and its words must contain no
-    whitespace (a line could never yield such a word, and the table file
-    separates the two symbols of a rule with a space). Empty words are
-    dropped.
-    """
-    return {word_symbols(w): f for w, f in _word_freqs(corpus).items()}
 
 
 def _merge_word(symbols: list, pair, merged: str) -> list:
@@ -387,13 +381,3 @@ def unsegment(text: str) -> str:
             out.append(body)
         glue = cont
     return " ".join(out)
-
-
-def vocabulary(table: MergeTable, corpus) -> Counter:
-    """Subword types (word-final variants distinct) with corpus frequencies."""
-    ranks = table.pair_ranks
-    types = Counter()
-    for word, freq in _word_freqs(corpus).items():
-        for sym in _encode_word(word, ranks, (table.nmo,))[0]:
-            types[sym] += freq
-    return types

@@ -31,8 +31,7 @@ The keys are exact, not hashes: an n-gram's key determines its line and
 unigrams, so distinct n-grams never share a key, and every key stays far
 below 2^63.
 N-grams that would span two lines, or the end of the hypotheses and the
-start of the references, are never formed. ``sentence_stats`` is one row of
-this matrix.
+start of the references, are never formed.
 
 The significance test is paired approximate randomization: each iteration
 swaps every sentence's two system outputs independently with probability
@@ -63,19 +62,6 @@ class ChrfError(ValueError):
 
 
 @dataclass
-class NGramStats:
-    """Clipped match / total counts per order (char orders first, then word)."""
-
-    matched: list
-    hyp_total: list
-    ref_total: list
-
-    @property
-    def orders(self) -> int:
-        return len(self.matched)
-
-
-@dataclass
 class ChrfScore:
     value: float
     beta: float
@@ -90,14 +76,12 @@ class SignificanceResult:
     observed_difference: float
 
 
-def sentence_stats(hypothesis: str, reference: str,
-                   char_order: int = CHAR_ORDER,
-                   word_order: int = WORD_ORDER) -> NGramStats:
-    """Per-order clipped n-gram statistics for one sentence pair: one row of
-    ``stats_matrix``."""
-    row = stats_matrix([hypothesis], [reference], char_order, word_order)[0].tolist()
-    orders = char_order + word_order
-    return NGramStats(row[:orders], row[orders:2 * orders], row[2 * orders:])
+def sentence_stats(hypothesis: str, reference: str, char_order: int = CHAR_ORDER,
+                   word_order: int = WORD_ORDER) -> np.ndarray:
+    """One sentence pair's row of ``stats_matrix``. Nothing in the package
+    calls it; it stays only because the benchmark's tracer wraps it by
+    name, and goes once ROADMAP item 3 re-points that wrapper."""
+    return stats_matrix([hypothesis], [reference], char_order, word_order)[0]
 
 
 def _ngram_stats(ids: np.ndarray, lengths: list, n: int, max_order: int, base: int):
@@ -176,22 +160,9 @@ def stats_matrix(hypotheses, references, char_order: int = CHAR_ORDER,
 
 
 def corpus_chrf(stats, beta: float = DEFAULT_BETA) -> ChrfScore:
-    """Aggregate sentence statistics, a list of ``NGramStats`` or a
-    ``stats_matrix``, into one corpus score."""
-    if not isinstance(stats, np.ndarray):
-        stats = list(stats)
-        for s in stats:
-            if not len(s.matched) == len(s.hyp_total) == len(s.ref_total):
-                raise ChrfError("NGramStats lists differ in length: matched %d, hyp_total %d, "
-                                "ref_total %d" % (len(s.matched), len(s.hyp_total),
-                                                  len(s.ref_total)))
-        orders = sorted({s.orders for s in stats})
-        if len(orders) > 1:
-            raise ChrfError("sentence statistics differ in their number of orders: %s"
-                            % orders)
-        stats = [s.matched + s.hyp_total + s.ref_total for s in stats]
+    """Aggregate a ``stats_matrix`` into one corpus score."""
     if len(stats) == 0:
-        raise ChrfError("empty statistics list")
+        raise ChrfError("empty statistics matrix")
     stats = np.asarray(stats, dtype=np.int64)
     _check_width(stats)
     sums = stats.sum(axis=0)
@@ -230,7 +201,7 @@ def _scores_from_sum_rows(sums: np.ndarray, orders: int, beta: float) -> np.ndar
 
 
 def paired_significance_stats(systems, baseline, iterations: int = 10000,
-                              seed: int = 0, beta: float = DEFAULT_BETA) -> list:
+                              seed: int = 0) -> list:
     """Paired approximate randomization of each system against one baseline,
     from ``stats_matrix`` statistics. Returns one ``SignificanceResult`` per
     system (A = the system, B = the baseline). One swap-mask stream drawn
@@ -245,7 +216,7 @@ def paired_significance_stats(systems, baseline, iterations: int = 10000,
     n, width = mat_b.shape
     orders = width // 3
     base_b = mat_b.sum(axis=0)
-    score_b = _scores_from_sum_rows(base_b[None, :], orders, beta)[0]
+    score_b = _scores_from_sum_rows(base_b[None, :], orders, DEFAULT_BETA)[0]
 
     tests = []  # (A's column sums, row-swap mass moved from A to B, A's score)
     for system in systems:
@@ -255,7 +226,7 @@ def paired_significance_stats(systems, baseline, iterations: int = 10000,
                             % (mat_a.shape, mat_b.shape))
         base_a = mat_a.sum(axis=0)
         tests.append((base_a, mat_b - mat_a,
-                      _scores_from_sum_rows(base_a[None, :], orders, beta)[0]))
+                      _scores_from_sum_rows(base_a[None, :], orders, DEFAULT_BETA)[0]))
 
     rng = np.random.default_rng(seed)
     counts = [0] * len(tests)
@@ -268,8 +239,8 @@ def paired_significance_stats(systems, baseline, iterations: int = 10000,
         # raises peak memory by its size.
         for j, (base_a, diff, score_a) in enumerate(tests):
             shift = mask.astype(np.float64) @ diff
-            sa = _scores_from_sum_rows(base_a[None, :] + shift, orders, beta)
-            sb = _scores_from_sum_rows(base_b[None, :] - shift, orders, beta)
+            sa = _scores_from_sum_rows(base_a[None, :] + shift, orders, DEFAULT_BETA)
+            sb = _scores_from_sum_rows(base_b[None, :] - shift, orders, DEFAULT_BETA)
             counts[j] += int(np.sum(np.abs(sa - sb) >= abs(score_a - score_b) - 1e-12))
         done += k
 
@@ -282,11 +253,11 @@ def paired_significance_stats(systems, baseline, iterations: int = 10000,
 
 
 def paired_significance(hyps_a, hyps_b, refs, iterations: int = 10000,
-                        seed: int = 0, beta: float = DEFAULT_BETA) -> SignificanceResult:
+                        seed: int = 0) -> SignificanceResult:
     """Paired approximate randomization of system A against system B."""
     hyps_a, hyps_b, refs = list(hyps_a), list(hyps_b), list(refs)
     if not (len(hyps_a) == len(hyps_b) == len(refs)):
         raise ChrfError("line counts differ: A=%d B=%d refs=%d"
                         % (len(hyps_a), len(hyps_b), len(refs)))
     return paired_significance_stats([stats_matrix(hyps_a, refs)], stats_matrix(hyps_b, refs),
-                                     iterations, seed, beta)[0]
+                                     iterations, seed)[0]

@@ -209,8 +209,6 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="run a full experiment sweep from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--resume", action="store_true",
-                   help="skip completed runs (always on; accepted for clarity)")
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
@@ -220,8 +218,14 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "report" and not (args.results or args.run_dir):
-        parser.error("report requires --results or --run-dir")
+    if args.command == "report":
+        if not (args.results or args.run_dir):
+            parser.error("report requires --results or --run-dir")
+        given = [flag for flag in ("results", "direction", "size", "testset", "tsv")
+                 if getattr(args, flag) is not None]
+        if args.run_dir and given:
+            parser.error("--run-dir reports the whole directory and takes none of "
+                         + ", ".join("--" + flag for flag in given))
     try:
         args.func(args)
     except (ValueError, OSError) as exc:

@@ -162,6 +162,9 @@ def load_experiment(path) -> ExperimentConfig:
     """Load and validate the JSON experiment config (schema 1)."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise OrchestratorError("the config must be a JSON object, got %s"
+                                % type(raw).__name__)
     unknown = set(raw) - _CONFIG_FIELDS
     if unknown:
         raise OrchestratorError("unknown config keys: %s" % ", ".join(sorted(unknown)))
@@ -173,11 +176,18 @@ def load_experiment(path) -> ExperimentConfig:
 
     base = os.path.dirname(os.path.abspath(path))
 
-    def resolve(p):
+    def resolve(p, name):
+        if not isinstance(p, str):
+            raise OrchestratorError("%s must be a path string, got %r" % (name, p))
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    test_sets = [TestSet("test", resolve(raw["test_src"]), resolve(raw["test_tgt"]))]
-    for extra in raw.get("extra_test_sets", []):
+    test_sets = [TestSet("test", resolve(raw["test_src"], "test_src"),
+                         resolve(raw["test_tgt"], "test_tgt"))]
+    extras = raw.get("extra_test_sets", [])
+    if not (isinstance(extras, list) and all(isinstance(e, dict) for e in extras)):
+        raise OrchestratorError("extra_test_sets must be a list of objects, got %r"
+                                % (extras,))
+    for extra in extras:
         for key in ("name", "src", "tgt"):
             if key not in extra:
                 raise OrchestratorError("extra test set missing field %r" % key)
@@ -194,13 +204,18 @@ def load_experiment(path) -> ExperimentConfig:
                                     "names in the combined test source's file name" % name)
         if any(ts.name == name for ts in test_sets):
             raise OrchestratorError("test set name %r is used twice" % name)
-        test_sets.append(TestSet(name, resolve(extra["src"]), resolve(extra["tgt"])))
+        test_sets.append(TestSet(name, resolve(extra["src"], "test set %r src" % name),
+                                 resolve(extra["tgt"], "test set %r tgt" % name)))
 
     backend = raw["backend"]
     if isinstance(backend, str):
         backend = {"command": backend}
-    if "command" not in backend:
-        raise OrchestratorError("backend requires a 'command' template")
+    if not isinstance(backend, dict) or "command" not in backend:
+        raise OrchestratorError("backend must be a command string or an object with a "
+                                "'command' template, got %r" % (backend,))
+    if not isinstance(backend["command"], str):
+        raise OrchestratorError("backend.command must be a string, got %r"
+                                % (backend["command"],))
     _check_backend_template(backend["command"])
 
     direction = raw["direction"]
@@ -252,16 +267,16 @@ def load_experiment(path) -> ExperimentConfig:
                                 % (timeout,))
 
     cfg = ExperimentConfig(
-        train_src=resolve(raw["train_src"]),
-        train_tgt=resolve(raw["train_tgt"]),
-        valid_src=resolve(raw["valid_src"]),
-        valid_tgt=resolve(raw["valid_tgt"]),
+        train_src=resolve(raw["train_src"], "train_src"),
+        train_tgt=resolve(raw["train_tgt"], "train_tgt"),
+        valid_src=resolve(raw["valid_src"], "valid_src"),
+        valid_tgt=resolve(raw["valid_tgt"], "valid_tgt"),
         test_sets=test_sets,
         direction=raw["direction"],
         sizes=list(sizes),
         nmo_set=nmo_set,
         backend_command=backend["command"],
-        output_dir=resolve(raw["output_dir"]),
+        output_dir=resolve(raw["output_dir"], "output_dir"),
         # Cell seeds also seed the significance test's generator, which
         # takes no negative seed.
         seed=integer("seed", 0, 0),

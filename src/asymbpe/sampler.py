@@ -131,6 +131,7 @@ def make_sample_plan(plan: BinPlan, target_size: int, seed: int,
 
     quota = floor(bp * target / 10000) floored to the granularity, capped at
     availability. target == total is the identity sample (quotas = counts).
+    A plan whose every quota is 0 is refused.
     """
     if target_size < 1:
         raise SamplerError("target size must be >= 1, got %r" % (target_size,))
@@ -144,6 +145,9 @@ def make_sample_plan(plan: BinPlan, target_size: int, seed: int,
     else:
         quotas = [min((bp * target_size // 10000) // granularity * granularity, count)
                   for bp, count in zip(plan.basis_points, plan.counts)]
+        if not any(quotas):
+            raise SamplerError("target size %d draws no pair at granularity %d: every bin's "
+                               "quota rounds down to 0" % (target_size, granularity))
     return SamplePlan(list(plan.bins), target_size, quotas, seed, granularity)
 
 

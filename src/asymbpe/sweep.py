@@ -12,6 +12,8 @@ replay tests require reproducing them verbatim.
 """
 
 from dataclasses import dataclass, field
+from decimal import Decimal
+from fractions import Fraction
 
 PAPER_NMO_SET = (500, 1000, 2000, 4000, 8000, 16000, 25000, 32000)
 
@@ -31,18 +33,22 @@ def format_nmo(nmo: int) -> str:
 
 
 def parse_nmo(text) -> int:
-    """Accept plain integers and K-notation ("0.5K", "25K")."""
-    if isinstance(text, int):
+    """Accept plain integers and K-notation ("0.5K", "25K"). A K value is
+    read exactly and must be a whole number of merges: "1.1K" is 1100, and
+    "0.0025K" (2.5 merges) is refused."""
+    if isinstance(text, int) and not isinstance(text, bool):
         value = text
     else:
         s = str(text).strip().upper()
         try:
-            if s.endswith("K"):
-                value = round(float(s[:-1]) * 1000)
-            else:
-                value = int(s)
-        except (ValueError, OverflowError):  # OverflowError: "infK"
+            # Fraction reads a decimal exactly; it would also read "1/2".
+            value = Fraction(s[:-1]) * 1000 if s.endswith("K") and "/" not in s else int(s)
+        except ValueError:
             raise SweepError("cannot parse NMO value %r" % text) from None
+        if value.denominator != 1:
+            raise SweepError("%r is %s merges, not a whole number"
+                             % (text, Decimal(value.numerator) / value.denominator))
+        value = int(value)
     if value < 0:
         raise SweepError("NMO must be non-negative, got %d" % value)
     return value
@@ -60,17 +66,6 @@ class BpeConfig:
     @property
     def symmetric(self) -> bool:
         return self.src_nmo == self.tgt_nmo
-
-    @classmethod
-    def from_label(cls, label: str) -> "BpeConfig":
-        parts = label.split("_")
-        if len(parts) != 2:
-            raise SweepError("bad configuration label %r" % label)
-        return cls(parse_nmo(parts[0]), parse_nmo(parts[1]))
-
-
-def classify(config: BpeConfig) -> str:
-    return "symmetric" if config.symmetric else "asymmetric"
 
 
 def enumerate_grid(nmo_set) -> list:
@@ -118,12 +113,9 @@ def _worst_key(result: SystemResult):
     return (result.score, result.config.src_nmo, result.config.tgt_nmo)
 
 
-def tier_report(results, round_scores_first: bool = False) -> TierReport:
-    """Baseline / High A-B / Low A-B tiers for one result cell.
-
-    ``round_scores_first`` computes deltas from 2-decimal-rounded scores
-    instead of full precision (both readings agree on published tables).
-    """
+def tier_report(results) -> TierReport:
+    """Baseline / High A-B / Low A-B tiers for one result cell. Each delta
+    is the full-precision score difference, rounded to 2 decimals."""
     results = list(results)
     seen = set()
     for r in results:
@@ -148,8 +140,6 @@ def tier_report(results, round_scores_first: bool = False) -> TierReport:
     low_a, low_b = low_candidates[0], low_candidates[1]
 
     def delta(r):
-        if round_scores_first:
-            return round(round(r.score, 2) - round(baseline.score, 2), 2)
         return round(r.score - baseline.score, 2)
 
     deltas = {"Baseline": delta(baseline), "High A": delta(high_a),

@@ -96,10 +96,10 @@ def test_criterion_5_chrf_oracles():
     lines = ["the cat sat", "on the mat", "birds fly"]
     assert chrf.corpus_chrf_from_lines(lines, lines).value == pytest.approx(100.0, abs=1e-9)
     assert chrf.corpus_chrf_from_lines(["abcd", "efg"], ["wxyz", "uvt"]).value == 0.0
-    stats = chrf.sentence_stats("the cat", "the cats")
-    assert (stats.matched, stats.hyp_total, stats.ref_total) == \
-        oracle_stats("the cat", "the cats")
-    assert chrf.corpus_chrf([stats]).value == pytest.approx(TINY_SCORE, abs=1e-6)
+    matrix = chrf.stats_matrix(["the cat"], ["the cats"])
+    matched, hyp_total, ref_total = oracle_stats("the cat", "the cats")
+    assert matrix[0].tolist() == matched + hyp_total + ref_total
+    assert chrf.corpus_chrf(matrix).value == pytest.approx(TINY_SCORE, abs=1e-6)
     report(5, "identity corpus 100.00, disjoint corpus 0.00, hand-derived tiny "
               "corpus matches within 1e-6")
 
@@ -154,18 +154,15 @@ def test_criterion_8_tier_replay():
         for size, cell in table.items():
             results = [SystemResult(BpeConfig(src, tgt), score)
                        for src, tgt, score, _ in cell.values()]
-            for rounded_first in (False, True):
-                rep = tier_report(results, round_scores_first=rounded_first)
-                for tier, result, delta in rep.rows():
-                    src, tgt, score, expected_delta = cell[tier]
-                    assert result.config == BpeConfig(src, tgt), \
-                        (direction, size, tier, rounded_first)
-                    assert delta == pytest.approx(expected_delta, abs=0.005), \
-                        (direction, size, tier, rounded_first)
+            rep = tier_report(results)
+            for tier, result, delta in rep.rows():
+                src, tgt, score, expected_delta = cell[tier]
+                assert result.config == BpeConfig(src, tgt), (direction, size, tier)
+                assert delta == pytest.approx(expected_delta, abs=0.005), \
+                    (direction, size, tier)
             checked += 1
     assert checked == 12
-    report(8, "published tier tables replay across 12 cells, both delta "
-              "rounding readings")
+    report(8, "published tier tables replay across 12 cells")
 
 
 def test_criterion_9_grid_cardinality(tmp_path):

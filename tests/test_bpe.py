@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymbpe import bpe
-from asymbpe.bpe import (END, BpeError, MergeRule, MergeTable, build_vocab, learn_bpe,
-                         segment_line, segment_lines, unsegment, vocabulary)
+from asymbpe.bpe import (END, BpeError, MergeRule, MergeTable, learn_bpe, segment_line,
+                         segment_lines, unsegment)
 from conftest import oracle_learn, oracle_segment, random_word_freqs
 
 
@@ -105,8 +105,6 @@ class TestLearn:
         with pytest.raises(BpeError, match="positive int") as err:
             learn_bpe(freqs, 3)
         assert repr(word) in str(err.value)
-        with pytest.raises(BpeError, match="positive int"):
-            build_vocab(freqs)
 
     @pytest.mark.parametrize("word", ["a b", "a\tb", "ab\n", "a\u00a0b"])
     def test_word_with_whitespace_rejected(self, word):
@@ -311,26 +309,34 @@ class TestSegmentationMonotonicity:
         assert totals == sorted(totals, reverse=True)
 
 
+def pieces(table, words):
+    """Distinct tokens of ``segment_lines`` over ``words``: a word-final
+    piece and the same text inside a word (``@@``) count as two."""
+    return {tok for line in segment_lines(table, list(words), [table.nmo])[table.nmo]
+            for tok in line.split()}
+
+
 class TestVocabulary:
+    """Bounds on the pieces a table segments a corpus into."""
+
     def test_character_inventory_bound(self):
-        types = vocabulary(MergeTable([]), {"ab": 1, "ba": 2, "a": 1, "b": 1})
-        assert set(types) <= {"a", "b", "a" + END, "b" + END}
+        types = pieces(MergeTable([]), {"ab": 1, "ba": 2, "a": 1, "b": 1})
+        assert types <= {"a@@", "b@@", "a", "b"}
 
     def test_single_merge_types(self):
         table = learn_bpe({"aaab": 3}, 1)
-        types = vocabulary(table, {"aaab": 3})
-        assert set(types) == {"aa", "a", "b" + END}
+        assert pieces(table, {"aaab": 3}) == {"aa@@", "a@@", "b"}
 
     def test_empty_word_of_a_map_is_dropped(self):
-        assert vocabulary(MergeTable([]), {"": 4, "ab": 3}) == {"a": 3, "b" + END: 3}
+        assert learn_bpe({"": 4, "ab": 3, "b": 1}, 5) == learn_bpe({"ab": 3, "b": 1}, 5)
         with pytest.raises(BpeError, match="empty corpus"):
             learn_bpe({"": 4}, 1)
 
     def test_growth_until_saturation(self, rng):
         freqs = random_word_freqs(rng, max_types=40, max_freq=5)
-        sizes = [len(vocabulary(learn_bpe(freqs, n), freqs)) for n in range(0, 30, 3)]
-        n_chars = len(vocabulary(MergeTable([]), freqs))
-        for prev, cur, nmo in zip(sizes, sizes[1:], range(3, 30, 3)):
+        sizes = [len(pieces(learn_bpe(freqs, n), freqs)) for n in range(0, 30, 3)]
+        n_chars = len(pieces(MergeTable([]), freqs))
+        for cur, nmo in zip(sizes[1:], range(3, 30, 3)):
             assert cur <= n_chars + nmo
 
 

@@ -201,3 +201,50 @@ def test_sample_refuses_bad_bins(tmp_path, capsys, bins):
                        "--out-prefix", prefix)
     assert code == 1 and err.startswith("error:") and "--bins" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["all.src", "all.tgt"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--results", "r.tsv"], ["--direction", "xx-yy"], ["--size", "999"], ["--testset", "dev"],
+    ["--tsv", "x.tsv"], ["--size", "999", "--direction", "xx-yy", "--tsv", "x.tsv"]])
+def test_report_run_dir_refuses_filter_flags(tmp_path, capsys, monkeypatch, flags):
+    # --run-dir reports the whole directory; each of these used to be ignored.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--run-dir", str(tmp_path)] + flags)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    for flag in flags[::2]:
+        assert flag in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_learn_bpe_refuses_fractional_merges(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat\nthe cat ran\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["learn-bpe", "--input", str(corpus), "--nmo", "0.0025K",
+              "--output", str(tmp_path / "t.bpe")])
+    assert exc.value.code != 0
+    assert "0.0025K" in capsys.readouterr().err
+    assert not (tmp_path / "t.bpe").exists()
+
+
+def test_sample_refuses_a_plan_that_draws_nothing(tmp_path, capsys):
+    src = tmp_path / "all.src"
+    tgt = tmp_path / "all.tgt"
+    src.write_text("".join("w%d x\n" % i for i in range(30)), encoding="utf-8")
+    tgt.write_text("".join("t%d\n" % i for i in range(30)), encoding="utf-8")
+    prefix = str(tmp_path / "s5")
+    code, _, err = run(capsys, "sample", "--src", str(src), "--tgt", str(tgt),
+                       "--size", "5", "--seed", "1", "--out-prefix", prefix)
+    assert code == 1 and err.startswith("error:")
+    assert "target size 5" in err and "granularity 10" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["all.src", "all.tgt"]
+
+
+def test_sweep_refuses_a_size_that_draws_nothing(tmp_path, capsys):
+    corpus = write_toy_corpus(str(tmp_path))
+    config = write_config(str(tmp_path), corpus, sizes=[5])
+    code, _, err = run(capsys, "sweep", "--config", config)
+    assert code == 1 and "target size 5" in err and "granularity 10" in err
+    assert not (tmp_path / "out" / "size5" / "rep0" / "sample").exists()

@@ -214,6 +214,28 @@ class TestLoadExperiment:
             load_experiment(path)
         assert repr(value) in str(err.value)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"extra_test_sets": [5]}, "extra_test_sets"),
+        ({"extra_test_sets": {"name": "dev"}}, "extra_test_sets"),
+        ({"backend": 5}, "backend"),
+        ({"backend": {"command": 5}}, "backend\\.command"),
+        ({"test_src": 5}, "test_src"),
+        ({"train_tgt": ["a"]}, "train_tgt"),
+        ({"output_dir": None}, "output_dir"),
+        ({"extra_test_sets": [{"name": "dev", "src": 5, "tgt": "x"}]}, "test set 'dev' src"),
+        (None, "JSON object"),
+    ])
+    def test_mistyped_structure_named(self, tmp_path, overrides, message):
+        # Each used to end in an uncaught TypeError; None stands for a
+        # config whose top level is a list.
+        corpus = write_toy_corpus(str(tmp_path))
+        path = write_config(str(tmp_path), corpus, **(overrides or {}))
+        if overrides is None:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump([corpus], fh)
+        with pytest.raises(OrchestratorError, match=message):
+            load_experiment(path)
+
     def test_timeout_accepts_positive_numbers(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
         for timeout in (30, 0.5):

@@ -106,6 +106,13 @@ class TestSamplePlan:
         with pytest.raises(SamplerError):
             make_sample_plan(full_corpus_plan(), FULL_CORPUS_TOTAL + 1, seed=7)
 
+    def test_plan_drawing_nothing_rejected(self):
+        # 5 of 30 lines at granularity 10 floors every quota to 0.
+        plan = BinPlan(make_bins(), [30, 0, 0, 0, 0, 0, 0, 0], 30)
+        with pytest.raises(SamplerError, match="target size 5 .*granularity 10"):
+            make_sample_plan(plan, 5, seed=1)
+        assert make_sample_plan(plan, 5, seed=1, granularity=1).per_bin_quota[0] == 5
+
     def test_quotas_capped_by_availability(self):
         plan = BinPlan(make_bins(), [3, 0, 0, 0, 0, 0, 0, 997], 1000)
         sample = make_sample_plan(plan, 900, seed=1, granularity=1)

@@ -1,9 +1,8 @@
 import pytest
 
 from asymbpe.sweep import (PAPER_NMO_SET, BpeConfig, SweepError, SystemResult,
-                           classify, enumerate_grid, format_nmo, parse_nmo,
-                           recommend, render_tier_text, render_tier_tsv,
-                           tier_report)
+                           enumerate_grid, format_nmo, parse_nmo, recommend,
+                           render_tier_text, render_tier_tsv, tier_report)
 from conftest import PUBLISHED_TIER_TABLES
 
 
@@ -15,9 +14,24 @@ def results_from_cell(cell):
 class TestNotation:
     @pytest.mark.parametrize("text,value", [
         ("500", 500), ("0.5K", 500), ("1K", 1000), ("25K", 25000),
-        ("32k", 32000), ("2000", 2000), (16000, 16000)])
+        ("32k", 32000), ("2000", 2000), (16000, 16000), ("1.1K", 1100),
+        ("0.001K", 1), ("0.0K", 0)])
     def test_parse(self, text, value):
-        assert parse_nmo(text) == value
+        got = parse_nmo(text)
+        assert got == value and type(got) is int
+
+    @pytest.mark.parametrize("text, merges", [
+        ("0.0025K", "2.5"), ("0.0015K", "1.5"), ("0.0004K", "0.4"), ("1.0005K", "1000.5")])
+    def test_fractional_merges_rejected(self, text, merges):
+        # Each used to round: 0.0025K and 0.0015K both gave 2, 0.0004K gave 0.
+        with pytest.raises(SweepError, match="is %s merges" % merges) as err:
+            parse_nmo(text)
+        assert repr(text) in str(err.value)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_rejected(self, value):
+        with pytest.raises(SweepError, match=repr(value)):
+            parse_nmo(value)
 
     @pytest.mark.parametrize("value,text", [
         (500, "500"), (1000, "1K"), (25000, "25K"), (32000, "32K"), (750, "750")])
@@ -25,10 +39,13 @@ class TestNotation:
         assert format_nmo(value) == text
 
     def test_label_roundtrip(self):
-        for src in PAPER_NMO_SET:
-            for tgt in PAPER_NMO_SET:
-                cfg = BpeConfig(src, tgt)
-                assert BpeConfig.from_label(cfg.label) == cfg
+        # Labels name run directories, so the paper's 64 must be distinct,
+        # and each half of one parses back to its NMO.
+        grid = enumerate_grid(PAPER_NMO_SET)
+        assert len({cfg.label for cfg in grid}) == 64
+        for cfg in grid:
+            src, tgt = cfg.label.split("_")
+            assert BpeConfig(parse_nmo(src), parse_nmo(tgt)) == cfg
 
     def test_example_label(self):
         assert BpeConfig(16000, 500).label == "16K_500"
@@ -57,11 +74,11 @@ class TestGrid:
 
 class TestClassify:
     def test_symmetric(self):
-        assert classify(BpeConfig(4000, 4000)) == "symmetric"
+        assert BpeConfig(4000, 4000).symmetric
 
     def test_asymmetric_examples(self):
-        assert classify(BpeConfig(16000, 500)) == "asymmetric"
-        assert classify(BpeConfig(500, 32000)) == "asymmetric"
+        assert not BpeConfig(16000, 500).symmetric
+        assert not BpeConfig(500, 32000).symmetric
 
 
 class TestTierReport:
@@ -82,10 +99,9 @@ class TestTierReport:
         assert report.baseline.score == 29.04
 
     @pytest.mark.parametrize("direction", ["hi-en", "en-hi"])
-    @pytest.mark.parametrize("rounded_first", [False, True])
-    def test_full_published_replay(self, direction, rounded_first):
+    def test_full_published_replay(self, direction):
         for size, cell in PUBLISHED_TIER_TABLES[direction].items():
-            report = tier_report(results_from_cell(cell), round_scores_first=rounded_first)
+            report = tier_report(results_from_cell(cell))
             for tier, result, delta in report.rows():
                 src, tgt, score, expected_delta = cell[tier]
                 assert result.config == BpeConfig(src, tgt), (direction, size, tier)
