@@ -161,6 +161,8 @@ def stats_matrix(hypotheses, references, char_order: int = CHAR_ORDER,
 
 def corpus_chrf(stats, beta: float = DEFAULT_BETA) -> ChrfScore:
     """Aggregate a ``stats_matrix`` into one corpus score."""
+    if not 0 <= beta < np.inf:  # also false for NaN
+        raise ChrfError("beta must be a finite number >= 0, got %r" % (beta,))
     if len(stats) == 0:
         raise ChrfError("empty statistics matrix")
     stats = np.asarray(stats, dtype=np.int64)
@@ -209,6 +211,8 @@ def paired_significance_stats(systems, baseline, iterations: int = 10000,
     ``paired_significance`` with the same seed."""
     if iterations < 1:
         raise ChrfError("iterations must be >= 1")
+    if seed < 0:
+        raise ChrfError("the significance seed must be >= 0, got %d" % seed)
     mat_b = np.asarray(baseline, dtype=np.float64)
     if mat_b.ndim != 2 or mat_b.shape[0] == 0:
         raise ChrfError("empty test set: no sentences to compare")

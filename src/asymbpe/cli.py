@@ -7,8 +7,8 @@ from contextlib import nullcontext
 
 from . import __version__, bpe, chrf, orchestrator, sampler
 from .orchestrator import read_lines, write_lines
-from .sweep import (BpeConfig, SystemResult, parse_nmo, recommend, render_tier_text,
-                    render_tier_tsv, tier_report)
+from .sweep import (BpeConfig, SweepError, SystemResult, parse_nmo, recommend,
+                    render_tier_text, render_tier_tsv, tier_report)
 
 
 def _map_lines(input_path, output_path, fn):
@@ -21,6 +21,15 @@ def _map_lines(input_path, output_path, fn):
           else nullcontext(sys.stdout)) as dst:
         for line in lines:
             dst.write(line + "\n")
+
+
+def _nmo_arg(text):
+    """``parse_nmo`` for argparse, which prints the message of an
+    ArgumentTypeError but not of a ValueError."""
+    try:
+        return parse_nmo(text)
+    except SweepError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_learn_bpe(args):
@@ -151,7 +160,7 @@ def build_parser():
 
     p = sub.add_parser("learn-bpe", help="learn a merge table from a tokenized corpus")
     p.add_argument("--input", required=True)
-    p.add_argument("--nmo", type=parse_nmo, required=True,
+    p.add_argument("--nmo", type=_nmo_arg, required=True,
                    help="number of merge operations, plain or K-notation (0.5K)")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_learn_bpe)

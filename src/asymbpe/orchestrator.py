@@ -21,8 +21,10 @@ scoring failure fails only its own test set's run. Every sweep resumes
 whatever its output directory holds: samples, tables, segmented files and
 completed records on disk are kept and never recomputed, so an interrupted
 sweep can resume without changing earlier scores, and a fresh sweep needs a
-fresh output directory. A configuration with any pending test set runs the
-backend again over all test sets and writes only the pending records. A resumed
+fresh output directory. A cell with any pending run first completes its
+missing tables and segmented files; a finished cell builds nothing. A
+configuration with any pending test set runs the backend again over all
+test sets and writes only the pending records. A resumed
 record is re-scored from its ``hyp.detok.txt`` only when a test needs it: it
 has no p-value yet, or the cell's best symmetric configuration has changed
 since it was tested.
@@ -33,7 +35,6 @@ testing: ``mock:echo-reference`` writes the references of every test set
 and ``mock:identity`` the de-segmented source.
 """
 
-import itertools
 import json
 import math
 import os
@@ -41,7 +42,7 @@ import string
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from . import bpe, chrf, sampler
 from .sweep import (BpeConfig, SystemResult, enumerate_grid, format_nmo, parse_nmo,
@@ -138,6 +139,14 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
+        if not isinstance(d, dict):
+            raise OrchestratorError("a run record must be a JSON object, got %s"
+                                    % type(d).__name__)
+        problems = ["unknown key %r" % k for k in sorted(set(d) - {f.name for f in fields(cls)})]
+        problems += ["missing key %r" % f.name for f in fields(cls) if f.name not in d
+                     and f.default is MISSING and f.default_factory is MISSING]
+        if problems:
+            raise OrchestratorError("not a run record: %s" % ", ".join(problems))
         return cls(**d)
 
 
@@ -341,22 +350,10 @@ def _cell_tables(cfg, cell_dir, lang, sample_path):
     return full
 
 
-def _backend_inputs(cfg, cell_dir, sample_dir, config) -> dict:
-    """Placeholder -> (raw text paths, side, NMO, segmented path) for the five
-    segmented inputs of one configuration. Every configuration that needs
-    the same split, side and NMO gets the same file under ``<cell>/seg/``.
-    ``{test_src}`` holds the source lines of every test set in config order,
-    in a file named after the list of test sets."""
-    src, tgt = ("src", config.src_nmo), ("tgt", config.tgt_nmo)
-    test = "test-" + "+".join(ts.name for ts in cfg.test_sets)
-    rows = (("train_src", "train", (os.path.join(sample_dir, "train.src"),), src),
-            ("train_tgt", "train", (os.path.join(sample_dir, "train.tgt"),), tgt),
-            ("valid_src", "valid", (cfg.valid_src,), src),
-            ("valid_tgt", "valid", (cfg.valid_tgt,), tgt),
-            ("test_src", test, tuple(ts.src for ts in cfg.test_sets), src))
-    return {name: (raw, side, nmo, os.path.join(
-                cell_dir, "seg", "%s.%s.%s" % (split, format_nmo(nmo), side)))
-            for name, split, raw, (side, nmo) in rows}
+def _seg_path(cell_dir, split, side, nmo):
+    """The segmented file of one split and side at one NMO, shared by every
+    configuration of the cell that needs it."""
+    return os.path.join(cell_dir, "seg", "%s.%s.%s" % (split, format_nmo(nmo), side))
 
 
 def _log_tail(path, chars=500) -> str:
@@ -366,13 +363,12 @@ def _log_tail(path, chars=500) -> str:
         return fh.read().decode("utf-8", "replace").strip()[-chars:]
 
 
-def _invoke_backend(cfg: ExperimentConfig, paths: dict, log_path):
+def _invoke_backend(cfg: ExperimentConfig, paths: dict, log_path, tests):
     """Run the backend once, writing its stdout and stderr to ``log_path``.
     The mocks write no log."""
     command = cfg.backend_command
     if command == MOCK_ECHO_REFERENCE:
-        write_lines(paths["hyp_out"],
-                    [line for ts in cfg.test_sets for line in read_lines(ts.tgt)])
+        write_lines(paths["hyp_out"], [line for _, _, refs in tests for line in refs])
         return
     if command == MOCK_IDENTITY:
         write_lines(paths["hyp_out"],
@@ -406,7 +402,10 @@ def _load_record(run_dir):
     if not os.path.exists(path):
         return None
     with open(path, encoding="utf-8") as fh:
-        return RunRecord.from_dict(json.load(fh))
+        try:
+            return RunRecord.from_dict(json.load(fh))
+        except ValueError as exc:  # not JSON, or not a run record
+            raise OrchestratorError("%s: %s" % (path, exc)) from None
 
 
 def run_sweep(cfg: ExperimentConfig) -> list:
@@ -447,6 +446,14 @@ def run_sweep(cfg: ExperimentConfig) -> list:
     return records
 
 
+@dataclass
+class _Run:
+    """One (configuration, test set) run of a cell: its finished record (None
+    while pending) and its CHRF++ statistics matrix (None until scored)."""
+    record: RunRecord | None
+    stats: object = None
+
+
 def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt, histogram):
     sample_dir = os.path.join(cell_dir, "sample")
     s_src, s_tgt = os.path.join(sample_dir, "train.src"), os.path.join(sample_dir, "train.tgt")
@@ -458,77 +465,76 @@ def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt, histogr
         _write_json(os.path.join(sample_dir, "manifest.json"),
                     {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict()})
 
-    # Record c * n_sets + t is configuration c on test set t.
     configs = enumerate_grid(cfg.nmo_set)
-    n_sets = len(cfg.test_sets)
-    records = [_load_record(os.path.join(cell_dir, config.label, testset.name))
-               for config in configs for testset in cfg.test_sets]
-    pending = {}  # configuration index -> indices of its test sets still to run
-    for i, rec in enumerate(records):
-        if rec is None or rec.status not in ("done", "failed"):
-            pending.setdefault(i // n_sets, []).append(i % n_sets)
-    inputs = {c: _backend_inputs(cfg, cell_dir, sample_dir, configs[c]) for c in pending}
+    runs = {}
+    for config in configs:
+        for ts in cfg.test_sets:
+            rec = _load_record(os.path.join(cell_dir, config.label, ts.name))
+            runs[config, ts.name] = _Run(rec if rec and rec.status in ("done", "failed") else None)
+    pending = [config for config in configs
+               if any(runs[config, ts.name].record is None for ts in cfg.test_sets)]
 
-    # Tables and segmented splits are complete before any run starts: no locks.
-    tables = {"src": _cell_tables(cfg, cell_dir, cfg.src_lang, s_src),
-              "tgt": _cell_tables(cfg, cell_dir, cfg.tgt_lang, s_tgt)}
-    missing = {}  # (raw files, side) -> [(NMO, segmented path)] not on disk yet
-    for raw, side, nmo, path in sorted({v for paths in inputs.values() for v in paths.values()}):
-        if not os.path.exists(path):
-            missing.setdefault((raw, side), []).append((nmo, path))
-    for (raw, side), targets in missing.items():
-        lines = [line for path in raw for line in read_lines(path)]
-        segmented = bpe.segment_lines(tables[side], lines, {n for n, _ in targets})
-        for nmo, path in targets:
-            write_lines(path, segmented[nmo])
-    test_lines = [len(read_lines(ts.src)) for ts in cfg.test_sets]
+    # Backend placeholder -> split, side and raw files of its segmented input;
+    # {test_src} joins every test set's source lines, named after their list.
+    inputs = {"train_src": ("train", "src", [s_src]),
+              "train_tgt": ("train", "tgt", [s_tgt]),
+              "valid_src": ("valid", "src", [cfg.valid_src]),
+              "valid_tgt": ("valid", "tgt", [cfg.valid_tgt]),
+              "test_src": ("test-" + "+".join(ts.name for ts in cfg.test_sets), "src",
+                           [ts.src for ts in cfg.test_sets])}
+    if pending:
+        # Tables and segmented files are complete before any run starts: no locks.
+        tables = {"src": _cell_tables(cfg, cell_dir, cfg.src_lang, s_src),
+                  "tgt": _cell_tables(cfg, cell_dir, cfg.tgt_lang, s_tgt)}
+        for split, side, raw in inputs.values():
+            nmos = [nmo for nmo in cfg.nmo_set
+                    if not os.path.exists(_seg_path(cell_dir, split, side, nmo))]
+            if nmos:
+                segmented = bpe.segment_lines(
+                    tables[side], [line for path in raw for line in read_lines(path)], nmos)
+                for nmo in nmos:
+                    write_lines(_seg_path(cell_dir, split, side, nmo), segmented[nmo])
 
-    def run_one(c):
-        seg = {name: path for name, (_, _, _, path) in inputs[c].items()}
-        return _run_config(cfg, size, rep, cell_seed, cell_dir, configs[c], pending[c],
-                           seg, test_lines)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            finished = list(pool.map(run_one, pending))
-    else:
-        finished = [run_one(c) for c in pending]
-    stats = [None] * len(records)
-    for c, results in zip(pending, finished):
-        for t, (record, matrix) in zip(pending[c], results):
-            records[c * n_sets + t], stats[c * n_sets + t] = record, matrix
-
-    _add_significance(cfg, cell_dir, records, stats)
-    return records
+    # Each test set with its source line count and references, read once.
+    tests = [(ts, len(read_lines(ts.src)), read_lines(ts.tgt)) for ts in cfg.test_sets]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        list(pool.map(lambda config: _run_config(cfg, size, rep, cell_seed, cell_dir, config,
+                                                 inputs, tests, runs), pending))
+    _add_significance(cfg, cell_dir, runs, tests)
+    return [run.record for run in runs.values()]
 
 
-def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig, pending: list,
-                seg_paths: dict, test_lines: list):
+def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig, inputs: dict,
+                tests: list, runs: dict):
     """Run the backend once for one configuration, on the test sources of
-    every test set, and score each pending test set (an index into
-    ``cfg.test_sets``) on its slice of the hypothesis; ``test_lines`` holds
-    each test set's source line count. Returns one (saved record, CHRF++
-    statistics matrix or None) per pending test set; the matrix is None
-    unless the record is done."""
+    every test set (``tests`` holds each with its source line count and
+    references), and score each pending run of the configuration in ``runs``
+    on its test set's slice of the hypothesis."""
     config_dir = os.path.join(cell_dir, config.label)
     started = time.time()
-    paths = dict(seg_paths, model_dir=os.path.join(config_dir, "model"),
+    nmo = {"src": config.src_nmo, "tgt": config.tgt_nmo}
+    paths = {name: _seg_path(cell_dir, split, side, nmo[side])
+             for name, (split, side, _) in inputs.items()}
+    paths.update(model_dir=os.path.join(config_dir, "model"),
                  hyp_out=os.path.join(config_dir, "hyp.txt"), config=config.label)
-    backend_error = None
+    hyps, backend_error = [], None
     try:
         os.makedirs(paths["model_dir"], exist_ok=True)
-        _invoke_backend(cfg, paths, os.path.join(config_dir, "backend.log"))
+        _invoke_backend(cfg, paths, os.path.join(config_dir, "backend.log"), tests)
         hyps = read_lines(paths["hyp_out"])
-        if len(hyps) != sum(test_lines):
+        expected = sum(n for _, n, _ in tests)
+        if len(hyps) != expected:
             raise OrchestratorError("hypothesis line count %d does not match the %d lines "
-                                    "of the test sources" % (len(hyps), sum(test_lines)))
+                                    "of the test sources" % (len(hyps), expected))
     except (OrchestratorError, OSError) as exc:
         backend_error = str(exc)  # fails every pending test set of the configuration
 
-    starts = list(itertools.accumulate([0] + test_lines))
-    results = []
-    for t in pending:
-        testset = cfg.test_sets[t]
+    end = 0
+    for testset, n_src, refs in tests:
+        start, end = end, end + n_src
+        run = runs[config, testset.name]
+        if run.record is not None:
+            continue
         run_dir = os.path.join(config_dir, testset.name)
         record = RunRecord(config_label=config.label, src_nmo=config.src_nmo,
                            tgt_nmo=config.tgt_nmo, direction=cfg.direction,
@@ -537,23 +543,21 @@ def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig, pending:
         matrix, reason = None, backend_error
         if reason is None:
             try:
-                matrix = _score_testset(cfg, cell_dir, config, testset,
-                                        hyps[starts[t]:starts[t + 1]], paths["hyp_out"],
-                                        run_dir, record)
+                matrix = _score_testset(cfg, cell_dir, config, testset, hyps[start:end],
+                                        refs, paths["hyp_out"], run_dir, record)
             except (OrchestratorError, bpe.BpeError, chrf.ChrfError, OSError) as exc:
                 reason = str(exc)
         if matrix is None:
             record.status, record.failure_reason = "failed", reason
         record.finished = time.time()
         _save_record(run_dir, record)
-        results.append((record, matrix))
-    return results
+        run.record, run.stats = record, matrix
 
 
-def _score_testset(cfg, cell_dir, config, testset, hyps, hyp_path, run_dir, record):
+def _score_testset(cfg, cell_dir, config, testset, hyps, refs, hyp_path, run_dir, record):
     """De-segment one test set's hypothesis lines into ``hyp.detok.txt``,
-    score them into ``record`` and return their statistics matrix."""
-    refs = read_lines(testset.tgt)
+    score them against ``refs`` into ``record`` and return their statistics
+    matrix."""
     if len(hyps) != len(refs):
         raise OrchestratorError("test set %r has %d source lines but %d references"
                                 % (testset.name, len(hyps), len(refs)))
@@ -571,59 +575,53 @@ def _score_testset(cfg, cell_dir, config, testset, hyps, hyp_path, run_dir, reco
     return matrix
 
 
-def _add_significance(cfg, cell_dir, records, stats):
+def _add_significance(cfg, cell_dir, runs, tests):
     """Paired significance of completed runs against the cell's best symmetric
     run, per test set. A run is tested when it has no p-value or was tested
-    against another baseline. ``stats[i]`` is run i's statistics matrix when
-    this sweep scored it, else None; such a run is re-scored from its
-    ``hyp.detok.txt`` only if a test needs it."""
-    by_testset = {}
-    for i, rec in enumerate(records):
-        if rec.status == "done":
-            by_testset.setdefault(rec.testset, []).append(i)
-    for testset_name, cell in by_testset.items():
-        symmetric = [i for i in cell if records[i].src_nmo == records[i].tgt_nmo]
+    against another baseline. A run this sweep did not score has no
+    statistics matrix; it is re-scored from its ``hyp.detok.txt`` only if a
+    test needs it."""
+    for testset, _, refs in tests:
+        cell = [run for (_, name), run in runs.items()
+                if name == testset.name and run.record.status == "done"]
+        symmetric = [run for run in cell if run.record.src_nmo == run.record.tgt_nmo]
         if not symmetric:
             continue
-        base = max(symmetric, key=lambda i: (records[i].chrf, -records[i].src_nmo))
-        label = records[base].config_label
+        base = max(symmetric, key=lambda run: (run.record.chrf, -run.record.src_nmo))
+        label = base.record.config_label
         by_seed = {}
-        for i in cell:
-            if records[i].p_vs_baseline is None or records[i].baseline != label:
-                by_seed.setdefault(records[i].seed, []).append(i)
+        for run in cell:
+            if run.record.p_vs_baseline is None or run.record.baseline != label:
+                by_seed.setdefault(run.record.seed, []).append(run)
         if not by_seed:
             continue
-        testset = next(t for t in cfg.test_sets if t.name == testset_name)
-        refs = read_lines(testset.tgt)
-        for i in [base] + [i for group in by_seed.values() for i in group]:
-            if stats[i] is None:
-                stats[i] = chrf.stats_matrix(read_lines(os.path.join(
-                    cell_dir, records[i].config_label, testset_name, "hyp.detok.txt")), refs)
+        for run in [base] + [run for group in by_seed.values() for run in group]:
+            if run.stats is None:
+                run.stats = chrf.stats_matrix(read_lines(os.path.join(
+                    cell_dir, run.record.config_label, testset.name, "hyp.detok.txt")), refs)
         for seed, group in by_seed.items():
             results = chrf.paired_significance_stats(
-                [stats[i] for i in group], stats[base],
+                [run.stats for run in group], base.stats,
                 iterations=cfg.significance_iterations, seed=seed)
-            for i, result in zip(group, results):
-                rec = records[i]
-                rec.p_vs_baseline = round(result.p_value, 6)
-                rec.baseline = label
-                _save_record(os.path.join(cell_dir, rec.config_label, testset_name), rec)
+            for run, result in zip(group, results):
+                run.record.p_vs_baseline = round(result.p_value, 6)
+                run.record.baseline = label
+                _save_record(os.path.join(cell_dir, run.record.config_label, testset.name),
+                             run.record)
 
 
 def collect_records(run_dir) -> list:
-    """Load every persisted RunRecord under a sweep output directory."""
-    records = []
-    for root, _dirs, files in os.walk(run_dir):
-        if "record.json" in files:
-            records.append(_load_record(root))
-    records.sort(key=lambda r: (r.size, r.rep, r.testset, r.src_nmo, r.tgt_nmo))
-    return records
+    """Load every persisted RunRecord under a sweep output directory, in no
+    particular order (``emit_report`` orders its rows itself)."""
+    return [_load_record(root) for root, _dirs, files in os.walk(run_dir)
+            if "record.json" in files]
 
 
 def emit_report(records, out_dir) -> dict:
     """Write results.tsv, per-cell tier reports, the per-source-NMO maximum
-    trace, and a repetition-averaged summary. Returns the artifact paths."""
-    records = list(records)
+    trace, and a repetition-averaged summary. Returns the artifact paths.
+    Rows follow size, repetition, source NMO, target NMO and test set name."""
+    records = sorted(records, key=lambda r: (r.size, r.rep, r.src_nmo, r.tgt_nmo, r.testset))
     completed = [r for r in records if r.status == "done"]
     if not completed:
         raise OrchestratorError("no completed records to report")

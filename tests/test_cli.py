@@ -224,8 +224,8 @@ def test_learn_bpe_refuses_fractional_merges(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["learn-bpe", "--input", str(corpus), "--nmo", "0.0025K",
               "--output", str(tmp_path / "t.bpe")])
-    assert exc.value.code != 0
-    assert "0.0025K" in capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "'0.0025K' is 2.5 merges" in capsys.readouterr().err  # parse_nmo's reason
     assert not (tmp_path / "t.bpe").exists()
 
 
@@ -248,3 +248,39 @@ def test_sweep_refuses_a_size_that_draws_nothing(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "--config", config)
     assert code == 1 and "target size 5" in err and "granularity 10" in err
     assert not (tmp_path / "out" / "size5" / "rep0" / "sample").exists()
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "-2"])
+def test_chrf_refuses_a_beta_that_is_not_finite_and_at_least_zero(tmp_path, capsys, beta):
+    ref = tmp_path / "ref.txt"
+    ref.write_text("the cat sat\non the mat\n", encoding="utf-8")
+    code, out, err = run(capsys, "chrf", "--hyp", str(ref), "--ref", str(ref), "--beta", beta)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: beta must be a finite number >= 0")
+
+
+def test_significance_refuses_a_negative_seed(tmp_path, capsys):
+    ref = tmp_path / "ref.txt"
+    ref.write_text("the cat sat\non the mat\n", encoding="utf-8")
+    code, out, err = run(capsys, "significance", "--hyp-a", str(ref), "--hyp-b", str(ref),
+                         "--ref", str(ref), "--iterations", "10", "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "seed" in err and "-1" in err
+
+
+def test_sweep_and_report_run_dir_write_the_same_files(tmp_path, capsys):
+    # Two test sets whose config order ("test", "dev") is not their name order.
+    corpus = write_toy_corpus(str(tmp_path))
+    extra = [{"name": "dev", "src": corpus["test_src"], "tgt": corpus["test_tgt"]}]
+    config = write_config(str(tmp_path), corpus, extra_test_sets=extra,
+                          backend={"command": "mock:identity"})
+    out_dir = tmp_path / "out"
+
+    def files():
+        return {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+
+    assert run(capsys, "sweep", "--config", config)[0] == 0
+    swept = files()
+    assert Path("results.tsv") in swept and Path("tiers", "en-xx_size50_rep0_dev.tsv") in swept
+    assert run(capsys, "report", "--run-dir", str(out_dir))[0] == 0
+    assert files() == swept

@@ -536,6 +536,24 @@ class TestSignificance:
         del record["baseline"]
         assert RunRecord.from_dict(record).baseline is None
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda rec: dict(rec, colour="red"), "unknown key 'colour'"),
+        (lambda rec: {k: v for k, v in rec.items() if k != "seed"}, "missing key 'seed'"),
+        (lambda rec: list(rec.items()), "got list")], ids=["unknown", "missing", "list"])
+    def test_foreign_record_is_refused_naming_file_and_key(self, tmp_path, edit, named):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(str(tmp_path), corpus))
+        run_sweep(cfg)
+        path = cell_path(cfg, "10_20", "test", "record.json")
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(edit(record), fh)
+        for load in (lambda: run_sweep(cfg), lambda: collect_records(cfg.output_dir)):
+            with pytest.raises(OrchestratorError) as exc:
+                load()
+            assert path in str(exc.value) and named in str(exc.value)
+
 
 def make_record(src, tgt, score, size=50, rep=0, direction="en-xx",
                 testset="test", status="done"):
