@@ -38,7 +38,12 @@ swaps every sentence's two system outputs independently with probability
 1/2 and recounts how often the absolute corpus-score difference is at least
 the observed one; p = (count + 1) / (iterations + 1). Several systems tested
 against one baseline with one seed share each drawn swap mask, so every
-system's p-value equals the one a separate pairwise test gives.
+system's p-value equals the one a separate pairwise test gives. The S
+systems' row-swap differences sit side by side in one ``n x S·width`` array,
+so each chunk of k masks makes one ``mask @ diff`` product for all systems,
+and each side's shifted sums are scored with one call over ``k·S`` rows.
+The statistics are integer counts and the mask is 0/1, so every sum is exact
+in float64 and no p-value depends on the product's summation order.
 """
 
 from dataclasses import dataclass
@@ -50,10 +55,11 @@ WORD_ORDER = 2
 DEFAULT_BETA = 2.0
 
 SIGNIFICANCE_METHOD = "paired-approximate-randomization"
-# Swap-mask cells (iterations x lines) drawn per significance chunk. The
-# float64 draw and the mask's float64 cast each take 8 bytes a cell, so a
-# chunk stays near 2 MB. The draw fills row by row, so the chunk size never
-# changes a p-value.
+# Float64 cells per significance chunk and array. Each iteration of a chunk
+# draws n mask cells (one per line) and shifts S·width column sums (S
+# systems), so a chunk holds 250,000 // (n + S·width) iterations and each of
+# its draw, float mask and shifted sums stays near 2 MB. The draw fills row
+# by row, so the chunk size never changes a p-value.
 _SIGNIFICANCE_CHUNK_CELLS = 250_000
 
 
@@ -222,37 +228,41 @@ def paired_significance_stats(systems, baseline, iterations: int = 10000,
     base_b = mat_b.sum(axis=0)
     score_b = _scores_from_sum_rows(base_b[None, :], orders, DEFAULT_BETA)[0]
 
-    tests = []  # (A's column sums, row-swap mass moved from A to B, A's score)
-    for system in systems:
+    systems = list(systems)
+    if not systems:
+        return []
+    # Each system's column sums, and its row-swap differences (the mass a
+    # swap moves from A to B) side by side: column block j is system j's.
+    base_a = np.empty((len(systems), width))
+    diff = np.empty((n, len(systems) * width))
+    for j, system in enumerate(systems):
         mat_a = np.asarray(system, dtype=np.float64)
         if mat_a.shape != mat_b.shape:
             raise ChrfError("statistics shapes differ: system %s, baseline %s"
                             % (mat_a.shape, mat_b.shape))
-        base_a = mat_a.sum(axis=0)
-        tests.append((base_a, mat_b - mat_a,
-                      _scores_from_sum_rows(base_a[None, :], orders, DEFAULT_BETA)[0]))
+        base_a[j] = mat_a.sum(axis=0)
+        np.subtract(mat_b, mat_a, out=diff[:, j * width:(j + 1) * width])
+    score_a = _scores_from_sum_rows(base_a, orders, DEFAULT_BETA)
+    observed = np.abs(score_a - score_b) - 1e-12
 
     rng = np.random.default_rng(seed)
-    counts = [0] * len(tests)
-    chunk = max(1, min(iterations, _SIGNIFICANCE_CHUNK_CELLS // n))
+    counts = np.zeros(len(systems), dtype=np.int64)
+    chunk = max(1, min(iterations, _SIGNIFICANCE_CHUNK_CELLS // (n + diff.shape[1])))
     done = 0
     while done < iterations:
         k = min(chunk, iterations - done)
         mask = rng.random((k, n)) < 0.5
-        # Cast per system: a float copy of the mask kept across the loop
-        # raises peak memory by its size.
-        for j, (base_a, diff, score_a) in enumerate(tests):
-            shift = mask.astype(np.float64) @ diff
-            sa = _scores_from_sum_rows(base_a[None, :] + shift, orders, DEFAULT_BETA)
-            sb = _scores_from_sum_rows(base_b[None, :] - shift, orders, DEFAULT_BETA)
-            counts[j] += int(np.sum(np.abs(sa - sb) >= abs(score_a - score_b) - 1e-12))
+        shift = (mask.astype(np.float64) @ diff).reshape(k, len(systems), width)
+        sa = _scores_from_sum_rows((base_a + shift).reshape(-1, width), orders, DEFAULT_BETA)
+        sb = _scores_from_sum_rows((base_b - shift).reshape(-1, width), orders, DEFAULT_BETA)
+        counts += (np.abs(sa - sb).reshape(k, len(systems)) >= observed).sum(axis=0)
         done += k
 
     results = []
-    for (_, _, score_a), count in zip(tests, counts):
-        better = "A" if score_a > score_b else ("B" if score_b > score_a else "tie")
-        results.append(SignificanceResult((count + 1) / (iterations + 1), iterations,
-                                          seed, better, score_a - score_b))
+    for a, count in zip(score_a, counts):
+        better = "A" if a > score_b else ("B" if score_b > a else "tie")
+        results.append(SignificanceResult((int(count) + 1) / (iterations + 1), iterations,
+                                          seed, better, a - score_b))
     return results
 
 

@@ -30,11 +30,13 @@ has no p-value yet, or the cell's best symmetric configuration has changed
 since it was tested.
 
 The backend is an external command template; its stdout and stderr go to
-``<cell>/<config>/backend.log``. Two built-in mocks exist for pipeline
+``<cell>/<config>/backend.log``, and any ``{hyp_out}`` an earlier attempt
+left is deleted before it runs. Two built-in mocks exist for pipeline
 testing: ``mock:echo-reference`` writes the references of every test set
 and ``mock:identity`` the de-segmented source.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -42,7 +44,7 @@ import string
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 from . import bpe, chrf, sampler
 from .sweep import (BpeConfig, SystemResult, enumerate_grid, format_nmo, parse_nmo,
@@ -132,7 +134,6 @@ class RunRecord:
     failure_reason: str | None = None
     started: float | None = None
     finished: float | None = None
-    artifacts: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -142,6 +143,8 @@ class RunRecord:
         if not isinstance(d, dict):
             raise OrchestratorError("a run record must be a JSON object, got %s"
                                     % type(d).__name__)
+        # Records written before ``artifacts`` (absolute paths) was dropped.
+        d = {k: v for k, v in d.items() if k != "artifacts"}
         problems = ["unknown key %r" % k for k in sorted(set(d) - {f.name for f in fields(cls)})]
         problems += ["missing key %r" % f.name for f in fields(cls) if f.name not in d
                      and f.default is MISSING and f.default_factory is MISSING]
@@ -374,6 +377,8 @@ def _invoke_backend(cfg: ExperimentConfig, paths: dict, log_path, tests):
         write_lines(paths["hyp_out"],
                     [bpe.unsegment(line) for line in read_lines(paths["test_src"])])
         return
+    with contextlib.suppress(FileNotFoundError):  # left by an interrupted attempt
+        os.remove(paths["hyp_out"])
     with open(log_path, "wb") as log:
         try:
             proc = subprocess.run(command.format(**paths), shell=True,
@@ -543,8 +548,7 @@ def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig, inputs: 
         matrix, reason = None, backend_error
         if reason is None:
             try:
-                matrix = _score_testset(cfg, cell_dir, config, testset, hyps[start:end],
-                                        refs, paths["hyp_out"], run_dir, record)
+                matrix = _score_testset(testset, hyps[start:end], refs, run_dir, record)
             except (OrchestratorError, bpe.BpeError, chrf.ChrfError, OSError) as exc:
                 reason = str(exc)
         if matrix is None:
@@ -554,7 +558,7 @@ def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig, inputs: 
         run.record, run.stats = record, matrix
 
 
-def _score_testset(cfg, cell_dir, config, testset, hyps, refs, hyp_path, run_dir, record):
+def _score_testset(testset, hyps, refs, run_dir, record):
     """De-segment one test set's hypothesis lines into ``hyp.detok.txt``,
     score them against ``refs`` into ``record`` and return their statistics
     matrix."""
@@ -562,16 +566,10 @@ def _score_testset(cfg, cell_dir, config, testset, hyps, refs, hyp_path, run_dir
         raise OrchestratorError("test set %r has %d source lines but %d references"
                                 % (testset.name, len(hyps), len(refs)))
     detok = [bpe.unsegment(line) for line in hyps]
-    detok_path = os.path.join(run_dir, "hyp.detok.txt")
-    write_lines(detok_path, detok)
+    write_lines(os.path.join(run_dir, "hyp.detok.txt"), detok)
     matrix = chrf.stats_matrix(detok, refs)
     record.chrf = round(chrf.corpus_chrf(matrix).value, 6)
     record.status = "done"
-    record.artifacts = {
-        "src_table": _table_path(cell_dir, cfg.src_lang, config.src_nmo),
-        "tgt_table": _table_path(cell_dir, cfg.tgt_lang, config.tgt_nmo),
-        "hypothesis": hyp_path, "hypothesis_detok": detok_path,
-    }
     return matrix
 
 

@@ -3,9 +3,11 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from asymbpe.bpe import END, word_symbols
+from asymbpe.chrf import SignificanceResult, corpus_chrf
 
 
 def oracle_learn(word_freqs, nmo):
@@ -90,6 +92,31 @@ def reference_chrf(matrix, beta):
     if b2 * p + q == 0:
         return 0.0
     return 100.0 * (1 + b2) * p * q / (b2 * p + q)
+
+
+def oracle_significance(systems, baseline, iterations, seed):
+    """Paired approximate randomization of each statistics matrix in
+    ``systems`` against ``baseline``, one system and one iteration at a time:
+    iteration i swaps the rows where ``default_rng(seed).random((iterations,
+    n))[i] < 0.5`` between the system and the baseline and scores both
+    swapped matrices with ``corpus_chrf``. Independent of the stacked,
+    chunked production path; the production scorer is shared so that ties
+    compare alike."""
+    masks = np.random.default_rng(seed).random((iterations, len(baseline))) < 0.5
+    score_b = corpus_chrf(baseline).value
+    results = []
+    for system in systems:
+        score_a = corpus_chrf(system).value
+        count = 0
+        for swap in masks:
+            side_a = np.where(swap[:, None], baseline, system)
+            side_b = np.where(swap[:, None], system, baseline)
+            diff = corpus_chrf(side_a).value - corpus_chrf(side_b).value
+            count += abs(diff) >= abs(score_a - score_b) - 1e-12
+        better = "A" if score_a > score_b else ("B" if score_b > score_a else "tie")
+        results.append(SignificanceResult((count + 1) / (iterations + 1), iterations, seed,
+                                          better, score_a - score_b))
+    return results
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_chrf
+from conftest import oracle_significance, reference_chrf
 
 from asymbpe import chrf
 from asymbpe.chrf import (ChrfError, corpus_chrf, corpus_chrf_from_lines,
@@ -376,8 +376,9 @@ class TestBatchedSignificance:
         self.check_equal_to_pairwise(systems, ["the cat"], refs, 300, 2)
 
     def test_iterations_span_several_chunks(self):
-        # 250,000 // n masks per chunk: with n = 2,000 a chunk holds 125
-        # iterations, so 4,500 iterations need 36 chunks from one stream.
+        # 250,000 // (n + S·24) iterations per chunk: with n = 2,000 lines a
+        # chunk holds 122 iterations for S = 2 systems (123 for one), so
+        # 4,500 iterations need 37 chunks from one stream.
         rng = random.Random(9)
         refs = ["w%d w%d" % (rng.randrange(50), rng.randrange(50)) for _ in range(2000)]
         systems = [random_system(refs, rng, rate) for rate in (0.2, 0.6)]
@@ -403,3 +404,47 @@ class TestBatchedSignificance:
     def test_empty_baseline_rejected(self):
         with pytest.raises(ChrfError, match="empty"):
             paired_significance_stats([], stats_matrix([], []), iterations=10)
+
+
+class TestSignificanceOracle:
+    """paired_significance_stats against a loop that swaps the rows of each
+    system and the baseline one iteration at a time."""
+
+    @staticmethod
+    def cell(seed, n, rates):
+        rng = random.Random(seed)
+        refs = [" ".join("w%d" % rng.randrange(12) for _ in range(rng.randint(1, 6)))
+                for _ in range(n)]
+        systems = [stats_matrix(random_system(refs, rng, rate), refs) for rate in rates]
+        return systems, stats_matrix(random_system(refs, rng, 0.4), refs)
+
+    def check(self, systems, baseline, iterations, seed):
+        results = paired_significance_stats(systems, baseline, iterations=iterations,
+                                            seed=seed)
+        assert results == oracle_significance(systems, baseline, iterations, seed)
+        return results
+
+    def test_several_systems(self):
+        systems, baseline = self.cell(1, 25, (0.1, 0.3, 0.5, 0.7, 0.9))
+        results = self.check(systems, baseline, 300, 8)
+        assert any(r.p_value < 0.5 for r in results)
+        assert any(r.p_value > 0.5 for r in results)
+
+    def test_single_line(self):
+        systems, baseline = self.cell(2, 1, (0.0, 0.5, 1.0))
+        self.check(systems, baseline, 200, 4)
+
+    def test_one_iteration_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(chrf, "_SIGNIFICANCE_CHUNK_CELLS", 1)
+        systems, baseline = self.cell(3, 12, (0.2, 0.6))
+        self.check(systems, baseline, 150, 6)
+
+    def test_tie(self):
+        systems, baseline = self.cell(4, 20, (0.3,))
+        results = self.check([baseline, systems[0], baseline.copy()], baseline, 200, 9)
+        assert [r.better_system for r in results][::2] == ["tie", "tie"]
+        assert results[0].p_value == results[2].p_value == 1.0
+
+    def test_no_systems(self):
+        _, baseline = self.cell(5, 10, ())
+        assert paired_significance_stats([], baseline, iterations=100, seed=0) == []

@@ -297,6 +297,31 @@ class TestRunSweep:
         assert all(r.status == "failed" for r in records)
         assert all(r.chrf is None and r.failure_reason for r in records)
 
+    def test_resume_does_not_score_a_stale_hypothesis(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        run_sweep(load_experiment(write_config(
+            str(tmp_path), corpus, backend={"command": "sed 's/@@ //g' {test_src} > {hyp_out}"})))
+        cfg = load_experiment(write_config(str(tmp_path), corpus,
+                                           backend={"command": "true {hyp_out}"}))
+        os.remove(cell_path(cfg, "10_20", "test", "record.json"))
+        resumed = {r.config_label: r for r in run_sweep(cfg)}
+        assert resumed["10_20"].status == "failed"
+        assert "backend produced no hypothesis file" in resumed["10_20"].failure_reason
+        assert not os.path.exists(cell_path(cfg, "10_20", "hyp.txt"))
+        assert all(resumed[label].status == "done" for label in ("10_10", "20_10", "20_20"))
+
+    def test_records_hold_no_output_path(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        swept = []
+        for out in ("out", "output_of_a_longer_name"):
+            cfg = load_experiment(write_config(
+                str(tmp_path), corpus, output_dir=os.path.join(str(tmp_path), out)))
+            run_sweep(cfg)
+            swept.append({path: {k: v for k, v in json.loads(data).items()
+                                 if k not in ("started", "finished")}
+                          for path, data in record_bytes(cfg).items()})
+        assert len(swept[0]) == 4 and swept[0] == swept[1]
+
     def test_corrupt_hypothesis_line_count_recorded(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
         cfg = load_experiment(write_config(
@@ -535,6 +560,13 @@ class TestSignificance:
         record = make_record(10, 20, 50.0).to_dict()
         del record["baseline"]
         assert RunRecord.from_dict(record).baseline is None
+
+    def test_record_with_artifacts_field_loads(self):
+        record = make_record(10, 20, 50.0).to_dict()
+        record["artifacts"] = {"hypothesis": "/elsewhere/10_20/hyp.txt"}
+        loaded = RunRecord.from_dict(record)
+        assert loaded.to_dict() == make_record(10, 20, 50.0).to_dict()
+        assert "artifacts" not in loaded.to_dict()
 
     @pytest.mark.parametrize("edit, named", [
         (lambda rec: dict(rec, colour="red"), "unknown key 'colour'"),
