@@ -1,4 +1,6 @@
-"""Command-line interface: one entry point, one subcommand per task."""
+"""Command-line interface: one entry point, one subcommand per task.
+``sweep`` and ``report`` write a sweep directory's reports through one
+function, ``orchestrator.emit_report``."""
 
 import argparse
 import json
@@ -7,8 +9,7 @@ from contextlib import nullcontext
 
 from . import __version__, bpe, chrf, orchestrator, sampler
 from .orchestrator import read_lines, write_lines
-from .sweep import (BpeConfig, SweepError, SystemResult, parse_nmo, recommend,
-                    render_tier_text, render_tier_tsv, tier_report)
+from .sweep import SweepError, parse_nmo, recommend
 
 
 def _map_lines(input_path, output_path, fn):
@@ -93,45 +94,16 @@ def cmd_recommend(args):
     print("rationale: %s" % rec.rationale)
 
 
-def _read_results_tsv(path):
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        for line in fh:
-            if line.strip():
-                rows.append(dict(zip(header, line.rstrip("\n").split("\t"))))
-    return rows
-
-
 def cmd_report(args):
-    if args.run_dir:
-        records = orchestrator.collect_records(args.run_dir)
-        artifacts = orchestrator.emit_report(records, args.run_dir)
-        print("results: %s" % artifacts["results"])
-        for path in artifacts["tiers"]:
-            print("tier report: %s" % path)
-        print("source-NMO max trace: %s" % artifacts["max_trace"])
-        print("summary: %s" % artifacts["summary"])
-        return
-
-    rows = _read_results_tsv(args.results)
-    if args.direction:
-        rows = [r for r in rows if r["direction"] == args.direction]
-    if args.size is not None:
-        rows = [r for r in rows if int(r["size"]) == args.size]
-    if args.testset:
-        rows = [r for r in rows if r.get("testset", "") == args.testset]
-    rows = [r for r in rows if r.get("status", "done") == "done" and r.get("chrf")]
-    results = [SystemResult(BpeConfig(int(r["src_nmo"]), int(r["tgt_nmo"])),
-                            float(r["chrf"]),
-                            p_vs_baseline=float(r["p_vs_baseline"])
-                            if r.get("p_vs_baseline") else None)
-               for r in rows]
-    report = tier_report(results)
-    sys.stdout.write(render_tier_text(report))
-    if args.tsv:
-        with open(args.tsv, "w", encoding="utf-8") as fh:
-            fh.write(render_tier_tsv(report))
+    """Rebuild every report of a sweep directory from its run records: the
+    same files, byte for byte, that ``asymbpe sweep`` wrote there."""
+    records = orchestrator.collect_records(args.run_dir)
+    artifacts = orchestrator.emit_report(records, args.run_dir)
+    print("results: %s" % artifacts["results"])
+    for path in artifacts["tiers"]:
+        print("tier report: %s" % path)
+    print("source-NMO max trace: %s" % artifacts["max_trace"])
+    print("summary: %s" % artifacts["summary"])
 
 
 def cmd_sweep(args):
@@ -203,13 +175,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_significance)
 
-    p = sub.add_parser("report", help="tier report from results TSV or a sweep directory")
-    p.add_argument("--results", help="results.tsv path")
-    p.add_argument("--run-dir", help="sweep output directory")
-    p.add_argument("--direction")
-    p.add_argument("--size", type=int)
-    p.add_argument("--testset")
-    p.add_argument("--tsv", help="also write the tier report as TSV here")
+    p = sub.add_parser("report", help="rebuild the reports of a sweep output directory")
+    p.add_argument("--run-dir", required=True, help="sweep output directory")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("recommend", help="configuration ranges for a dataset size")
@@ -227,14 +194,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "report":
-        if not (args.results or args.run_dir):
-            parser.error("report requires --results or --run-dir")
-        given = [flag for flag in ("results", "direction", "size", "testset", "tsv")
-                 if getattr(args, flag) is not None]
-        if args.run_dir and given:
-            parser.error("--run-dir reports the whole directory and takes none of "
-                         + ", ".join("--" + flag for flag in given))
     try:
         args.func(args)
     except (ValueError, OSError) as exc:

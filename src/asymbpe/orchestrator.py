@@ -48,7 +48,7 @@ from dataclasses import MISSING, dataclass, fields
 
 from . import bpe, chrf, sampler
 from .sweep import (BpeConfig, SystemResult, enumerate_grid, format_nmo, parse_nmo,
-                    render_tier_text, render_tier_tsv, tier_report, SweepError)
+                    rank_key, render_tier_text, render_tier_tsv, tier_report, SweepError)
 
 SCHEMA_VERSION = 1
 
@@ -241,8 +241,11 @@ def load_experiment(path) -> ExperimentConfig:
             "by language, so its two sides would share one table file" % direction)
 
     sizes = raw["sizes"]
-    if not isinstance(sizes, list) or not all(_is_int(s) and s > 0 for s in sizes):
-        raise OrchestratorError("sizes must be a list of positive ints, got %r" % (sizes,))
+    if not (isinstance(sizes, list) and sizes and all(_is_int(s) and s > 0 for s in sizes)):
+        raise OrchestratorError("sizes must be a non-empty list of positive ints, got %r"
+                                % (sizes,))
+    if len(set(sizes)) != len(sizes):
+        raise OrchestratorError("sizes repeats a value: %r" % (sizes,))
 
     nmo_set = raw["nmo_set"]
     if not (isinstance(nmo_set, list) and nmo_set
@@ -575,7 +578,8 @@ def _score_testset(testset, hyps, refs, run_dir, record):
 
 def _add_significance(cfg, cell_dir, runs, tests):
     """Paired significance of completed runs against the cell's best symmetric
-    run, per test set. A run is tested when it has no p-value or was tested
+    run, per test set: the first in ``rank_key`` order, which is also the
+    Baseline of the cell's tier report. A run is tested when it has no p-value or was tested
     against another baseline. A run this sweep did not score has no
     statistics matrix; it is re-scored from its ``hyp.detok.txt`` only if a
     test needs it."""
@@ -585,7 +589,8 @@ def _add_significance(cfg, cell_dir, runs, tests):
         symmetric = [run for run in cell if run.record.src_nmo == run.record.tgt_nmo]
         if not symmetric:
             continue
-        base = max(symmetric, key=lambda run: (run.record.chrf, -run.record.src_nmo))
+        base = min(symmetric, key=lambda run: rank_key(run.record.chrf, run.record.src_nmo,
+                                                       run.record.tgt_nmo))
         label = base.record.config_label
         by_seed = {}
         for run in cell:
@@ -618,23 +623,36 @@ def collect_records(run_dir) -> list:
 def emit_report(records, out_dir) -> dict:
     """Write results.tsv, per-cell tier reports, the per-source-NMO maximum
     trace, and a repetition-averaged summary. Returns the artifact paths.
-    Rows follow size, repetition, source NMO, target NMO and test set name."""
+    Rows follow size, repetition, source NMO, target NMO and test set name.
+
+    ``asymbpe sweep`` and ``asymbpe report`` both report through here, from
+    the records' own scores (results.tsv rounds them to 2 decimals), and
+    ``tier_report`` orders them as ``_add_significance`` does: each cell's
+    tables in ``tiers/`` name as Baseline the configuration its records'
+    p-values were measured against. Two records of one run are refused.
+    Each file is replaced atomically by ``write_lines``."""
+    seen = set()
+    for r in records:
+        run = (r.direction, r.size, r.rep, r.testset, r.config_label)
+        if run in seen:
+            raise OrchestratorError("two records for one run: direction %s, size %d, rep %d, "
+                                    "test set %s, configuration %s" % run)
+        seen.add(run)
     records = sorted(records, key=lambda r: (r.size, r.rep, r.src_nmo, r.tgt_nmo, r.testset))
     completed = [r for r in records if r.status == "done"]
     if not completed:
         raise OrchestratorError("no completed records to report")
-    os.makedirs(out_dir, exist_ok=True)
 
     results_path = os.path.join(out_dir, "results.tsv")
-    with open(results_path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(RESULTS_COLUMNS) + "\n")
-        for r in records:
-            fh.write("\t".join([
-                r.config_label, str(r.src_nmo), str(r.tgt_nmo), r.direction,
-                str(r.size), str(r.rep), r.testset,
-                "%.2f" % r.chrf if r.chrf is not None else "",
-                "%.4f" % r.p_vs_baseline if r.p_vs_baseline is not None else "",
-                r.status]) + "\n")
+    lines = ["\t".join(RESULTS_COLUMNS)]
+    for r in records:
+        lines.append("\t".join([
+            r.config_label, str(r.src_nmo), str(r.tgt_nmo), r.direction,
+            str(r.size), str(r.rep), r.testset,
+            "%.2f" % r.chrf if r.chrf is not None else "",
+            "%.4f" % r.p_vs_baseline if r.p_vs_baseline is not None else "",
+            r.status]))
+    write_lines(results_path, lines)
 
     artifacts = {"results": results_path, "tiers": [], "max_trace": None, "summary": None}
 
@@ -649,30 +667,26 @@ def emit_report(records, out_dir) -> dict:
             report = tier_report(results)
         except SweepError:
             continue  # not enough coverage for tiers in this cell
-        os.makedirs(tier_dir, exist_ok=True)
         stem = "%s_size%d_rep%d_%s" % (direction, size, rep, testset)
         tsv_path = os.path.join(tier_dir, stem + ".tsv")
-        with open(tsv_path, "w", encoding="utf-8") as fh:
-            fh.write(render_tier_tsv(report))
-        with open(os.path.join(tier_dir, stem + ".txt"), "w", encoding="utf-8") as fh:
-            fh.write(render_tier_text(report))
+        write_lines(tsv_path, render_tier_tsv(report))
+        write_lines(os.path.join(tier_dir, stem + ".txt"), render_tier_text(report))
         artifacts["tiers"].append(tsv_path)
 
     # Stepped-maximum trace: best score per source NMO within each cell.
     max_path = os.path.join(out_dir, "src_nmo_max.tsv")
-    with open(max_path, "w", encoding="utf-8") as fh:
-        fh.write("direction\tsize\trep\ttestset\tsrc_nmo\tmax_chrf\tbest_config\n")
-        for (direction, size, rep, testset), cell in sorted(cells.items()):
-            per_src = {}
-            for r in cell:
-                cur = per_src.get(r.src_nmo)
-                if cur is None or r.chrf > cur.chrf:
-                    per_src[r.src_nmo] = r
-            for src_nmo in sorted(per_src):
-                best = per_src[src_nmo]
-                fh.write("%s\t%d\t%d\t%s\t%d\t%.2f\t%s\n" % (
-                    direction, size, rep, testset, src_nmo, best.chrf,
-                    best.config_label))
+    lines = ["direction\tsize\trep\ttestset\tsrc_nmo\tmax_chrf\tbest_config"]
+    for (direction, size, rep, testset), cell in sorted(cells.items()):
+        per_src = {}
+        for r in cell:
+            cur = per_src.get(r.src_nmo)
+            if cur is None or r.chrf > cur.chrf:
+                per_src[r.src_nmo] = r
+        for src_nmo in sorted(per_src):
+            best = per_src[src_nmo]
+            lines.append("%s\t%d\t%d\t%s\t%d\t%.2f\t%s" % (
+                direction, size, rep, testset, src_nmo, best.chrf, best.config_label))
+    write_lines(max_path, lines)
     artifacts["max_trace"] = max_path
 
     # Mean corpus score per configuration across repetitions.
@@ -680,10 +694,10 @@ def emit_report(records, out_dir) -> dict:
     groups = {}
     for r in completed:
         groups.setdefault((r.direction, r.size, r.testset, r.config_label), []).append(r.chrf)
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write("direction\tsize\ttestset\tconfig\tmean_chrf\trepetitions\n")
-        for (direction, size, testset, label), scores in sorted(groups.items()):
-            fh.write("%s\t%d\t%s\t%s\t%.2f\t%d\n" % (
-                direction, size, testset, label, sum(scores) / len(scores), len(scores)))
+    lines = ["direction\tsize\ttestset\tconfig\tmean_chrf\trepetitions"]
+    for (direction, size, testset, label), scores in sorted(groups.items()):
+        lines.append("%s\t%d\t%s\t%s\t%.2f\t%d" % (
+            direction, size, testset, label, sum(scores) / len(scores), len(scores)))
+    write_lines(summary_path, lines)
     artifacts["summary"] = summary_path
     return artifacts

@@ -104,9 +104,16 @@ class TierReport:
             yield tier, by_tier[tier], self.deltas[tier]
 
 
+def rank_key(score, src_nmo, tgt_nmo):
+    """Sort key of the best-first order: higher score first, ties to the
+    smaller source NMO, then the smaller target NMO. The first symmetric
+    system in this order is the baseline, both of a tier report and of the
+    significance tests a sweep runs."""
+    return (-score, src_nmo, tgt_nmo)
+
+
 def _best_key(result: SystemResult):
-    # Higher score wins; ties prefer smaller src then tgt NMO.
-    return (-result.score, result.config.src_nmo, result.config.tgt_nmo)
+    return rank_key(result.score, result.config.src_nmo, result.config.tgt_nmo)
 
 
 def _worst_key(result: SystemResult):
@@ -140,7 +147,9 @@ def tier_report(results) -> TierReport:
     low_a, low_b = low_candidates[0], low_candidates[1]
 
     def delta(r):
-        return round(r.score - baseline.score, 2)
+        # round() keeps the sign of a difference that rounds to zero; adding
+        # 0.0 turns -0.0 into 0.0, so it renders as "0.00", not "-0.00".
+        return round(r.score - baseline.score, 2) + 0.0
 
     deltas = {"Baseline": delta(baseline), "High A": delta(high_a),
               "High B": delta(high_b), "Low A": delta(low_a), "Low B": delta(low_b)}
@@ -185,17 +194,19 @@ def significance_markers(p_value) -> tuple:
     return (sig, star)
 
 
-def render_tier_tsv(report: TierReport) -> str:
+def render_tier_tsv(report: TierReport) -> list:
+    """The tier report as TSV lines, without newlines."""
     lines = ["tier\tsrc\ttgt\tchrf\tdelta\tsignificant_p05\thigh_significance"]
     for tier, result, delta in report.rows():
         sig, star = significance_markers(result.p_vs_baseline)
         lines.append("%s\t%s\t%s\t%.2f\t%.2f\t%s\t%s" % (
             tier, format_nmo(result.config.src_nmo), format_nmo(result.config.tgt_nmo),
             result.score, delta, sig, star))
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def render_tier_text(report: TierReport) -> str:
+def render_tier_text(report: TierReport) -> list:
+    """The tier report as aligned text lines, without newlines."""
     header = ("tier", "src", "tgt", "CHRF++", "delta", "sig")
     rows = [header]
     for tier, result, delta in report.rows():
@@ -206,5 +217,4 @@ def render_tier_text(report: TierReport) -> str:
                      "%.2f%s" % (result.score, mark), "%.2f" % delta,
                      "p<0.01" if star else ("p<0.05" if sig else "")))
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-                     for row in rows) + "\n"
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]

@@ -1,11 +1,13 @@
 import io
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
+from asymbpe import orchestrator
 from asymbpe.bpe import MergeTable, learn_bpe
 from asymbpe.cli import main
 from conftest import oracle_segment
@@ -147,12 +149,6 @@ def test_sweep_and_report(tmp_path, capsys):
     code, out, _ = run(capsys, "report", "--run-dir", out_dir)
     assert code == 0 and "results.tsv" in out
 
-    code, out, _ = run(capsys, "report", "--results",
-                       os.path.join(out_dir, "results.tsv"),
-                       "--direction", "en-xx", "--size", "50")
-    assert code == 0
-    assert "Baseline" in out and "High A" in out
-
 
 def test_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "chrf", "--hyp", str(tmp_path / "missing"),
@@ -207,7 +203,7 @@ def test_sample_refuses_bad_bins(tmp_path, capsys, bins):
     ["--results", "r.tsv"], ["--direction", "xx-yy"], ["--size", "999"], ["--testset", "dev"],
     ["--tsv", "x.tsv"], ["--size", "999", "--direction", "xx-yy", "--tsv", "x.tsv"]])
 def test_report_run_dir_refuses_filter_flags(tmp_path, capsys, monkeypatch, flags):
-    # --run-dir reports the whole directory; each of these used to be ignored.
+    # report takes --run-dir alone: it reports the whole directory.
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["report", "--run-dir", str(tmp_path)] + flags)
@@ -284,3 +280,68 @@ def test_sweep_and_report_run_dir_write_the_same_files(tmp_path, capsys):
     assert Path("results.tsv") in swept and Path("tiers", "en-xx_size50_rep0_dev.tsv") in swept
     assert run(capsys, "report", "--run-dir", str(out_dir))[0] == 0
     assert files() == swept
+
+
+def test_report_requires_run_dir(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["report"])
+    assert exc.value.code == 2 and "--run-dir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_baselines_are_the_records_baselines(tmp_path, capsys):
+    # 2 repetitions x 2 test sets; 10_10 is the best symmetric system on
+    # "test" and 20_20 on "dev". Each set's lines lose a planted number of
+    # leading words per configuration.
+    corpus = write_toy_corpus(str(tmp_path))
+    script = tmp_path / "planted.py"
+    script.write_text(
+        "import sys\n"
+        "config, out_path, *ref_paths = sys.argv[1:]\n"
+        "rates = {'10_10': (1, 2), '20_20': (2, 1)}.get(config, (3, 3))\n"
+        "with open(out_path, 'w') as out:\n"
+        "    for rate, path in zip(rates, ref_paths):\n"
+        "        for line in open(path):\n"
+        "            toks = line.split()\n"
+        "            out.write(' '.join('junk' if i < rate else t\n"
+        "                               for i, t in enumerate(toks)) + '\\n')\n")
+    extra = [{"name": "dev", "src": corpus["valid_src"], "tgt": corpus["valid_tgt"]}]
+    command = "python3 %s {config} {hyp_out} %s %s" % (script, corpus["test_tgt"],
+                                                    corpus["valid_tgt"])
+    config = write_config(str(tmp_path), corpus, repetitions=2, extra_test_sets=extra,
+                          backend={"command": command})
+    assert run(capsys, "sweep", "--config", config)[0] == 0
+    out_dir = tmp_path / "out"
+    for path in (out_dir / "tiers").iterdir():
+        path.unlink()
+
+    assert run(capsys, "report", "--run-dir", str(out_dir))[0] == 0
+    baselines = {}
+    for r in orchestrator.collect_records(str(out_dir)):
+        assert r.status == "done"
+        baselines.setdefault("%s_size%d_rep%d_%s" % (r.direction, r.size, r.rep, r.testset),
+                             set()).add(r.baseline)
+    assert sorted(p.name for p in (out_dir / "tiers").iterdir()) == sorted(
+        stem + ext for stem in baselines for ext in (".tsv", ".txt"))
+    assert len(baselines) == 4
+    for stem, labels in baselines.items():
+        tsv = (out_dir / "tiers" / (stem + ".tsv")).read_text(encoding="utf-8")
+        row = [l.split("\t") for l in tsv.split("\n") if l.startswith("Baseline\t")][0]
+        assert {"%s_%s" % (row[1], row[2])} == labels
+        assert labels == {"10_10" if stem.endswith("_test") else "20_20"}
+
+
+def test_report_refuses_two_records_of_one_run(tmp_path, capsys):
+    corpus = write_toy_corpus(str(tmp_path))
+    config = write_config(str(tmp_path), corpus)
+    assert run(capsys, "sweep", "--config", config)[0] == 0
+    out_dir = tmp_path / "out"
+    before = {p: p.read_bytes() for p in out_dir.glob("*.tsv")}
+    shutil.copytree(out_dir / "size50", out_dir / "copy" / "size50")
+
+    code, out, err = run(capsys, "report", "--run-dir", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: two records for one run: direction en-xx, size 50, "
+                          "rep 0, test set test, configuration ")
+    assert {p: p.read_bytes() for p in out_dir.glob("*.tsv")} == before

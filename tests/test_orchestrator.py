@@ -150,14 +150,15 @@ class TestLoadExperiment:
         ("nmo_set", [10, 10]), ("nmo_set", ["1K", 1000]), ("nmo_set", [-5, 10]),
         ("nmo_set", []), ("nmo_set", ["-5"]), ("nmo_set", ["xK"]), ("nmo_set", ["infK"]),
         ("bins", [10, 10]), ("bins", [0, 5]), ("bins", [20, 10]),
-        ("granularity", 0), ("granularity", -5),
+        ("granularity", 0), ("granularity", -5), ("sizes", []), ("sizes", [40, 40]),
     ])
     def test_bad_sweep_setting_named(self, tmp_path, field, value):
         # Each is refused before any sample is drawn or backend run.
         corpus = write_toy_corpus(str(tmp_path))
         path = write_config(str(tmp_path), corpus, **{field: value})
-        with pytest.raises(OrchestratorError, match=field):
+        with pytest.raises(OrchestratorError, match=field) as err:
             load_experiment(path)
+        assert repr(value) in str(err.value)
 
     def extra_sets_config(self, tmp_path, *names):
         corpus = write_toy_corpus(str(tmp_path))
@@ -624,6 +625,20 @@ class TestEmitReport:
         assert rows["High A"][1:5] == ["16K", "500", "29.33", "5.84"]
         assert rows["Baseline"][1:5] == ["4K", "4K", "23.49", "0.00"]
         assert rows["Low A"][1:5] == ["500", "1K", "19.56", "-3.93"]
+
+    def test_near_tie_baseline_and_zero_delta(self, tmp_path):
+        # The symmetric systems differ by 0.003, so both render as 50.12.
+        records = [make_record(500, 500, 50.121), make_record(1000, 1000, 50.124),
+                   make_record(500, 1000, 51.004), make_record(1000, 500, 49.0)]
+        emit_report(records, str(tmp_path))
+        tiers = tmp_path / "tiers"
+        tsv = (tiers / "en-xx_size50_rep0_test.tsv").read_text(encoding="utf-8")
+        rows = {l.split("\t")[0]: l.split("\t")[1:5] for l in tsv.split("\n")[1:-1]}
+        assert rows["Baseline"] == ["1K", "1K", "50.12", "0.00"]
+        assert rows["High A"] == ["500", "1K", "51.00", "0.88"]
+        assert rows["Low B"] == ["500", "500", "50.12", "0.00"]
+        text = (tiers / "en-xx_size50_rep0_test.txt").read_text(encoding="utf-8")
+        assert "-0.00" not in text and "Low B     500  500  50.12   0.00" in text
 
     def test_repetition_average(self, tmp_path):
         records = [make_record(500, 1000, s, rep=i) for i, s in enumerate((10, 20, 30))]

@@ -184,8 +184,7 @@ class TestRendering:
             if not r.config.symmetric and r.score > 24:
                 r.p_vs_baseline = 0.004
         report = tier_report(results)
-        tsv = render_tier_tsv(report)
-        lines = tsv.strip().split("\n")
+        lines = render_tier_tsv(report)
         assert lines[0].split("\t") == ["tier", "src", "tgt", "chrf", "delta",
                                         "significant_p05", "high_significance"]
         high_a = [l for l in lines if l.startswith("High A")][0]
@@ -193,5 +192,5 @@ class TestRendering:
 
     def test_text_table_aligned(self):
         cell = PUBLISHED_TIER_TABLES["en-hi"][50_000]
-        text = render_tier_text(tier_report(results_from_cell(cell)))
+        text = "\n".join(render_tier_text(tier_report(results_from_cell(cell))))
         assert "Baseline" in text and "18.39" in text
