@@ -1,6 +1,6 @@
 """Command-line interface: one entry point, one subcommand per task.
-``sweep`` and ``report`` write a sweep directory's reports through one
-function, ``orchestrator.emit_report``."""
+``sweep`` and ``report`` score a sweep directory through one function,
+``orchestrator.evaluate``, and report it through ``emit_report``."""
 
 import argparse
 import json
@@ -95,9 +95,9 @@ def cmd_recommend(args):
 
 
 def cmd_report(args):
-    """Rebuild every report of a sweep directory from its run records: the
-    same files, byte for byte, that ``asymbpe sweep`` wrote there."""
-    records = orchestrator.collect_records(args.run_dir)
+    """Complete a sweep directory's scores and p-values, then rebuild every
+    report: the same files, byte for byte, that ``asymbpe sweep`` wrote."""
+    records = orchestrator.evaluate(args.run_dir, orchestrator.collect_records(args.run_dir))
     artifacts = orchestrator.emit_report(records, args.run_dir)
     print("results: %s" % artifacts["results"])
     for path in artifacts["tiers"]:

@@ -1,33 +1,33 @@
-"""End-to-end sweep driver.
+"""End-to-end sweep driver, in two stages.
 
-For each (dataset size, repetition) cell: draw a stratified sample of the
-training corpus, learn one merge table per side at the largest NMO (each
-smaller table is its prefix), and segment each split into ``<cell>/seg/`` at
-every NMO of its side, encoding each word once (``bpe.segment_lines``). The
-source lines of every test set, in config order, form one combined test
-source per source NMO. Then every configuration invokes the translation
-backend once on those shared files, which it must treat as read-only: one
-model per configuration, as in the paper, whatever the number of test sets.
-Its hypothesis file is split back into the test sets by their source line
-counts, and each test set's slice is de-segmented and its per-sentence
-CHRF++ statistics computed once: the run's score comes from that matrix,
-and so does its significance test against the best symmetric configuration
-of the same cell and test set. All of a cell's systems are tested in one
-pass that shares each swap mask, since the cell's runs share one seed.
+Generate: for each (dataset size, repetition) cell, draw a stratified sample
+of the training corpus, learn one merge table per side at the largest NMO
+(each smaller table is its prefix), and segment each split into
+``<cell>/seg/`` at every NMO of its side, encoding each word once
+(``bpe.segment_lines``). The source lines of every test set, in config
+order, form one combined test source per source NMO. Then every
+configuration invokes the translation backend once on those shared files,
+which it must treat as read-only: one model per configuration, as in the
+paper, whatever the number of test sets. Its hypothesis file is split back
+into the test sets by their source line counts, and each slice is
+de-segmented into the run's ``hyp.detok.txt``.
+
+Evaluate: ``evaluate`` reads each ``hyp.detok.txt`` that a score or test
+needs once, against the references ``manifest.json`` names, and tests each
+cell and test set against its best symmetric configuration in one pass that
+shares each swap mask. ``sweep`` and ``report --run-dir`` both use it.
 
 A run is one (configuration, test set) pair and leaves a JSON record on
 disk. A backend failure fails every pending run of its configuration; a
-scoring failure fails only its own test set's run. Every sweep resumes
-whatever its output directory holds: samples, tables, segmented files and
-completed records on disk are kept and never recomputed, so an interrupted
-sweep can resume without changing earlier scores, and a fresh sweep needs a
-fresh output directory. A cell with any pending run first completes its
-missing tables and segmented files; a finished cell builds nothing. A
-configuration with any pending test set runs the backend again over all
-test sets and writes only the pending records. A resumed
-record is re-scored from its ``hyp.detok.txt`` only when a test needs it: it
-has no p-value yet, or the cell's best symmetric configuration has changed
-since it was tested.
+slice that does not match its references fails only its own run. Every
+sweep resumes whatever its output directory holds: samples, tables,
+segmented files and completed records on disk are kept and never
+recomputed, so an interrupted sweep can resume without changing earlier
+scores, and a fresh sweep needs a fresh output directory. A cell with any
+pending run first completes its missing tables and segmented files; a
+finished cell builds nothing. A configuration with any pending test set
+runs the backend again over all test sets and writes only the pending
+records.
 
 The backend is an external command template; its stdout and stderr go to
 ``<cell>/<config>/backend.log``, and any ``{hyp_out}`` an earlier attempt
@@ -44,7 +44,7 @@ import string
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from . import bpe, chrf, sampler
 from .sweep import (BpeConfig, SystemResult, enumerate_grid, format_nmo, parse_nmo,
@@ -150,11 +150,34 @@ class RunRecord:
                      and f.default is MISSING and f.default_factory is MISSING]
         if problems:
             raise OrchestratorError("not a run record: %s" % ", ".join(problems))
-        return cls(**d)
+        record = cls(**d)
+        problems = ["%s must be %s, got %r" % (key, kind, getattr(record, key))
+                    for keys, kind, valid in _RECORD_VALUES for key in keys
+                    if not valid(getattr(record, key))]
+        if problems:
+            raise OrchestratorError("bad run record: %s" % ", ".join(problems))
+        return record
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_or_none(value) -> bool:
+    return value is None or (isinstance(value, (int, float)) and not isinstance(value, bool)
+                             and math.isfinite(value))
+
+
+# What each field of a loaded RunRecord may hold: (keys, description, test).
+_RECORD_VALUES = (
+    (("status",), "one of pending, done, failed", lambda v: v in ("pending", "done", "failed")),
+    (("src_nmo", "tgt_nmo", "size", "rep", "seed"), "an int", _is_int),
+    (("config_label", "direction", "testset"), "a string", lambda v: isinstance(v, str)),
+    (("baseline", "failure_reason"), "a string or null",
+     lambda v: v is None or isinstance(v, str)),
+    (("chrf", "p_vs_baseline", "started", "finished"), "a finite number or null",
+     _is_finite_or_none),
+)
 
 
 def _check_backend_template(command: str):
@@ -397,6 +420,10 @@ def _invoke_backend(cfg: ExperimentConfig, paths: dict, log_path, tests):
         raise OrchestratorError("backend produced no hypothesis file at %s" % paths["hyp_out"])
 
 
+def _run_path(out, r: RunRecord):
+    return os.path.join(out, "size%d" % r.size, "rep%d" % r.rep, r.config_label, r.testset)
+
+
 def _record_path(run_dir):
     return os.path.join(run_dir, "record.json")
 
@@ -416,11 +443,34 @@ def _load_record(run_dir):
             raise OrchestratorError("%s: %s" % (path, exc)) from None
 
 
+# Manifest fields a resume must not change: every record and artifact on
+# disk was made with them.
+_RESUME_FIELDS = ("direction", "seed", "significance_iterations", "bins", "granularity")
+
+
+def _resumed_test_sets(out, old: dict, new: dict) -> list:
+    """The test sets of the manifest ``old`` of ``out``, then the ones that
+    only ``new`` names. Refuses a ``_RESUME_FIELDS`` value or a test set
+    path that ``new`` changes, naming the field and both values."""
+    now = {ts["name"]: ts for ts in new["test_sets"]}
+    kept = old.get("test_sets", [])
+    diffs = [(key, old[key], new[key]) for key in _RESUME_FIELDS
+             if key in old and old[key] != new[key]]
+    diffs += [("test set %r %s" % (ts["name"], side), ts[side], now[ts["name"]][side])
+              for ts in kept if ts["name"] in now for side in ("src", "tgt")
+              if ts[side] != now[ts["name"]][side]]
+    if diffs:
+        raise OrchestratorError("cannot resume %s with other inputs: %s" % (out, "; ".join(
+            "%s is %r in its manifest.json but %r in the config" % d for d in diffs)))
+    known = {ts["name"] for ts in kept}
+    return kept + [ts for ts in new["test_sets"] if ts["name"] not in known]
+
+
 def run_sweep(cfg: ExperimentConfig) -> list:
     """Execute the full sweep, resuming from whatever ``cfg.output_dir``
     holds; returns one RunRecord per planned run."""
     out = cfg.output_dir
-    _write_json(os.path.join(out, "manifest.json"), {
+    manifest = {
         "schema": SCHEMA_VERSION,
         "direction": cfg.direction,
         "sizes": cfg.sizes,
@@ -429,6 +479,9 @@ def run_sweep(cfg: ExperimentConfig) -> list:
         "repetitions": cfg.repetitions,
         "planned_runs": cfg.planned_runs(),
         "significance_iterations": cfg.significance_iterations,
+        "bins": list(cfg.bin_boundaries),
+        "granularity": cfg.granularity,
+        "test_sets": [asdict(ts) for ts in cfg.test_sets],
         "assumptions": [
             "validation data is segmented with the same per-configuration "
             "merge tables as training data",
@@ -437,7 +490,10 @@ def run_sweep(cfg: ExperimentConfig) -> list:
             "the backend runs once per configuration over all test sets in config order, "
             "writes one {hyp_out} line per {test_src} line, and must not modify the shared "
             "<cell>/seg/ inputs"],
-    })
+    }
+    if os.path.exists(os.path.join(out, "manifest.json")):
+        manifest["test_sets"] = _resumed_test_sets(out, _read_manifest(out), manifest)
+    _write_json(os.path.join(out, "manifest.json"), manifest)
 
     train_src = read_lines(cfg.train_src)
     train_tgt = read_lines(cfg.train_tgt)
@@ -452,14 +508,6 @@ def run_sweep(cfg: ExperimentConfig) -> list:
             records.extend(_run_cell(cfg, size, rep, cell_seed, cell_dir,
                                      train_src, train_tgt, histogram))
     return records
-
-
-@dataclass
-class _Run:
-    """One (configuration, test set) run of a cell: its finished record (None
-    while pending) and its CHRF++ statistics matrix (None until scored)."""
-    record: RunRecord | None
-    stats: object = None
 
 
 def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt, histogram):
@@ -478,9 +526,9 @@ def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt, histogr
     for config in configs:
         for ts in cfg.test_sets:
             rec = _load_record(os.path.join(cell_dir, config.label, ts.name))
-            runs[config, ts.name] = _Run(rec if rec and rec.status in ("done", "failed") else None)
+            runs[config, ts.name] = rec if rec and rec.status in ("done", "failed") else None
     pending = [config for config in configs
-               if any(runs[config, ts.name].record is None for ts in cfg.test_sets)]
+               if any(runs[config, ts.name] is None for ts in cfg.test_sets)]
 
     # Backend placeholder -> split, side and raw files of its segmented input;
     # {test_src} joins every test set's source lines, named after their list.
@@ -508,16 +556,15 @@ def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt, histogr
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         list(pool.map(lambda config: _run_config(cfg, size, rep, cell_seed, cell_dir, config,
                                                  inputs, tests, runs), pending))
-    _add_significance(cfg, cell_dir, runs, tests)
-    return [run.record for run in runs.values()]
+    return evaluate(cfg.output_dir, list(runs.values()))
 
 
 def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig, inputs: dict,
                 tests: list, runs: dict):
     """Run the backend once for one configuration, on the test sources of
     every test set (``tests`` holds each with its source line count and
-    references), and score each pending run of the configuration in ``runs``
-    on its test set's slice of the hypothesis."""
+    references), and record each pending run of the configuration in
+    ``runs`` with its test set's slice of the hypothesis, not yet scored."""
     config_dir = os.path.join(cell_dir, config.label)
     started = time.time()
     nmo = {"src": config.src_nmo, "tgt": config.tgt_nmo}
@@ -540,77 +587,91 @@ def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig, inputs: 
     end = 0
     for testset, n_src, refs in tests:
         start, end = end, end + n_src
-        run = runs[config, testset.name]
-        if run.record is not None:
+        if runs[config, testset.name] is not None:
             continue
         run_dir = os.path.join(config_dir, testset.name)
         record = RunRecord(config_label=config.label, src_nmo=config.src_nmo,
                            tgt_nmo=config.tgt_nmo, direction=cfg.direction,
                            size=size, rep=rep, testset=testset.name,
                            seed=cell_seed, started=started)
-        matrix, reason = None, backend_error
+        reason = backend_error
+        if reason is None and n_src != len(refs):
+            reason = "test set %r has %d source lines but %d references" % (
+                testset.name, n_src, len(refs))
+        if reason is None and not refs:
+            reason = "test set %r has no lines to score" % testset.name
         if reason is None:
-            try:
-                matrix = _score_testset(testset, hyps[start:end], refs, run_dir, record)
-            except (OrchestratorError, bpe.BpeError, chrf.ChrfError, OSError) as exc:
+            try:  # hyp.detok.txt, which evaluate scores
+                write_lines(os.path.join(run_dir, "hyp.detok.txt"),
+                            [bpe.unsegment(line) for line in hyps[start:end]])
+            except (bpe.BpeError, OSError) as exc:
                 reason = str(exc)
-        if matrix is None:
-            record.status, record.failure_reason = "failed", reason
+        record.status, record.failure_reason = ("failed", reason) if reason else ("done", None)
         record.finished = time.time()
         _save_record(run_dir, record)
-        run.record, run.stats = record, matrix
+        runs[config, testset.name] = record
 
 
-def _score_testset(testset, hyps, refs, run_dir, record):
-    """De-segment one test set's hypothesis lines into ``hyp.detok.txt``,
-    score them against ``refs`` into ``record`` and return their statistics
-    matrix."""
-    if len(hyps) != len(refs):
-        raise OrchestratorError("test set %r has %d source lines but %d references"
-                                % (testset.name, len(hyps), len(refs)))
-    detok = [bpe.unsegment(line) for line in hyps]
-    write_lines(os.path.join(run_dir, "hyp.detok.txt"), detok)
-    matrix = chrf.stats_matrix(detok, refs)
-    record.chrf = round(chrf.corpus_chrf(matrix).value, 6)
-    record.status = "done"
-    return matrix
+def _read_manifest(run_dir) -> dict:
+    path = os.path.join(run_dir, "manifest.json")
+    if not os.path.isfile(path):
+        raise OrchestratorError("not a sweep output directory (no manifest.json): %s" % run_dir)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
-def _add_significance(cfg, cell_dir, runs, tests):
-    """Paired significance of completed runs against the cell's best symmetric
-    run, per test set: the first in ``rank_key`` order, which is also the
-    Baseline of the cell's tier report. A run is tested when it has no p-value or was tested
-    against another baseline. A run this sweep did not score has no
-    statistics matrix; it is re-scored from its ``hyp.detok.txt`` only if a
-    test needs it."""
-    for testset, _, refs in tests:
-        cell = [run for (_, name), run in runs.items()
-                if name == testset.name and run.record.status == "done"]
-        symmetric = [run for run in cell if run.record.src_nmo == run.record.tgt_nmo]
-        if not symmetric:
-            continue
-        base = min(symmetric, key=lambda run: rank_key(run.record.chrf, run.record.src_nmo,
-                                                       run.record.tgt_nmo))
-        label = base.record.config_label
-        by_seed = {}
-        for run in cell:
-            if run.record.p_vs_baseline is None or run.record.baseline != label:
-                by_seed.setdefault(run.record.seed, []).append(run)
-        if not by_seed:
-            continue
-        for run in [base] + [run for group in by_seed.values() for run in group]:
-            if run.stats is None:
-                run.stats = chrf.stats_matrix(read_lines(os.path.join(
-                    cell_dir, run.record.config_label, testset.name, "hyp.detok.txt")), refs)
-        for seed, group in by_seed.items():
+def evaluate(run_dir, records) -> list:
+    """Score each unscored done record of the sweep output directory
+    ``run_dir``, and test each without a p-value against its family's
+    baseline, in place; save each changed record once and return ``records``.
+    Two records of one run are refused."""
+    manifest = _read_manifest(run_dir)
+    ref_paths = {ts["name"]: ts["tgt"] for ts in manifest.get("test_sets", [])}
+    families, refs = {}, {}
+    for r in records:
+        family = families.setdefault((r.direction, r.size, r.rep, r.testset), {})
+        if r.config_label in family:
+            raise OrchestratorError("two records for one run: direction %s, size %d, rep %d, "
+                                    "test set %s, configuration %s" % (
+                                        r.direction, r.size, r.rep, r.testset, r.config_label))
+        family[r.config_label] = r
+
+    def statistics(r, stats):
+        if r.config_label not in stats:
+            if r.testset not in refs:
+                if r.testset not in ref_paths:
+                    raise OrchestratorError("%s names no test set %r in manifest.json"
+                                            % (run_dir, r.testset))
+                refs[r.testset] = read_lines(ref_paths[r.testset])
+            stats[r.config_label] = chrf.stats_matrix(
+                read_lines(os.path.join(_run_path(run_dir, r), "hyp.detok.txt")), refs[r.testset])
+        return stats[r.config_label]
+
+    # A family is one (direction, size, repetition, test set); its baseline is
+    # its first symmetric member in rank_key order, as in its tier report.
+    for family in families.values():
+        seeds = sorted({r.seed for r in family.values()})
+        if len(seeds) > 1:
+            r = next(iter(family.values()))
+            raise OrchestratorError("size %d, rep %d, test set %s: records of seeds %d and %d"
+                                    % (r.size, r.rep, r.testset, seeds[0], seeds[-1]))
+        done = [r for r in family.values() if r.status == "done"]
+        stats, unscored = {}, [r for r in done if r.chrf is None]
+        for r in unscored:
+            r.chrf = round(chrf.corpus_chrf(statistics(r, stats)).value, 6)
+        base = min((r for r in done if r.src_nmo == r.tgt_nmo), default=None,
+                   key=lambda r: rank_key(r.chrf, r.src_nmo, r.tgt_nmo))
+        untested = [r for r in done if base and (r.p_vs_baseline is None
+                                                 or r.baseline != base.config_label)]
+        if untested:
             results = chrf.paired_significance_stats(
-                [run.stats for run in group], base.stats,
-                iterations=cfg.significance_iterations, seed=seed)
-            for run, result in zip(group, results):
-                run.record.p_vs_baseline = round(result.p_value, 6)
-                run.record.baseline = label
-                _save_record(os.path.join(cell_dir, run.record.config_label, testset.name),
-                             run.record)
+                [statistics(r, stats) for r in untested], statistics(base, stats),
+                iterations=manifest["significance_iterations"], seed=base.seed)
+            for r, result in zip(untested, results):
+                r.p_vs_baseline, r.baseline = round(result.p_value, 6), base.config_label
+        for r in {r.config_label: r for r in unscored + untested}.values():
+            _save_record(_run_path(run_dir, r), r)
+    return records
 
 
 def collect_records(run_dir) -> list:
@@ -625,19 +686,12 @@ def emit_report(records, out_dir) -> dict:
     trace, and a repetition-averaged summary. Returns the artifact paths.
     Rows follow size, repetition, source NMO, target NMO and test set name.
 
-    ``asymbpe sweep`` and ``asymbpe report`` both report through here, from
-    the records' own scores (results.tsv rounds them to 2 decimals), and
-    ``tier_report`` orders them as ``_add_significance`` does: each cell's
-    tables in ``tiers/`` name as Baseline the configuration its records'
-    p-values were measured against. Two records of one run are refused.
-    Each file is replaced atomically by ``write_lines``."""
-    seen = set()
-    for r in records:
-        run = (r.direction, r.size, r.rep, r.testset, r.config_label)
-        if run in seen:
-            raise OrchestratorError("two records for one run: direction %s, size %d, rep %d, "
-                                    "test set %s, configuration %s" % run)
-        seen.add(run)
+    ``asymbpe sweep`` and ``asymbpe report`` both report through here the
+    records ``evaluate`` returned, from their own scores (results.tsv rounds
+    them to 2 decimals), and ``tier_report`` orders them as ``evaluate``
+    does: each cell's tables in ``tiers/`` name as Baseline the
+    configuration its records' p-values were measured against. Each file is
+    replaced atomically by ``write_lines``."""
     records = sorted(records, key=lambda r: (r.size, r.rep, r.src_nmo, r.tgt_nmo, r.testset))
     completed = [r for r in records if r.status == "done"]
     if not completed:

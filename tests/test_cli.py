@@ -11,7 +11,7 @@ from asymbpe import orchestrator
 from asymbpe.bpe import MergeTable, learn_bpe
 from asymbpe.cli import main
 from conftest import oracle_segment
-from test_orchestrator import write_config, write_toy_corpus
+from test_orchestrator import planted_backend, write_config, write_toy_corpus
 
 
 def run(capsys, *argv):
@@ -345,3 +345,39 @@ def test_report_refuses_two_records_of_one_run(tmp_path, capsys):
     assert err.startswith("error: two records for one run: direction en-xx, size 50, "
                           "rep 0, test set test, configuration ")
     assert {p: p.read_bytes() for p in out_dir.glob("*.tsv")} == before
+
+
+def test_report_restores_blanked_scores_and_p_values(tmp_path, capsys):
+    # A sweep killed after its last backend, before any run was evaluated.
+    corpus = write_toy_corpus(str(tmp_path))
+    extra = [{"name": "dev", "src": corpus["valid_src"], "tgt": corpus["valid_tgt"]}]
+    rates = {"10_10": 2, "20_20": 1, "10_20": 3, "20_10": 0}
+    command = planted_backend(tmp_path, corpus, rates, [corpus["test_tgt"], corpus["valid_tgt"]])
+    config = write_config(str(tmp_path), corpus, extra_test_sets=extra,
+                          backend={"command": command})
+    out_dir = tmp_path / "out"
+
+    def files():
+        return {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+
+    assert run(capsys, "sweep", "--config", config)[0] == 0
+    swept = files()
+    records = sorted(out_dir.rglob("record.json"))
+    assert len(records) == 8
+    assert any(json.loads(p.read_text(encoding="utf-8"))["p_vs_baseline"] < 1 for p in records)
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record.update(chrf=None, p_vs_baseline=None, baseline=None)
+        path.write_text(json.dumps(record), encoding="utf-8")
+    assert run(capsys, "report", "--run-dir", str(out_dir))[0] == 0
+    assert files() == swept
+
+
+def test_report_refuses_a_path_that_is_not_a_sweep_directory(tmp_path, capsys):
+    corpus = write_toy_corpus(str(tmp_path))
+    assert run(capsys, "sweep", "--config", write_config(str(tmp_path), corpus))[0] == 0
+    (tmp_path / "empty").mkdir()
+    for path in (tmp_path / "missing", tmp_path / "out" / "results.tsv", tmp_path / "empty"):
+        code, out, err = run(capsys, "report", "--run-dir", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: not a sweep output directory (no manifest.json): %s\n" % path

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from asymbpe import bpe, chrf
+from asymbpe.cli import main
 from asymbpe.orchestrator import (OrchestratorError, RunRecord, collect_records,
-                                  emit_report, load_experiment, run_sweep)
+                                  emit_report, evaluate, load_experiment, run_sweep)
 from asymbpe.sweep import BpeConfig
 from conftest import PUBLISHED_TIER_TABLES
 
@@ -534,6 +535,8 @@ class TestSignificance:
         assert [r.p_vs_baseline for r in run_sweep(cfg)] == \
             [r.p_vs_baseline for r in records]
         assert calls == []
+        assert main(["report", "--run-dir", cfg.output_dir]) == 0
+        assert calls == []
 
     def test_growing_nmo_set_retests_against_new_baseline(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
@@ -572,7 +575,19 @@ class TestSignificance:
     @pytest.mark.parametrize("edit, named", [
         (lambda rec: dict(rec, colour="red"), "unknown key 'colour'"),
         (lambda rec: {k: v for k, v in rec.items() if k != "seed"}, "missing key 'seed'"),
-        (lambda rec: list(rec.items()), "got list")], ids=["unknown", "missing", "list"])
+        (lambda rec: list(rec.items()), "got list"),
+        (lambda rec: dict(rec, chrf="x"), "chrf must be a finite number or null, got 'x'"),
+        (lambda rec: dict(rec, chrf=True), "chrf must be a finite number or null, got True"),
+        (lambda rec: dict(rec, p_vs_baseline="0.5"),
+         "p_vs_baseline must be a finite number or null, got '0.5'"),
+        (lambda rec: dict(rec, status="finished"),
+         "status must be one of pending, done, failed, got 'finished'"),
+        (lambda rec: dict(rec, src_nmo="10"), "src_nmo must be an int, got '10'"),
+        (lambda rec: dict(rec, size=True), "size must be an int, got True"),
+        (lambda rec: dict(rec, seed=7.0), "seed must be an int, got 7.0"),
+        (lambda rec: dict(rec, config_label=1020), "config_label must be a string, got 1020")],
+        ids=["unknown", "missing", "list", "chrf-text", "chrf-bool", "p-text", "status",
+             "src_nmo-text", "size-bool", "seed-float", "label-int"])
     def test_foreign_record_is_refused_naming_file_and_key(self, tmp_path, edit, named):
         corpus = write_toy_corpus(str(tmp_path))
         cfg = load_experiment(write_config(str(tmp_path), corpus))
@@ -586,6 +601,57 @@ class TestSignificance:
             with pytest.raises(OrchestratorError) as exc:
                 load()
             assert path in str(exc.value) and named in str(exc.value)
+
+
+class TestResume:
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 5), ("significance_iterations", 50), ("granularity", 5),
+        ("bins", [10, 20, 40]), ("direction", "en-yy")])
+    def test_changed_input_is_refused_naming_field_and_values(self, tmp_path, field, value):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(str(tmp_path), corpus))
+        run_sweep(cfg)
+        manifest = Path(cfg.output_dir, "manifest.json")
+        before = manifest.read_bytes()
+        records = record_bytes(cfg)
+        changed = load_experiment(write_config(str(tmp_path), corpus, **{field: value}))
+        with pytest.raises(OrchestratorError) as exc:
+            run_sweep(changed)
+        old = json.loads(before)[field]
+        assert "%s is %r in its manifest.json but %r in the config" % (field, old, value) \
+            in str(exc.value)
+        assert manifest.read_bytes() == before and record_bytes(cfg) == records
+
+    def test_moved_test_set_is_refused_and_test_sets_are_kept(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        dev = [{"name": "dev", "src": corpus["valid_src"], "tgt": corpus["valid_tgt"]}]
+        cfg = load_experiment(write_config(str(tmp_path), corpus, extra_test_sets=dev))
+        run_sweep(cfg)
+        moved = [dict(dev[0], tgt=corpus["test_tgt"])]
+        with pytest.raises(OrchestratorError) as exc:
+            run_sweep(load_experiment(write_config(str(tmp_path), corpus,
+                                                   extra_test_sets=moved)))
+        assert "test set 'dev' tgt is %r in its manifest.json but %r in the config" % (
+            corpus["valid_tgt"], corpus["test_tgt"]) in str(exc.value)
+
+        # Dropping a test set keeps it in the manifest, and a new one is added.
+        new = [{"name": "new", "src": corpus["test_src"], "tgt": corpus["test_tgt"]}]
+        run_sweep(load_experiment(write_config(str(tmp_path), corpus, extra_test_sets=new)))
+        manifest = json.loads(Path(cfg.output_dir, "manifest.json").read_text("utf-8"))
+        assert [ts["name"] for ts in manifest["test_sets"]] == ["test", "dev", "new"]
+        assert manifest["test_sets"][1] == dict(dev[0])
+        assert main(["report", "--run-dir", cfg.output_dir]) == 0
+
+    def test_family_of_two_seeds_is_refused(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(str(tmp_path), corpus))
+        run_sweep(cfg)
+        path = cell_path(cfg, "20_10", "test", "record.json")
+        record = json.loads(read_bytes(path))
+        record["seed"] = 8
+        write_lines_file(path, [json.dumps(record)])
+        with pytest.raises(OrchestratorError, match="test set test: records of seeds 7 and 8"):
+            evaluate(cfg.output_dir, collect_records(cfg.output_dir))
 
 
 def make_record(src, tgt, score, size=50, rep=0, direction="en-xx",
@@ -755,6 +821,16 @@ class TestOneBackendRunPerConfiguration:
         assert all(r.status == "failed" and r.chrf is None for r in failed)
         assert all("'test2' has 10 source lines but 9 references" in r.failure_reason
                    for r in failed)
+
+    def test_empty_test_set_fails_only_its_test_set(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(
+            str(tmp_path), corpus, extra_test_sets=tagged_sets(tmp_path, corpus, n_test2=0),
+            backend={"command": tagging_backend(tmp_path)}))
+        records = run_sweep(cfg)
+        assert all(r.status == "done" and r.chrf == 100.0 for r in records if r.testset == "test")
+        assert [(r.status, r.failure_reason) for r in records if r.testset == "test2"] == \
+            [("failed", "test set 'test2' has no lines to score")] * 4
 
     def test_failing_backend_fails_every_test_set_of_its_configuration(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
