@@ -1,33 +1,36 @@
-"""End-to-end sweep driver, in two stages.
+"""End-to-end sweep driver: three passes over one table of runs, each run
+one (dataset size, repetition, configuration, test set) with its finished
+record on disk or a new pending one. A (size, repetition) pair is a cell.
 
-Generate: for each (dataset size, repetition) cell, draw a stratified sample
-of the training corpus, learn one merge table per side at the largest NMO
-(each smaller table is its prefix), and segment each split into
-``<cell>/seg/`` at every NMO of its side, encoding each word once
-(``bpe.segment_lines``). The source lines of every test set, in config
-order, form one combined test source per source NMO. Then every
-configuration invokes the translation backend once on those shared files,
-which it must treat as read-only: one model per configuration, as in the
-paper, whatever the number of test sets. Its hypothesis file is split back
-into the test sets by their source line counts, and each slice is
-de-segmented into the run's ``hyp.detok.txt``.
+Prepare: each cell with a pending run draws its stratified sample of the
+training corpus, learns one merge table per side at the largest NMO (each
+smaller table is its prefix), and segments each split into ``<cell>/seg/``
+at every NMO of its side, encoding each word once (``bpe.segment_lines``).
+The source lines of every test set, in config order, form one combined test
+source per source NMO. A size the corpus cannot sample is refused before any
+backend runs; the corpus is read only for a missing sample.
 
-Evaluate: ``evaluate`` reads each ``hyp.detok.txt`` that a score or test
-needs once, against the references ``manifest.json`` names, and tests each
-cell and test set against its best symmetric configuration in one pass that
-shares each swap mask. ``sweep`` and ``report --run-dir`` both use it.
+Run: one worker pool takes every (cell, configuration) with a pending run
+and invokes the translation backend once on the cell's shared files, which
+it must treat as read-only: one model per configuration, as in the paper,
+whatever the number of test sets. Its hypothesis file is split back into
+the test sets by their source line counts, and each slice is de-segmented
+into the run's ``hyp.detok.txt``.
 
-A run is one (configuration, test set) pair and leaves a JSON record on
-disk. A backend failure fails every pending run of its configuration; a
-slice that does not match its references fails only its own run. Every
-sweep resumes whatever its output directory holds: samples, tables,
-segmented files and completed records on disk are kept and never
-recomputed, so an interrupted sweep can resume without changing earlier
-scores, and a fresh sweep needs a fresh output directory. A cell with any
-pending run first completes its missing tables and segmented files; a
-finished cell builds nothing. A configuration with any pending test set
-runs the backend again over all test sets and writes only the pending
-records.
+Evaluate: one ``evaluate`` call reads each ``hyp.detok.txt`` that a score
+or test needs once, against the references ``manifest.json`` names, and
+tests each cell and test set against its best symmetric configuration in
+one pass that shares each swap mask. ``sweep`` and ``report --run-dir``
+both use it.
+
+A backend failure fails every pending run of its configuration; a slice
+that does not match its references fails only its own run. Every sweep
+resumes whatever its output directory holds: samples, tables, segmented
+files and completed records on disk are kept and never recomputed, so an
+interrupted sweep can resume without changing earlier scores, and a fresh
+sweep needs a fresh output directory. A finished cell builds nothing. A
+configuration with any pending test set runs the backend again over all
+test sets and writes only the pending records.
 
 The backend is an external command template; its stdout and stderr go to
 ``<cell>/<config>/backend.log``, and any ``{hyp_out}`` an earlier attempt
@@ -495,51 +498,60 @@ def run_sweep(cfg: ExperimentConfig) -> list:
         manifest["test_sets"] = _resumed_test_sets(out, _read_manifest(out), manifest)
     _write_json(os.path.join(out, "manifest.json"), manifest)
 
-    train_src = read_lines(cfg.train_src)
-    train_tgt = read_lines(cfg.train_tgt)
-    bins = sampler.make_bins(cfg.bin_boundaries)
-    histogram = sampler.bin_histogram(train_src, train_tgt, bins)
-
-    records = []
+    runs, pending = [], {}  # pending: (size, rep, configuration) -> {test set: run}
     for size in cfg.sizes:
         for rep in range(cfg.repetitions):
-            cell_seed = cfg.seed + rep
-            cell_dir = os.path.join(out, "size%d" % size, "rep%d" % rep)
-            records.extend(_run_cell(cfg, size, rep, cell_seed, cell_dir,
-                                     train_src, train_tgt, histogram))
-    return records
+            for config in enumerate_grid(cfg.nmo_set):
+                for ts in cfg.test_sets:
+                    run = RunRecord(config_label=config.label, src_nmo=config.src_nmo,
+                                    tgt_nmo=config.tgt_nmo, direction=cfg.direction,
+                                    size=size, rep=rep, testset=ts.name, seed=cfg.seed + rep)
+                    rec = _load_record(_run_path(out, run))
+                    if not (rec and rec.status in ("done", "failed")):
+                        rec = pending.setdefault((size, rep, config), {})[ts.name] = run
+                    runs.append(rec)
+
+    # Every cell is complete before any backend starts: runs need no locks.
+    _prepare_cells(cfg, dict.fromkeys(key[:2] for key in pending))
+    # Each test set with its source line count and references, read once.
+    tests = [(ts, len(read_lines(ts.src)), read_lines(ts.tgt)) for ts in cfg.test_sets]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        list(pool.map(lambda records: _run_config(cfg, tests, records), pending.values()))
+    return evaluate(out, runs)
 
 
-def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt, histogram):
-    sample_dir = os.path.join(cell_dir, "sample")
-    s_src, s_tgt = os.path.join(sample_dir, "train.src"), os.path.join(sample_dir, "train.tgt")
-    if not (os.path.exists(s_src) and os.path.exists(s_tgt)):
-        plan = sampler.make_sample_plan(histogram, size, cell_seed, cfg.granularity)
-        src_sample, tgt_sample, _ = sampler.draw_sample(train_src, train_tgt, plan)
-        write_lines(s_src, src_sample)
-        write_lines(s_tgt, tgt_sample)
-        _write_json(os.path.join(sample_dir, "manifest.json"),
-                    {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict()})
+def _cell_inputs(cfg, cell_dir) -> dict:
+    """Backend placeholder -> split, side and raw files of its segmented input;
+    {test_src} joins every test set's source lines, named after their list."""
+    sample = os.path.join(cell_dir, "sample", "train.")
+    return {"train_src": ("train", "src", [sample + "src"]),
+            "train_tgt": ("train", "tgt", [sample + "tgt"]),
+            "valid_src": ("valid", "src", [cfg.valid_src]),
+            "valid_tgt": ("valid", "tgt", [cfg.valid_tgt]),
+            "test_src": ("test-" + "+".join(ts.name for ts in cfg.test_sets), "src",
+                         [ts.src for ts in cfg.test_sets])}
 
-    configs = enumerate_grid(cfg.nmo_set)
-    runs = {}
-    for config in configs:
-        for ts in cfg.test_sets:
-            rec = _load_record(os.path.join(cell_dir, config.label, ts.name))
-            runs[config, ts.name] = rec if rec and rec.status in ("done", "failed") else None
-    pending = [config for config in configs
-               if any(runs[config, ts.name] is None for ts in cfg.test_sets)]
 
-    # Backend placeholder -> split, side and raw files of its segmented input;
-    # {test_src} joins every test set's source lines, named after their list.
-    inputs = {"train_src": ("train", "src", [s_src]),
-              "train_tgt": ("train", "tgt", [s_tgt]),
-              "valid_src": ("valid", "src", [cfg.valid_src]),
-              "valid_tgt": ("valid", "tgt", [cfg.valid_tgt]),
-              "test_src": ("test-" + "+".join(ts.name for ts in cfg.test_sets), "src",
-                           [ts.src for ts in cfg.test_sets])}
-    if pending:
-        # Tables and segmented files are complete before any run starts: no locks.
+def _prepare_cells(cfg, cells):
+    """Complete the sample, merge tables and segmented files of each (size,
+    rep) of ``cells``, reading the training corpus only for a missing sample."""
+    corpus = None
+    for size, rep in cells:
+        cell_dir = os.path.join(cfg.output_dir, "size%d" % size, "rep%d" % rep)
+        inputs = _cell_inputs(cfg, cell_dir)
+        (s_src,), (s_tgt,) = inputs["train_src"][2], inputs["train_tgt"][2]
+        if not (os.path.exists(s_src) and os.path.exists(s_tgt)):
+            if corpus is None:
+                train_src, train_tgt = read_lines(cfg.train_src), read_lines(cfg.train_tgt)
+                corpus = (train_src, train_tgt, sampler.bin_histogram(
+                    train_src, train_tgt, sampler.make_bins(cfg.bin_boundaries)))
+            train_src, train_tgt, histogram = corpus
+            plan = sampler.make_sample_plan(histogram, size, cfg.seed + rep, cfg.granularity)
+            src_sample, tgt_sample, _ = sampler.draw_sample(train_src, train_tgt, plan)
+            write_lines(s_src, src_sample)
+            write_lines(s_tgt, tgt_sample)
+            _write_json(os.path.join(cell_dir, "sample", "manifest.json"),
+                        {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict()})
         tables = {"src": _cell_tables(cfg, cell_dir, cfg.src_lang, s_src),
                   "tgt": _cell_tables(cfg, cell_dir, cfg.tgt_lang, s_tgt)}
         for split, side, raw in inputs.values():
@@ -551,27 +563,21 @@ def _run_cell(cfg, size, rep, cell_seed, cell_dir, train_src, train_tgt, histogr
                 for nmo in nmos:
                     write_lines(_seg_path(cell_dir, split, side, nmo), segmented[nmo])
 
-    # Each test set with its source line count and references, read once.
-    tests = [(ts, len(read_lines(ts.src)), read_lines(ts.tgt)) for ts in cfg.test_sets]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        list(pool.map(lambda config: _run_config(cfg, size, rep, cell_seed, cell_dir, config,
-                                                 inputs, tests, runs), pending))
-    return evaluate(cfg.output_dir, list(runs.values()))
 
-
-def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig, inputs: dict,
-                tests: list, runs: dict):
-    """Run the backend once for one configuration, on the test sources of
-    every test set (``tests`` holds each with its source line count and
-    references), and record each pending run of the configuration in
-    ``runs`` with its test set's slice of the hypothesis, not yet scored."""
-    config_dir = os.path.join(cell_dir, config.label)
+def _run_config(cfg, tests: list, records: dict):
+    """Run the backend once for ``records``, the pending runs of one cell and
+    configuration by test set name, on the test sources of every test set
+    (``tests`` holds each with its source line count and references), and
+    save each record with its test set's slice of the hypothesis, unscored."""
+    first = next(iter(records.values()))
+    config_dir = os.path.dirname(_run_path(cfg.output_dir, first))
+    cell_dir = os.path.dirname(config_dir)
     started = time.time()
-    nmo = {"src": config.src_nmo, "tgt": config.tgt_nmo}
+    nmo = {"src": first.src_nmo, "tgt": first.tgt_nmo}
     paths = {name: _seg_path(cell_dir, split, side, nmo[side])
-             for name, (split, side, _) in inputs.items()}
+             for name, (split, side, _) in _cell_inputs(cfg, cell_dir).items()}
     paths.update(model_dir=os.path.join(config_dir, "model"),
-                 hyp_out=os.path.join(config_dir, "hyp.txt"), config=config.label)
+                 hyp_out=os.path.join(config_dir, "hyp.txt"), config=first.config_label)
     hyps, backend_error = [], None
     try:
         os.makedirs(paths["model_dir"], exist_ok=True)
@@ -587,13 +593,10 @@ def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig, inputs: 
     end = 0
     for testset, n_src, refs in tests:
         start, end = end, end + n_src
-        if runs[config, testset.name] is not None:
+        record = records.get(testset.name)
+        if record is None:
             continue
         run_dir = os.path.join(config_dir, testset.name)
-        record = RunRecord(config_label=config.label, src_nmo=config.src_nmo,
-                           tgt_nmo=config.tgt_nmo, direction=cfg.direction,
-                           size=size, rep=rep, testset=testset.name,
-                           seed=cell_seed, started=started)
         reason = backend_error
         if reason is None and n_src != len(refs):
             reason = "test set %r has %d source lines but %d references" % (
@@ -607,9 +610,8 @@ def _run_config(cfg, size, rep, cell_seed, cell_dir, config: BpeConfig, inputs: 
             except (bpe.BpeError, OSError) as exc:
                 reason = str(exc)
         record.status, record.failure_reason = ("failed", reason) if reason else ("done", None)
-        record.finished = time.time()
+        record.started, record.finished = started, time.time()
         _save_record(run_dir, record)
-        runs[config, testset.name] = record
 
 
 def _read_manifest(run_dir) -> dict:

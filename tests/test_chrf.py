@@ -144,6 +144,10 @@ class TestStatsMatrix:
             matched, hyp_total, ref_total = tuple_keyed_stats(hyp, ref, 6, 2)
             assert row == matched + hyp_total + ref_total
 
+    def test_line_count_mismatch_rejected(self):
+        with pytest.raises(ChrfError, match="line counts differ: 1 vs 2"):
+            stats_matrix(["a b"], ["a", "b"])
+
 
 class TestCorpusChrf:
     def test_identical_corpus_is_100(self):
@@ -404,6 +408,11 @@ class TestBatchedSignificance:
     def test_empty_baseline_rejected(self):
         with pytest.raises(ChrfError, match="empty"):
             paired_significance_stats([], stats_matrix([], []), iterations=10)
+
+    def test_zero_iterations_rejected(self):
+        matrix = stats_matrix(["a b"], ["a b"])
+        with pytest.raises(ChrfError, match="iterations must be >= 1"):
+            paired_significance_stats([matrix], matrix, iterations=0)
 
 
 class TestSignificanceOracle:

@@ -172,6 +172,35 @@ def test_sweep_refuses_workers_below_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_workers_flag_runs_every_cell_from_one_pool(tmp_path, capsys):
+    # rep0's 20_20 waits for a flag that only a run of rep1 sets, and gives up
+    # after 5 s: it finishes only if a second worker takes a run of the next
+    # cell while it waits. The config's one worker is overridden by --workers.
+    corpus = write_toy_corpus(str(tmp_path))
+    script = tmp_path / "wait.py"
+    script.write_text(
+        "import os, sys, time\n"
+        "model_dir, src_path, out_path = sys.argv[1:]\n"
+        "cell, config = os.path.split(os.path.dirname(model_dir))\n"
+        "flag = os.path.join(os.path.dirname(cell), 'rep0', '20_20', 'model', 'flag')\n"
+        "if os.path.basename(cell) == 'rep1':\n"
+        "    os.makedirs(os.path.dirname(flag), exist_ok=True)\n"
+        "    open(flag, 'w').close()\n"
+        "elif config == '20_20':\n"
+        "    deadline = time.time() + 5\n"
+        "    while not os.path.exists(flag):\n"
+        "        if time.time() > deadline: sys.exit(3)\n"
+        "        time.sleep(0.01)\n"
+        "with open(src_path) as src, open(out_path, 'w') as out:\n"
+        "    out.writelines(line.replace('@@ ', '') for line in src)\n")
+    config = write_config(str(tmp_path), corpus, repetitions=2, workers=1,
+                          backend="python3 %s {model_dir} {test_src} {hyp_out}" % script)
+    code, out, _ = run(capsys, "sweep", "--config", config, "--workers", "2")
+    assert code == 0 and "completed 8 runs (0 failed)" in out
+    records = orchestrator.collect_records(str(tmp_path / "out"))
+    assert len(records) == 8 and all(r.status == "done" for r in records)
+
+
 def test_sample_refuses_granularity_below_one(tmp_path, capsys):
     src = tmp_path / "all.src"
     tgt = tmp_path / "all.tgt"

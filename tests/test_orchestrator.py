@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from asymbpe import bpe, chrf
+from asymbpe import bpe, chrf, sampler
 from asymbpe.cli import main
 from asymbpe.orchestrator import (OrchestratorError, RunRecord, collect_records,
                                   emit_report, evaluate, load_experiment, run_sweep)
@@ -152,6 +152,7 @@ class TestLoadExperiment:
         ("nmo_set", []), ("nmo_set", ["-5"]), ("nmo_set", ["xK"]), ("nmo_set", ["infK"]),
         ("bins", [10, 10]), ("bins", [0, 5]), ("bins", [20, 10]),
         ("granularity", 0), ("granularity", -5), ("sizes", []), ("sizes", [40, 40]),
+        ("schema", 2),
     ])
     def test_bad_sweep_setting_named(self, tmp_path, field, value):
         # Each is refused before any sample is drawn or backend run.
@@ -226,10 +227,14 @@ class TestLoadExperiment:
         ({"output_dir": None}, "output_dir"),
         ({"extra_test_sets": [{"name": "dev", "src": 5, "tgt": "x"}]}, "test set 'dev' src"),
         (None, "JSON object"),
+        ({"backend": {"command": "x {test_src} {hyp_out} {test_src}"}}, "at most once"),
+        ({"extra_test_sets": [{"name": "dev", "src": "test.src"}]},
+         "extra test set missing field 'tgt'"),
+        ({"extra_test_sets": [{"name": "dev", "src": "test.src", "tgt": "nope.tgt"}]},
+         "test set 'dev' path does not exist: .*nope\\.tgt"),
     ])
     def test_mistyped_structure_named(self, tmp_path, overrides, message):
-        # Each used to end in an uncaught TypeError; None stands for a
-        # config whose top level is a list.
+        # None stands for a config whose top level is a list.
         corpus = write_toy_corpus(str(tmp_path))
         path = write_config(str(tmp_path), corpus, **(overrides or {}))
         if overrides is None:
@@ -237,6 +242,12 @@ class TestLoadExperiment:
                 json.dump([corpus], fh)
         with pytest.raises(OrchestratorError, match=message):
             load_experiment(path)
+
+    def test_backend_may_be_a_command_string(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        path = write_config(str(tmp_path), corpus, backend="cp {test_src} {hyp_out}")
+        cfg = load_experiment(path)
+        assert (cfg.backend_command, cfg.backend_timeout) == ("cp {test_src} {hyp_out}", None)
 
     def test_timeout_accepts_positive_numbers(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
@@ -311,6 +322,13 @@ class TestRunSweep:
         assert "backend produced no hypothesis file" in resumed["10_20"].failure_reason
         assert not os.path.exists(cell_path(cfg, "10_20", "hyp.txt"))
         assert all(resumed[label].status == "done" for label in ("10_10", "20_10", "20_20"))
+
+    def test_a_size_the_corpus_cannot_sample_is_refused_before_any_run(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path), n_train=60)
+        cfg = load_experiment(write_config(str(tmp_path), corpus, sizes=[40, 600]))
+        with pytest.raises(sampler.SamplerError, match="target size 600 exceeds corpus size 60"):
+            run_sweep(cfg)
+        assert record_bytes(cfg) == {}
 
     def test_records_hold_no_output_path(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
@@ -479,7 +497,7 @@ class TestCellArtifacts:
     def test_resume_over_finished_cell_learns_and_segments_nothing(self, tmp_path,
                                                                    monkeypatch):
         corpus = write_toy_corpus(str(tmp_path))
-        cfg = load_experiment(write_config(str(tmp_path), corpus))
+        cfg = load_experiment(write_config(str(tmp_path), corpus, repetitions=2))
         first = run_sweep(cfg)
 
         def forbidden(*args):
@@ -488,6 +506,10 @@ class TestCellArtifacts:
         monkeypatch.setattr(bpe, "learn_bpe", forbidden)
         monkeypatch.setattr(bpe, "segment_line", forbidden)
         monkeypatch.setattr(bpe, "segment_lines", forbidden)
+        # Nor does it bin or read the training corpus.
+        monkeypatch.setattr(sampler, "bin_histogram", forbidden)
+        os.remove(corpus["train_src"])
+        os.remove(corpus["train_tgt"])
         assert [r.chrf for r in run_sweep(cfg)] == [r.chrf for r in first]
 
 
@@ -653,6 +675,18 @@ class TestResume:
         with pytest.raises(OrchestratorError, match="test set test: records of seeds 7 and 8"):
             evaluate(cfg.output_dir, collect_records(cfg.output_dir))
 
+    def test_record_of_a_test_set_the_manifest_does_not_name_is_refused(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(str(tmp_path), corpus))
+        run_sweep(cfg)
+        path = cell_path(cfg, "20_10", "test", "record.json")
+        record = json.loads(read_bytes(path))
+        record.update(testset="gone", chrf=None)
+        write_lines_file(path, [json.dumps(record)])
+        with pytest.raises(OrchestratorError) as exc:
+            evaluate(cfg.output_dir, collect_records(cfg.output_dir))
+        assert str(exc.value) == "%s names no test set 'gone' in manifest.json" % cfg.output_dir
+
 
 def make_record(src, tgt, score, size=50, rep=0, direction="en-xx",
                 testset="test", status="done"):
@@ -740,10 +774,11 @@ def write_lines_file(path, lines):
     return str(path)
 
 
-def tagging_backend(tmp_path, fail_config=None):
+def tagging_backend(tmp_path, fail_config=None, dangle_config=None):
     """Backend command that appends its configuration label to calls.log
     and writes ``line<i>`` for the i-th ``{test_src}`` line; it exits 1
-    without output for ``fail_config``."""
+    without output for ``fail_config``, and ends its last line with the
+    continuation marker ``@@`` for ``dangle_config``."""
     script = tmp_path / "tag.py"
     script.write_text(
         "import sys\n"
@@ -751,8 +786,10 @@ def tagging_backend(tmp_path, fail_config=None):
         "with open(log_path, 'a') as fh: fh.write(config + '\\n')\n"
         "if config == %r: sys.exit(1)\n"
         "with open(src_path) as fh: n = len(fh.readlines())\n"
-        "with open(out_path, 'w') as fh: fh.writelines('line%%d\\n' %% i for i in range(n))\n"
-        % fail_config)
+        "tags = ['line%%d' %% i for i in range(n)]\n"
+        "if config == %r: tags[-1] += '@@'\n"
+        "with open(out_path, 'w') as fh: fh.writelines(tag + '\\n' for tag in tags)\n"
+        % (fail_config, dangle_config))
     return "python3 %s {config} {test_src} {hyp_out} %s" % (script, tmp_path / "calls.log")
 
 
@@ -845,6 +882,21 @@ class TestOneBackendRunPerConfiguration:
         assert failed[0].failure_reason == failed[1].failure_reason
         assert "backend exited 1" in failed[0].failure_reason
         assert all(r.status == "done" for r in records if r.config_label != "10_20")
+
+    def test_dangling_continuation_fails_only_its_run(self, tmp_path):
+        # 10_20's last hypothesis line, the last of test set test2, ends in "@@".
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(
+            str(tmp_path), corpus, extra_test_sets=tagged_sets(tmp_path, corpus),
+            backend={"command": tagging_backend(tmp_path, dangle_config="10_20")}))
+        records = run_sweep(cfg)
+        failed = [r for r in records if r.status == "failed"]
+        assert [(r.config_label, r.testset) for r in failed] == [("10_20", "test2")]
+        assert failed[0].failure_reason == \
+            "dangling continuation at sentence end: 'line21@@'"
+        assert all(r.chrf == 100.0 and r.p_vs_baseline == 1.0
+                   for r in records if r.status == "done")
+        assert not os.path.exists(cell_path(cfg, "10_20", "test2", "hyp.detok.txt"))
 
     def test_resume_runs_only_configurations_with_pending_test_sets(self, tmp_path,
                                                                    monkeypatch):

@@ -71,6 +71,10 @@ class TestGrid:
         with pytest.raises(SweepError):
             enumerate_grid([500, "0.5K"])
 
+    def test_empty_rejected(self):
+        with pytest.raises(SweepError, match="empty NMO set"):
+            enumerate_grid([])
+
 
 class TestClassify:
     def test_symmetric(self):
