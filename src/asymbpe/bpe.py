@@ -3,10 +3,13 @@
 Learns ranked merge tables from a whitespace-tokenized corpus and segments
 text into subword pieces with them. The number of merge operations (NMO) is
 the only capacity parameter. A ``MergeTable`` is immutable; a rule's rank is
-its position in the table. ``segment_lines`` is the one segmenter: it
-renders every NMO's segmentation of a list of lines from one encode per
-distinct word. Word-final symbols carry the reserved marker ``</w>``;
-non-final pieces render with a trailing ``@@``.
+its position in the table. ``segment_lines`` is the one segmenter: a
+generator that reads any iterable of lines and yields each line's
+segmentation at every requested NMO from one encode per distinct word, so
+its memory grows with the word types, not with the lines. ``learn_bpe``
+counts words from any iterable of lines (an open file streams) and keeps
+only the pairs that still occur. Word-final symbols carry the reserved
+marker ``</w>``; non-final pieces render with a trailing ``@@``.
 
 Tie-breaking is deterministic: among pairs with the maximal count, the
 lexicographically smallest ``(left, right)`` pair (code-point order) wins.
@@ -159,22 +162,26 @@ _ID_MASK = (1 << _ID_BITS) - 1
 def learn_bpe(corpus, nmo: int) -> MergeTable:
     """Learn up to ``nmo`` merge rules from the corpus.
 
-    corpus: iterable of whitespace-tokenized lines, or a word->frequency
-    mapping whose words contain no whitespace and whose frequencies are
-    positive ints. ``nmo`` must be a non-negative int. Stops early once no
-    adjacent pair remains. Deterministic: ties go to the lexicographically
-    smallest pair of symbol texts.
+    corpus: iterable of whitespace-tokenized lines (a list, an open file or
+    any one-shot iterator), or a word->frequency mapping whose words contain
+    no whitespace and whose frequencies are positive ints. ``nmo`` must be a
+    non-negative int. Stops early once no adjacent pair remains.
+    Deterministic: ties go to the lexicographically smallest pair of symbol
+    texts.
 
     Pair counts are kept incrementally (Sennrich et al. 2016): a merge
     rescans only the words that contain its pair, and changes only the
     counts of the pairs next to each merge site. Symbols are interned as
     dense int ids, and a pair is keyed by the exact packing of its two ids.
     The index lists the words each pair was added to, with duplicates and
-    stale ids; a merged pair's list is deduplicated. Every heap entry
-    ``(-count, left, right, key)`` is an upper bound on its pair's count: a
-    pair is pushed when a merge adds it to a word, and an entry popped above
-    its live count is pushed again at that count. The rules equal those of a
-    learner that recounts every pair after every merge.
+    stale ids; a merged pair's list is deduplicated. A pair whose count
+    falls to 0 occurs in no word, so it leaves ``counts`` and ``index`` at
+    once: the learner holds only live pairs, not every pair it ever saw.
+    Every heap entry ``(-count, left, right, key)`` is an upper bound on its
+    pair's count: a pair is pushed when a merge adds it to a word, and an
+    entry popped above its live count is pushed again at that count. The
+    rules equal those of a learner that recounts every pair after every
+    merge.
     """
     if not isinstance(nmo, int) or isinstance(nmo, bool) or nmo < 0:
         raise BpeError("nmo must be a non-negative int, got %r" % (nmo,))
@@ -189,7 +196,7 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
     ids = {t: i for i, t in enumerate(texts)}  # symbol text -> id
     char_id = ids.__getitem__
     words = []  # word id -> (symbol ids, frequency)
-    counts = defaultdict(int)  # pair key -> count (0 once the pair is gone)
+    counts = defaultdict(int)  # pair key -> count of a pair that occurs
     index = defaultdict(list)  # pair key -> ids of the words it was added to
     for wid, (word, freq) in enumerate(word_freqs.items()):
         symbols = list(map(char_id, word[:-1]))
@@ -199,6 +206,7 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
             key = left << _ID_BITS | right
             counts[key] += freq
             index[key].append(wid)
+    del word_freqs, chars, finals  # the words are interned
 
     heap = [(-c, texts[k >> _ID_BITS], texts[k & _ID_MASK], k) for k, c in counts.items()]
     heapq.heapify(heap)
@@ -236,14 +244,24 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
                     continue
                 if i:
                     prev = symbols[i - 1]
-                    counts[prev << _ID_BITS | left] -= freq
+                    key = prev << _ID_BITS | left
+                    count = counts[key] - freq
+                    if count:
+                        counts[key] = count
+                    else:  # gone from every word: every index entry is stale
+                        del counts[key], index[key]
                     key = prev << _ID_BITS | merged
                     counts[key] += freq
                     index[key].append(wid)
                     added.append(key)
                 if i + 1 < last:
                     nxt = symbols[i + 2]
-                    counts[right << _ID_BITS | nxt] -= freq
+                    key = right << _ID_BITS | nxt
+                    count = counts[key] - freq
+                    if count:
+                        counts[key] = count
+                    else:
+                        del counts[key], index[key]
                     key = merged << _ID_BITS | nxt
                     counts[key] += freq
                     index[key].append(wid)
@@ -266,7 +284,13 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
             done = -1
             for i in sites:
                 for k in range(max(i - 1, done + 1), min(i + 2, last)):
-                    counts[symbols[k] << _ID_BITS | symbols[k + 1]] -= freq
+                    key = symbols[k] << _ID_BITS | symbols[k + 1]
+                    count = counts[key] - freq
+                    if count:
+                        counts[key] = count
+                    else:  # best's index is already popped
+                        del counts[key]
+                        index.pop(key, None)
                 done = i + 1
             for i in reversed(sites):
                 symbols[i:i + 2] = (merged,)
@@ -282,8 +306,9 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
                 done = j
 
         # A greedy pass merges every occurrence of the pair, and no added
-        # pair equals it (the merged text is longer than either side).
-        del counts[best]
+        # pair equals it (the merged text is longer than either side). Its
+        # count is gone already if only multi-site words held it.
+        counts.pop(best, None)
         for key in set(added):
             heapq.heappush(heap, (-counts[key], texts[key >> _ID_BITS],
                                   texts[key & _ID_MASK], key))
@@ -326,43 +351,43 @@ def _encode_word(word: str, pair_ranks: dict, bounds) -> list:
     return snapshots + [symbols] * (len(bounds) - len(snapshots))
 
 
-def segment_lines(table: MergeTable, lines, nmos) -> dict:
-    """NMO -> every line of ``lines`` segmented with the first NMO rules of
-    ``table``, for each NMO in ``nmos``. Words are joined by single spaces;
-    every non-final piece of a word ends in ``@@``.
+def segment_lines(table: MergeTable, lines, nmos):
+    """Yield one tuple per line of ``lines`` (any iterable of lines): the
+    line segmented with the first NMO rules of ``table``, for each NMO in
+    ``nmos``, in that order. Words are joined by single spaces; every
+    non-final piece of a word ends in ``@@``.
 
     Each distinct word is encoded once with ``table``, and the text of its
     segmentation at every NMO is rendered once from the encode's snapshots
-    (see ``_encode_word``). ``table`` should hold at least ``max(nmos)``
+    (see ``_encode_word``) and cached. The cache grows with the word types
+    seen, not with the lines. ``table`` should hold at least ``max(nmos)``
     rules, or all the rules its corpus allows.
     """
     bounds = sorted(set(nmos))
+    order = [bounds.index(nmo) for nmo in nmos]
     ranks = table.pair_ranks
-    cache = {}  # word -> its text at each bound
-    columns = [[] for _ in bounds]
+    blank = ("",) * len(order)
+    cache = {}  # word -> its text at each NMO of nmos
     for line in lines:
         words = []
         for word in line.split():
             texts = cache.get(word)
             if texts is None:
-                texts, prev, text = [], None, None
+                at_bound, prev, text = [], None, None
                 for symbols in _encode_word(word, ranks, bounds):
                     if symbols is not prev:
                         text = "".join([s + CONTINUATION + " " for s in symbols[:-1]]
                                        + [symbols[-1][:-len(END)]])
                         prev = symbols
-                    texts.append(text)
-                cache[word] = texts
+                    at_bound.append(text)
+                texts = cache[word] = [at_bound[k] for k in order]
             words.append(texts)
-        for k, column in enumerate(columns):
-            column.append(" ".join([texts[k] for texts in words]))
-    by_nmo = dict(zip(bounds, columns))
-    return {nmo: by_nmo[nmo] for nmo in nmos}
+        yield tuple(map(" ".join, zip(*words))) if words else blank
 
 
 def segment_line(table: MergeTable, sentence: str) -> str:
     """One line segmented with the whole table."""
-    return segment_lines(table, [sentence], [table.nmo])[table.nmo][0]
+    return next(segment_lines(table, (sentence,), (table.nmo,)))[0]
 
 
 def unsegment(text: str) -> str:

@@ -8,20 +8,23 @@ import sys
 from contextlib import nullcontext
 
 from . import __version__, bpe, chrf, orchestrator, sampler
-from .orchestrator import read_lines, write_lines
+from .orchestrator import atomic_open, read_lines, write_lines
 from .sweep import SweepError, parse_nmo, recommend
 
 
 def _map_lines(input_path, output_path, fn):
     """Write each line of fn(lines), for the lines of a file or stdin, to a
-    file or stdout. The input is read in full before the output is opened,
-    so the two may name the same file."""
+    file or stdout, one line at a time. A file is written to a temporary
+    file beside it and renamed into place when complete (``write_lines``),
+    so the output may name the input file, and a failure leaves it as it
+    was."""
     with open(input_path, encoding="utf-8") if input_path else nullcontext(sys.stdin) as src:
-        lines = fn([line.rstrip("\n") for line in src])
-    with (open(output_path, "w", encoding="utf-8") if output_path
-          else nullcontext(sys.stdout)) as dst:
-        for line in lines:
-            dst.write(line + "\n")
+        lines = fn(line.rstrip("\n") for line in src)
+        if output_path:
+            write_lines(output_path, lines)
+        else:
+            for line in lines:
+                sys.stdout.write(line + "\n")
 
 
 def _nmo_arg(text):
@@ -34,7 +37,8 @@ def _nmo_arg(text):
 
 
 def cmd_learn_bpe(args):
-    table = bpe.learn_bpe(read_lines(args.input), args.nmo)
+    with open(args.input, encoding="utf-8") as fh:
+        table = bpe.learn_bpe(fh, args.nmo)
     table.save(args.output)
     print("learned %d merge rules -> %s" % (table.nmo, args.output), file=sys.stderr)
 
@@ -42,11 +46,11 @@ def cmd_learn_bpe(args):
 def cmd_apply_bpe(args):
     table = bpe.MergeTable.load(args.table)
     _map_lines(args.input, args.output,
-               lambda lines: bpe.segment_lines(table, lines, [table.nmo])[table.nmo])
+               lambda lines: (text for text, in bpe.segment_lines(table, lines, [table.nmo])))
 
 
 def cmd_unbpe(args):
-    _map_lines(args.input, args.output, lambda lines: [bpe.unsegment(line) for line in lines])
+    _map_lines(args.input, args.output, lambda lines: (bpe.unsegment(line) for line in lines))
 
 
 def cmd_sample(args):
@@ -63,7 +67,7 @@ def cmd_sample(args):
     prefix = args.out_prefix
     write_lines(prefix + ".src", sample_src)
     write_lines(prefix + ".tgt", sample_tgt)
-    with open(prefix + ".manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_open(prefix + ".manifest.json") as fh:
         json.dump({"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict(),
                    "seed": args.seed, "sampled_pairs": len(indices)}, fh, indent=2)
     print("sampled %d pairs -> %s.{src,tgt}" % (len(indices), prefix), file=sys.stderr)

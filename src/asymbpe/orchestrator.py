@@ -4,11 +4,15 @@ record on disk or a new pending one. A (size, repetition) pair is a cell.
 
 Prepare: each cell with a pending run draws its stratified sample of the
 training corpus, learns one merge table per side at the largest NMO (each
-smaller table is its prefix), and segments each split into ``<cell>/seg/``
-at every NMO of its side, encoding each word once (``bpe.segment_lines``).
-The source lines of every test set, in config order, form one combined test
-source per source NMO. A size the corpus cannot sample is refused before any
-backend runs; the corpus is read only for a missing sample.
+smaller table is its prefix) from the sample file as it reads it, and
+segments each split into ``<cell>/seg/`` at every NMO of its side, encoding
+each word once (``bpe.segment_lines``). Each raw file streams line by line
+into one temporary file per missing NMO, and each is renamed into place
+when complete (``write_columns``), so preparation holds word types and
+learner state but no file's lines. The source lines of every test set, in
+config order, form one combined test source per source NMO. A size the
+corpus cannot sample is refused before any backend runs; the corpus is read
+only for a missing sample.
 
 Run: one worker pool takes every (cell, configuration) with a pending run
 and invokes the translation backend once on the cell's shared files, which
@@ -338,23 +342,52 @@ def load_experiment(path) -> ExperimentConfig:
     return cfg
 
 
+def iter_lines(path):
+    """Yield the lines of a UTF-8 text file, without their newlines."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            yield line.rstrip("\n")
+
+
 def read_lines(path) -> list:
     """The lines of a UTF-8 text file, without their newlines."""
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    return list(iter_lines(path))
+
+
+@contextlib.contextmanager
+def atomic_open(path):
+    """A UTF-8 text file open for writing at ``path + ".tmp"``, renamed to
+    ``path`` when the block completes and removed when it raises, so
+    ``path`` is never torn and may be read while the block writes."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_columns(paths, rows):
+    """Write item k of each row as one line of ``paths[k]``, all files at
+    once and each atomically (``atomic_open``), creating parent directories.
+    ``rows`` is consumed one row at a time."""
+    for path in paths:
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(atomic_open(path)) for path in paths]
+        for row in rows:
+            for fh, line in zip(files, row):
+                fh.write(line + "\n")
 
 
 def write_lines(path, lines):
-    """Write one line per item atomically (temporary file, then rename),
-    creating the parent directory."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-    os.replace(tmp, path)
+    """Write one line per item of ``lines`` to ``path`` (``write_columns``)."""
+    write_columns([path], zip(lines))
 
 
 def _write_json(path, obj):
@@ -373,7 +406,8 @@ def _cell_tables(cfg, cell_dir, lang, sample_path):
     if os.path.exists(top):
         full = bpe.MergeTable.load(top)
     else:
-        full = bpe.learn_bpe(read_lines(sample_path), max(cfg.nmo_set))
+        with open(sample_path, encoding="utf-8") as fh:
+            full = bpe.learn_bpe(fh, max(cfg.nmo_set))
     os.makedirs(os.path.dirname(top), exist_ok=True)
     for nmo in cfg.nmo_set:
         path = _table_path(cell_dir, lang, nmo)
@@ -447,8 +481,9 @@ def _load_record(run_dir):
 
 
 # Manifest fields a resume must not change: every record and artifact on
-# disk was made with them.
-_RESUME_FIELDS = ("direction", "seed", "significance_iterations", "bins", "granularity")
+# disk was made with them. A manifest that lacks one is not compared on it.
+_RESUME_FIELDS = ("direction", "seed", "significance_iterations", "bins", "granularity",
+                  "train_src", "train_tgt", "valid_src", "valid_tgt")
 
 
 def _resumed_test_sets(out, old: dict, new: dict) -> list:
@@ -475,6 +510,10 @@ def run_sweep(cfg: ExperimentConfig) -> list:
     out = cfg.output_dir
     manifest = {
         "schema": SCHEMA_VERSION,
+        "train_src": cfg.train_src,
+        "train_tgt": cfg.train_tgt,
+        "valid_src": cfg.valid_src,
+        "valid_tgt": cfg.valid_tgt,
         "direction": cfg.direction,
         "sizes": cfg.sizes,
         "nmo_set": cfg.nmo_set,
@@ -558,10 +597,9 @@ def _prepare_cells(cfg, cells):
             nmos = [nmo for nmo in cfg.nmo_set
                     if not os.path.exists(_seg_path(cell_dir, split, side, nmo))]
             if nmos:
-                segmented = bpe.segment_lines(
-                    tables[side], [line for path in raw for line in read_lines(path)], nmos)
-                for nmo in nmos:
-                    write_lines(_seg_path(cell_dir, split, side, nmo), segmented[nmo])
+                lines = (line for path in raw for line in iter_lines(path))
+                write_columns([_seg_path(cell_dir, split, side, nmo) for nmo in nmos],
+                              bpe.segment_lines(tables[side], lines, nmos))
 
 
 def _run_config(cfg, tests: list, records: dict):

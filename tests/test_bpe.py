@@ -93,6 +93,18 @@ class TestLearn:
         learn_bpe(list(lines), 10).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_open_file_and_one_shot_iterator_learn_the_same_table(self, tmp_path):
+        lines = ["the cat sat", "", "  \t ", "on the  mat", "the bat", "देखो the mats"]
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        learn_bpe(lines, 20).save(tmp_path / "list.bpe")
+        with open(corpus, encoding="utf-8") as fh:
+            learn_bpe(fh, 20).save(tmp_path / "file.bpe")
+        learn_bpe((line for line in lines), 20).save(tmp_path / "iter.bpe")
+        expected = (tmp_path / "list.bpe").read_bytes()
+        assert (tmp_path / "file.bpe").read_bytes() == expected
+        assert (tmp_path / "iter.bpe").read_bytes() == expected
+
 
     @pytest.mark.parametrize("freqs, word", [
         ({"ab": -3, "cd": 1}, "ab"),
@@ -231,12 +243,12 @@ class TestSegmentLines:
         lines = [" ".join(train)] + [" ".join(words) for words in extra] + [""]
         full = learn_bpe(lines, max(nmos) + surplus)
         pairs = [r.pair for r in full.rules]
-        got = segment_lines(full, lines, nmos)
-        assert list(got) == nmos
-        for nmo in nmos:
+        rows = list(segment_lines(full, lines, nmos))
+        assert [len(row) for row in rows] == [len(nmos)] * len(lines)
+        for k, nmo in enumerate(nmos):
             prefix = MergeTable(full.rules[:nmo])
-            assert got[nmo] == [segment_line(prefix, line) for line in lines] == \
-                oracle_lines(pairs[:nmo], lines)
+            assert [row[k] for row in rows] == [segment_line(prefix, line) for line in lines] \
+                == oracle_lines(pairs[:nmo], lines)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["a", "b", "ab", "ba", "aa"]),
@@ -249,11 +261,11 @@ class TestSegmentLines:
         # A hand-made table may list a pair twice; its prefixes must still
         # rank that pair as the whole table does.
         full = table_from_pairs(pairs)
-        got = segment_lines(full, words, nmos)
-        for nmo in nmos:
+        rows = list(segment_lines(full, words, nmos))
+        for k, nmo in enumerate(nmos):
             prefix = table_from_pairs(pairs[:nmo])
-            assert got[nmo] == [segment_line(prefix, word) for word in words] == \
-                oracle_lines(pairs[:nmo], words)
+            assert [row[k] for row in rows] == [segment_line(prefix, word) for word in words] \
+                == oracle_lines(pairs[:nmo], words)
 
     def test_one_encode_per_distinct_word(self, monkeypatch):
         calls = []
@@ -261,11 +273,11 @@ class TestSegmentLines:
         monkeypatch.setattr(bpe, "_encode_word",
                             lambda word, *args: calls.append(word) or encode(word, *args))
         full = learn_bpe(["the cat sat", "the cat ran"], 12)
-        got = segment_lines(full, ["the cat sat", "the cat ran", "the  cat"], [12, 0, 3])
+        rows = list(segment_lines(full, ["the cat sat", "the cat ran", "the  cat"], [12, 0, 3]))
         assert sorted(calls) == ["cat", "ran", "sat", "the"]
-        assert got[0][2] == "t@@ h@@ e c@@ a@@ t"
-        assert got[12] == [segment_line(full, line) for line in
-                           ["the cat sat", "the cat ran", "the  cat"]]
+        assert rows[2][1] == "t@@ h@@ e c@@ a@@ t"
+        assert [row[0] for row in rows] == [segment_line(full, line) for line in
+                                            ["the cat sat", "the cat ran", "the  cat"]]
 
 
 class TestUnsegment:
@@ -312,8 +324,7 @@ class TestSegmentationMonotonicity:
 def pieces(table, words):
     """Distinct tokens of ``segment_lines`` over ``words``: a word-final
     piece and the same text inside a word (``@@``) count as two."""
-    return {tok for line in segment_lines(table, list(words), [table.nmo])[table.nmo]
-            for tok in line.split()}
+    return {tok for line, in segment_lines(table, words, [table.nmo]) for tok in line.split()}
 
 
 class TestVocabulary:

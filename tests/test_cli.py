@@ -40,13 +40,48 @@ def test_learn_apply_unbpe_pipeline(tmp_path, capsys):
     assert code == 0
     assert restored.read_text(encoding="utf-8") == corpus.read_text(encoding="utf-8")
 
-    # Each reads its whole input before writing, so a file can be rewritten in place.
+    # Each writes a temporary file and renames it, so a file can be rewritten in place.
     original = corpus.read_text(encoding="utf-8")
     assert run(capsys, "apply-bpe", "--table", str(table), "--input", str(corpus),
                "--output", str(corpus))[0] == 0
     assert corpus.read_text(encoding="utf-8") == segmented.read_text(encoding="utf-8")
     assert run(capsys, "unbpe", "--input", str(corpus), "--output", str(corpus))[0] == 0
     assert corpus.read_text(encoding="utf-8") == original
+
+
+def test_in_place_apply_bpe_and_unbpe_match_out_of_place(tmp_path, capsys):
+    # More lines than one read buffer holds, blank lines included.
+    lines = ["the cat sat on mat %d" % (i % 97) if i % 50 else "" for i in range(3000)]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    inplace = tmp_path / "inplace.txt"
+    shutil.copy(corpus, inplace)
+    table, seg, out = (str(tmp_path / name) for name in ("t.bpe", "seg.txt", "out.txt"))
+    assert run(capsys, "learn-bpe", "--input", str(corpus), "--nmo", "30",
+               "--output", table)[0] == 0
+    apply = ["apply-bpe", "--table", table]
+    assert run(capsys, *apply, "--input", str(corpus), "--output", seg)[0] == 0
+    assert run(capsys, *apply, "--input", str(inplace), "--output", str(inplace))[0] == 0
+    assert inplace.read_bytes() == Path(seg).read_bytes()
+    assert run(capsys, "unbpe", "--input", seg, "--output", out)[0] == 0
+    assert run(capsys, "unbpe", "--input", str(inplace), "--output", str(inplace))[0] == 0
+    assert inplace.read_bytes() == Path(out).read_bytes() == corpus.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["corpus.txt", "inplace.txt", "out.txt",
+                                            "seg.txt", "t.bpe"]
+
+
+def test_failed_unbpe_leaves_its_output_untouched(tmp_path, capsys):
+    segmented = tmp_path / "seg.txt"
+    segmented.write_text("".join("c@@ a@@ t %d\n" % i for i in range(2000))
+                         + "dangling@@\n" + "c@@ at\n" * 10, encoding="utf-8")
+    output = tmp_path / "out.txt"
+    output.write_bytes(b"an earlier output\n")
+    for target in (output, segmented):
+        before = target.read_bytes()
+        code, _, err = run(capsys, "unbpe", "--input", str(segmented), "--output", str(target))
+        assert code == 1 and "dangling continuation" in err
+        assert target.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["out.txt", "seg.txt"]
 
 
 def test_apply_bpe_and_unbpe_use_stdin_and_stdout(tmp_path, capsys, monkeypatch):
@@ -115,6 +150,29 @@ def test_sample_emits_files_and_manifest(tmp_path, capsys):
     n = len(Path(prefix + ".src").read_text(encoding="utf-8").splitlines())
     assert n == len(Path(prefix + ".tgt").read_text(encoding="utf-8").splitlines())
     assert n == manifest["sampled_pairs"]
+
+
+def test_failed_sample_manifest_write_leaves_the_earlier_manifest(tmp_path, capsys,
+                                                                    monkeypatch):
+    src = tmp_path / "all.src"
+    src.write_text("".join("w%d x\n" % i for i in range(50)), encoding="utf-8")
+    prefix = str(tmp_path / "s20")
+    argv = ["sample", "--src", str(src), "--tgt", str(src), "--size", "20", "--seed", "1",
+            "--granularity", "1", "--out-prefix", prefix]
+    assert run(capsys, *argv)[0] == 0
+    manifest = Path(prefix + ".manifest.json")
+    before = manifest.read_bytes()
+    assert before.startswith(b'{\n  "bin_plan"') and before.endswith(b"}")
+
+    def torn_dump(obj, fh, **kwargs):
+        fh.write("{")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "disk full" in err
+    assert manifest.read_bytes() == before
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
 
 def test_chrf_and_significance(tmp_path, capsys):

@@ -1,12 +1,14 @@
 import json
 import os
 import random
+import shutil
 import subprocess
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from asymbpe import bpe, chrf, sampler
+from asymbpe import bpe, chrf, orchestrator, sampler
 from asymbpe.cli import main
 from asymbpe.orchestrator import (OrchestratorError, RunRecord, collect_records,
                                   emit_report, evaluate, load_experiment, run_sweep)
@@ -512,6 +514,33 @@ class TestCellArtifacts:
         os.remove(corpus["train_tgt"])
         assert [r.chrf for r in run_sweep(cfg)] == [r.chrf for r in first]
 
+    def test_preparation_memory_does_not_grow_with_lines(self, tmp_path):
+        # A cell's training sample of 2,000 and then 20,000 lines of one
+        # vocabulary, learned and segmented at 4 NMOs: the learner and the
+        # segmenter hold word types and stream the lines, so the traced
+        # peaks differ by far less than the 20,000 lines' segmentations.
+        rng = random.Random(3)
+        vocab = ["".join(rng.choices("abcdefghij", k=rng.randint(2, 7))) for _ in range(200)]
+        corpus = write_toy_corpus(str(tmp_path))
+        peaks = []
+        for size in (2000, 20000):
+            cfg = load_experiment(write_config(str(tmp_path), corpus, sizes=[size],
+                                               nmo_set=[10, 20, 40, 80]))
+            cell_dir = os.path.join(cfg.output_dir, "size%d" % size, "rep0")
+            os.makedirs(os.path.join(cell_dir, "sample"))
+            for side in ("src", "tgt"):
+                write_lines_file(os.path.join(cell_dir, "sample", "train." + side),
+                                 [" ".join(rng.choices(vocab, k=4)) for _ in range(size)])
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                orchestrator._prepare_cells(cfg, [(size, 0)])
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert len(os.listdir(os.path.join(cell_dir, "seg"))) == 5 * 4
+        assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+
 
 def planted_backend(tmp_path, corpus, rates, refs=None):
     """Backend command whose hypothesis is the reference with the first
@@ -663,6 +692,32 @@ class TestResume:
         assert [ts["name"] for ts in manifest["test_sets"]] == ["test", "dev", "new"]
         assert manifest["test_sets"][1] == dict(dev[0])
         assert main(["report", "--run-dir", cfg.output_dir]) == 0
+
+    @pytest.mark.parametrize("field", ["train_src", "train_tgt", "valid_src", "valid_tgt"])
+    def test_moved_training_or_validation_file_is_refused(self, tmp_path, field):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(str(tmp_path), corpus))
+        first = run_sweep(cfg)
+        manifest = Path(cfg.output_dir, "manifest.json")
+        before = manifest.read_bytes()
+        records = record_bytes(cfg)
+        moved = str(tmp_path / ("moved." + field))
+        shutil.copy(corpus[field], moved)
+        changed = load_experiment(write_config(str(tmp_path), corpus, **{field: moved}))
+        with pytest.raises(OrchestratorError) as exc:
+            run_sweep(changed)
+        assert "%s is %r in its manifest.json but %r in the config" % (
+            field, corpus[field], moved) in str(exc.value)
+        assert manifest.read_bytes() == before and record_bytes(cfg) == records
+
+        # A manifest written before the training and validation paths were
+        # recorded is not compared on them.
+        old = json.loads(before)
+        for key in ("train_src", "train_tgt", "valid_src", "valid_tgt"):
+            del old[key]
+        manifest.write_text(json.dumps(old), encoding="utf-8")
+        assert [r.chrf for r in run_sweep(changed)] == [r.chrf for r in first]
+        assert json.loads(manifest.read_text("utf-8"))[field] == moved
 
     def test_family_of_two_seeds_is_refused(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
