@@ -5,26 +5,25 @@
 import argparse
 import json
 import sys
-from contextlib import nullcontext
 
 from . import __version__, bpe, chrf, orchestrator, sampler
-from .orchestrator import atomic_open, read_lines, write_lines
+from .orchestrator import atomic_open, iter_lines, read_lines, write_lines
 from .sweep import SweepError, parse_nmo, recommend
 
 
 def _map_lines(input_path, output_path, fn):
-    """Write each line of fn(lines), for the lines of a file or stdin, to a
-    file or stdout, one line at a time. A file is written to a temporary
-    file beside it and renamed into place when complete (``write_lines``),
-    so the output may name the input file, and a failure leaves it as it
-    was."""
-    with open(input_path, encoding="utf-8") if input_path else nullcontext(sys.stdin) as src:
-        lines = fn(line.rstrip("\n") for line in src)
-        if output_path:
-            write_lines(output_path, lines)
-        else:
-            for line in lines:
-                sys.stdout.write(line + "\n")
+    """Write each line of fn(lines), for the lines of a file (``iter_lines``)
+    or stdin, to a file or stdout, one line at a time. A file is written to
+    a temporary file beside it and renamed into place when complete
+    (``write_lines``), so the output may name the input file, and a failure
+    leaves it as it was."""
+    lines = fn(iter_lines(input_path) if input_path
+               else (line.rstrip("\n") for line in sys.stdin))
+    if output_path:
+        write_lines(output_path, lines)
+    else:
+        for line in lines:
+            sys.stdout.write(line + "\n")
 
 
 def _nmo_arg(text):
@@ -37,8 +36,7 @@ def _nmo_arg(text):
 
 
 def cmd_learn_bpe(args):
-    with open(args.input, encoding="utf-8") as fh:
-        table = bpe.learn_bpe(fh, args.nmo)
+    table = bpe.learn_bpe(iter_lines(args.input), args.nmo)
     table.save(args.output)
     print("learned %d merge rules -> %s" % (table.nmo, args.output), file=sys.stderr)
 

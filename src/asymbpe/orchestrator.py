@@ -36,17 +36,20 @@ sweep needs a fresh output directory. A finished cell builds nothing. A
 configuration with any pending test set runs the backend again over all
 test sets and writes only the pending records.
 
-The backend is an external command template; its stdout and stderr go to
-``<cell>/<config>/backend.log``, and any ``{hyp_out}`` an earlier attempt
-left is deleted before it runs. Two built-in mocks exist for pipeline
-testing: ``mock:echo-reference`` writes the references of every test set
-and ``mock:identity`` the de-segmented source.
+The backend is an external command template, the only way a configuration
+runs. Each placeholder expands to one shell-quoted word; the command's stdout
+and stderr go to ``<cell>/<config>/backend.log``, and any ``{hyp_out}`` an
+earlier attempt left is deleted before it runs. A test set whose source and
+reference line counts differ, or that has no lines, is refused before any
+cell is prepared. A text file that is not UTF-8 is refused, naming it
+(``iter_lines``).
 """
 
 import contextlib
 import json
 import math
 import os
+import shlex
 import string
 import subprocess
 import time
@@ -64,9 +67,6 @@ RESULTS_COLUMNS = ("config", "src_nmo", "tgt_nmo", "direction", "size", "rep",
 
 BACKEND_PLACEHOLDERS = {"train_src", "train_tgt", "valid_src", "valid_tgt",
                         "test_src", "model_dir", "hyp_out", "config"}
-
-MOCK_ECHO_REFERENCE = "mock:echo-reference"
-MOCK_IDENTITY = "mock:identity"
 
 _CONFIG_FIELDS = {
     "schema", "train_src", "train_tgt", "valid_src", "valid_tgt",
@@ -188,8 +188,6 @@ _RECORD_VALUES = (
 
 
 def _check_backend_template(command: str):
-    if command in (MOCK_ECHO_REFERENCE, MOCK_IDENTITY):
-        return
     fields = [f for _, f, _, _ in string.Formatter().parse(command) if f]
     unknown = set(fields) - BACKEND_PLACEHOLDERS
     if unknown:
@@ -200,10 +198,19 @@ def _check_backend_template(command: str):
         raise OrchestratorError("backend command must use the {hyp_out} placeholder")
 
 
+def _read_json(path, parse=lambda value: value):
+    """``parse`` of the value of a JSON file. A ValueError from either, as
+    from a file that is not UTF-8 or not JSON, is refused naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except ValueError as exc:
+            raise OrchestratorError("%s: %s" % (path, exc)) from None
+
+
 def load_experiment(path) -> ExperimentConfig:
     """Load and validate the JSON experiment config (schema 1)."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise OrchestratorError("the config must be a JSON object, got %s"
                                 % type(raw).__name__)
@@ -343,10 +350,14 @@ def load_experiment(path) -> ExperimentConfig:
 
 
 def iter_lines(path):
-    """Yield the lines of a UTF-8 text file, without their newlines."""
+    """Yield the lines of a UTF-8 text file, without their newlines. A file
+    that is not UTF-8 is refused, naming it."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            yield line.rstrip("\n")
+        try:
+            for line in fh:
+                yield line.rstrip("\n")
+        except UnicodeDecodeError as exc:
+            raise OrchestratorError("%s is not UTF-8 text: %s" % (path, exc)) from None
 
 
 def read_lines(path) -> list:
@@ -406,8 +417,7 @@ def _cell_tables(cfg, cell_dir, lang, sample_path):
     if os.path.exists(top):
         full = bpe.MergeTable.load(top)
     else:
-        with open(sample_path, encoding="utf-8") as fh:
-            full = bpe.learn_bpe(fh, max(cfg.nmo_set))
+        full = bpe.learn_bpe(iter_lines(sample_path), max(cfg.nmo_set))
     os.makedirs(os.path.dirname(top), exist_ok=True)
     for nmo in cfg.nmo_set:
         path = _table_path(cell_dir, lang, nmo)
@@ -429,22 +439,15 @@ def _log_tail(path, chars=500) -> str:
         return fh.read().decode("utf-8", "replace").strip()[-chars:]
 
 
-def _invoke_backend(cfg: ExperimentConfig, paths: dict, log_path, tests):
-    """Run the backend once, writing its stdout and stderr to ``log_path``.
-    The mocks write no log."""
-    command = cfg.backend_command
-    if command == MOCK_ECHO_REFERENCE:
-        write_lines(paths["hyp_out"], [line for _, _, refs in tests for line in refs])
-        return
-    if command == MOCK_IDENTITY:
-        write_lines(paths["hyp_out"],
-                    [bpe.unsegment(line) for line in read_lines(paths["test_src"])])
-        return
+def _invoke_backend(cfg: ExperimentConfig, paths: dict, log_path):
+    """Run the backend once, each placeholder of ``paths`` expanded to one
+    shell word, writing its stdout and stderr to ``log_path``."""
+    command = cfg.backend_command.format(**{k: shlex.quote(str(v)) for k, v in paths.items()})
     with contextlib.suppress(FileNotFoundError):  # left by an interrupted attempt
         os.remove(paths["hyp_out"])
     with open(log_path, "wb") as log:
         try:
-            proc = subprocess.run(command.format(**paths), shell=True,
+            proc = subprocess.run(command, shell=True,
                                   timeout=cfg.backend_timeout, stdout=log,
                                   stderr=subprocess.STDOUT)
         except subprocess.TimeoutExpired:
@@ -473,11 +476,7 @@ def _load_record(run_dir):
     path = _record_path(run_dir)
     if not os.path.exists(path):
         return None
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return RunRecord.from_dict(json.load(fh))
-        except ValueError as exc:  # not JSON, or not a run record
-            raise OrchestratorError("%s: %s" % (path, exc)) from None
+    return _read_json(path, RunRecord.from_dict)
 
 
 # Manifest fields a resume must not change: every record and artifact on
@@ -491,7 +490,7 @@ def _resumed_test_sets(out, old: dict, new: dict) -> list:
     only ``new`` names. Refuses a ``_RESUME_FIELDS`` value or a test set
     path that ``new`` changes, naming the field and both values."""
     now = {ts["name"]: ts for ts in new["test_sets"]}
-    kept = old.get("test_sets", [])
+    kept = old["test_sets"]
     diffs = [(key, old[key], new[key]) for key in _RESUME_FIELDS
              if key in old and old[key] != new[key]]
     diffs += [("test set %r %s" % (ts["name"], side), ts[side], now[ts["name"]][side])
@@ -535,6 +534,7 @@ def run_sweep(cfg: ExperimentConfig) -> list:
     }
     if os.path.exists(os.path.join(out, "manifest.json")):
         manifest["test_sets"] = _resumed_test_sets(out, _read_manifest(out), manifest)
+    lengths = _test_set_lengths(cfg)  # before anything is written or run
     _write_json(os.path.join(out, "manifest.json"), manifest)
 
     runs, pending = [], {}  # pending: (size, rep, configuration) -> {test set: run}
@@ -552,11 +552,23 @@ def run_sweep(cfg: ExperimentConfig) -> list:
 
     # Every cell is complete before any backend starts: runs need no locks.
     _prepare_cells(cfg, dict.fromkeys(key[:2] for key in pending))
-    # Each test set with its source line count and references, read once.
-    tests = [(ts, len(read_lines(ts.src)), read_lines(ts.tgt)) for ts in cfg.test_sets]
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        list(pool.map(lambda records: _run_config(cfg, tests, records), pending.values()))
+        list(pool.map(lambda records: _run_config(cfg, lengths, records), pending.values()))
     return evaluate(out, runs)
+
+
+def _test_set_lengths(cfg) -> list:
+    """The source line count of each test set, in config order. A test set
+    whose reference count differs, or that has no lines, is refused."""
+    lengths = []
+    for ts in cfg.test_sets:
+        n_src, n_ref = (sum(1 for _ in iter_lines(path)) for path in (ts.src, ts.tgt))
+        if n_src != n_ref or not n_src:
+            raise OrchestratorError("test set %r has %d source lines and %d references; it "
+                                    "needs one reference per source line, and at least one"
+                                    % (ts.name, n_src, n_ref))
+        lengths.append(n_src)
+    return lengths
 
 
 def _cell_inputs(cfg, cell_dir) -> dict:
@@ -602,11 +614,11 @@ def _prepare_cells(cfg, cells):
                               bpe.segment_lines(tables[side], lines, nmos))
 
 
-def _run_config(cfg, tests: list, records: dict):
+def _run_config(cfg, lengths: list, records: dict):
     """Run the backend once for ``records``, the pending runs of one cell and
     configuration by test set name, on the test sources of every test set
-    (``tests`` holds each with its source line count and references), and
-    save each record with its test set's slice of the hypothesis, unscored."""
+    (``lengths`` holds their source line counts, in config order), and save
+    each record with its test set's slice of the hypothesis, unscored."""
     first = next(iter(records.values()))
     config_dir = os.path.dirname(_run_path(cfg.output_dir, first))
     cell_dir = os.path.dirname(config_dir)
@@ -619,9 +631,9 @@ def _run_config(cfg, tests: list, records: dict):
     hyps, backend_error = [], None
     try:
         os.makedirs(paths["model_dir"], exist_ok=True)
-        _invoke_backend(cfg, paths, os.path.join(config_dir, "backend.log"), tests)
+        _invoke_backend(cfg, paths, os.path.join(config_dir, "backend.log"))
         hyps = read_lines(paths["hyp_out"])
-        expected = sum(n for _, n, _ in tests)
+        expected = sum(lengths)
         if len(hyps) != expected:
             raise OrchestratorError("hypothesis line count %d does not match the %d lines "
                                     "of the test sources" % (len(hyps), expected))
@@ -629,18 +641,13 @@ def _run_config(cfg, tests: list, records: dict):
         backend_error = str(exc)  # fails every pending test set of the configuration
 
     end = 0
-    for testset, n_src, refs in tests:
+    for testset, n_src in zip(cfg.test_sets, lengths):
         start, end = end, end + n_src
         record = records.get(testset.name)
         if record is None:
             continue
         run_dir = os.path.join(config_dir, testset.name)
         reason = backend_error
-        if reason is None and n_src != len(refs):
-            reason = "test set %r has %d source lines but %d references" % (
-                testset.name, n_src, len(refs))
-        if reason is None and not refs:
-            reason = "test set %r has no lines to score" % testset.name
         if reason is None:
             try:  # hyp.detok.txt, which evaluate scores
                 write_lines(os.path.join(run_dir, "hyp.detok.txt"),
@@ -656,8 +663,16 @@ def _read_manifest(run_dir) -> dict:
     path = os.path.join(run_dir, "manifest.json")
     if not os.path.isfile(path):
         raise OrchestratorError("not a sweep output directory (no manifest.json): %s" % run_dir)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    manifest = _read_json(path)
+    sets = manifest.get("test_sets") if isinstance(manifest, dict) else None
+    if not (isinstance(sets, list) and _is_int(manifest.get("significance_iterations"))
+            and all(isinstance(ts, dict) and all(isinstance(ts.get(key), str)
+                                                 for key in ("name", "src", "tgt"))
+                    for ts in sets)):
+        raise OrchestratorError("%s is not a sweep manifest: it needs a JSON object with an "
+                                "int significance_iterations and a test_sets list of objects "
+                                "with string name, src and tgt" % path)
+    return manifest
 
 
 def evaluate(run_dir, records) -> list:
@@ -666,7 +681,7 @@ def evaluate(run_dir, records) -> list:
     baseline, in place; save each changed record once and return ``records``.
     Two records of one run are refused."""
     manifest = _read_manifest(run_dir)
-    ref_paths = {ts["name"]: ts["tgt"] for ts in manifest.get("test_sets", [])}
+    ref_paths = {ts["name"]: ts["tgt"] for ts in manifest["test_sets"]}
     families, refs = {}, {}
     for r in records:
         family = families.setdefault((r.direction, r.size, r.rep, r.testset), {})

@@ -184,7 +184,7 @@ def test_criterion_10_end_to_end(tmp_path):
     start = time.time()
     corpus = write_toy_corpus(str(tmp_path), n_train=500, n_test=20)
 
-    # echo-reference: everything scores 100.00
+    # the default backend writes the references: everything scores 100.00
     cfg = load_experiment(write_config(str(tmp_path), corpus, sizes=[100],
                                        nmo_set=[20, 40]))
     records = run_sweep(cfg)

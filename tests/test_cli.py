@@ -11,7 +11,8 @@ from asymbpe import orchestrator
 from asymbpe.bpe import MergeTable, learn_bpe
 from asymbpe.cli import main
 from conftest import oracle_segment
-from test_orchestrator import planted_backend, write_config, write_toy_corpus
+from test_orchestrator import (IDENTITY_BACKEND, planted_backend, write_config,
+                               write_toy_corpus)
 
 
 def run(capsys, *argv):
@@ -356,7 +357,7 @@ def test_sweep_and_report_run_dir_write_the_same_files(tmp_path, capsys):
     corpus = write_toy_corpus(str(tmp_path))
     extra = [{"name": "dev", "src": corpus["test_src"], "tgt": corpus["test_tgt"]}]
     config = write_config(str(tmp_path), corpus, extra_test_sets=extra,
-                          backend={"command": "mock:identity"})
+                          backend={"command": IDENTITY_BACKEND})
     out_dir = tmp_path / "out"
 
     def files():
@@ -468,3 +469,45 @@ def test_report_refuses_a_path_that_is_not_a_sweep_directory(tmp_path, capsys):
         code, out, err = run(capsys, "report", "--run-dir", str(path))
         assert (code, out) == (1, "")
         assert err == "error: not a sweep output directory (no manifest.json): %s\n" % path
+
+
+@pytest.mark.parametrize("command", [["chrf", "--hyp", "{bad}", "--ref", "{good}"],
+                                     ["learn-bpe", "--input", "{bad}", "--nmo", "5",
+                                      "--output", "{out}"],
+                                     ["apply-bpe", "--table", "{table}", "--input", "{bad}"]],
+                         ids=["chrf", "learn-bpe", "apply-bpe"])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, command):
+    paths = {"bad": tmp_path / "bad.txt", "good": tmp_path / "good.txt",
+             "out": tmp_path / "out.bpe", "table": tmp_path / "t.bpe"}
+    paths["bad"].write_bytes(b"the cat\nsat \xff\n")
+    paths["good"].write_text("the cat\nsat on\n", encoding="utf-8")
+    learn_bpe(["the cat"], 2).save(str(paths["table"]))
+    code, out, err = run(capsys, *[arg.format(**paths) for arg in command])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
+                          % paths["bad"])
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("[1]", "is not a sweep manifest: it needs a JSON object"),
+    ('{"test_sets": []}', "is not a sweep manifest: it needs a JSON object"),
+    ('{"significance_iterations": 10, "test_sets": [1]}', "is not a sweep manifest"),
+    ("{", ": Expecting property name enclosed in double quotes"),
+], ids=["list", "no-iterations", "test-set-not-an-object", "not-json"])
+def test_report_refuses_a_malformed_manifest_naming_it(tmp_path, capsys, text, problem):
+    (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "report", "--run-dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s" % (tmp_path / "manifest.json")) and problem in err
+
+
+def test_sweep_refuses_a_truncated_config_naming_it(tmp_path, capsys):
+    corpus = write_toy_corpus(str(tmp_path))
+    config = Path(write_config(str(tmp_path), corpus))
+    text = config.read_text(encoding="utf-8")
+    config.write_text(text[:text.index(":") + 1], encoding="utf-8")  # '{"schema":'
+    code, out, err = run(capsys, "sweep", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s: Expecting value" % config)
+    assert not (tmp_path / "out").exists()

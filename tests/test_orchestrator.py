@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import tracemalloc
@@ -38,7 +39,16 @@ def write_toy_corpus(directory, n_train=120, n_valid=10, n_test=12, seed=0,
     return paths
 
 
+# The de-segmented test source as the hypothesis.
+IDENTITY_BACKEND = "sed 's/@@ //g' {test_src} > {hyp_out}"
+
+
 def write_config(directory, corpus_paths, **overrides):
+    """Write an experiment config. Its default backend writes the references
+    of every test set, in config order, as the hypothesis."""
+    extras = overrides.get("extra_test_sets") or []  # malformed ones are load_experiment's
+    refs = [corpus_paths["test_tgt"]] + [ts["tgt"] for ts in extras
+                                         if isinstance(ts, dict) and "tgt" in ts]
     cfg = {
         "schema": 1,
         "train_src": corpus_paths["train_src"],
@@ -50,7 +60,7 @@ def write_config(directory, corpus_paths, **overrides):
         "direction": "en-xx",
         "sizes": [50],
         "nmo_set": [10, 20],
-        "backend": {"command": "mock:echo-reference"},
+        "backend": {"command": "cat %s > {hyp_out}" % " ".join(map(shlex.quote, refs))},
         "output_dir": os.path.join(directory, "out"),
         "seed": 7,
         "significance_iterations": 100,
@@ -211,7 +221,7 @@ class TestLoadExperiment:
     def test_mistyped_setting_named(self, tmp_path, field, value):
         corpus = write_toy_corpus(str(tmp_path))
         if field == "backend.timeout":
-            overrides = {"backend": {"command": "mock:identity", "timeout": value}}
+            overrides = {"backend": {"command": IDENTITY_BACKEND, "timeout": value}}
         else:
             overrides = {field: value}
         path = write_config(str(tmp_path), corpus, **overrides)
@@ -255,7 +265,7 @@ class TestLoadExperiment:
         corpus = write_toy_corpus(str(tmp_path))
         for timeout in (30, 0.5):
             path = write_config(str(tmp_path), corpus,
-                                backend={"command": "mock:identity", "timeout": timeout})
+                                backend={"command": IDENTITY_BACKEND, "timeout": timeout})
             assert load_experiment(path).backend_timeout == timeout
 
     def test_unknown_placeholder_rejected(self, tmp_path):
@@ -279,7 +289,7 @@ class TestRunSweep:
     def test_identity_backend_on_copy_corpus(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path), parallel_identity=True)
         cfg = load_experiment(write_config(
-            str(tmp_path), corpus, backend={"command": "mock:identity"}))
+            str(tmp_path), corpus, backend={"command": IDENTITY_BACKEND}))
         records = run_sweep(cfg)
         assert all(r.chrf == pytest.approx(100.0, abs=1e-9) for r in records)
 
@@ -315,7 +325,7 @@ class TestRunSweep:
     def test_resume_does_not_score_a_stale_hypothesis(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
         run_sweep(load_experiment(write_config(
-            str(tmp_path), corpus, backend={"command": "sed 's/@@ //g' {test_src} > {hyp_out}"})))
+            str(tmp_path), corpus, backend={"command": IDENTITY_BACKEND})))
         cfg = load_experiment(write_config(str(tmp_path), corpus,
                                            backend={"command": "true {hyp_out}"}))
         os.remove(cell_path(cfg, "10_20", "test", "record.json"))
@@ -900,29 +910,32 @@ class TestOneBackendRunPerConfiguration:
                 "".join("line%d\n" % i for i in range(first, first + n))
         assert len(read_bytes(cell_path(cfg, "20_10", "hyp.txt")).splitlines()) == 22
 
-    def test_reference_count_off_fails_only_its_test_set(self, tmp_path):
+    def test_reference_count_off_is_refused_before_any_run(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
-        cfg = load_experiment(write_config(
-            str(tmp_path), corpus, extra_test_sets=tagged_sets(tmp_path, corpus, n_refs2=9),
-            backend={"command": tagging_backend(tmp_path)}))
+        extra = tagged_sets(tmp_path, corpus, n_refs2=9)
+        cfg = load_experiment(write_config(str(tmp_path), corpus, extra_test_sets=extra,
+                                           backend={"command": tagging_backend(tmp_path)}))
+        with pytest.raises(OrchestratorError) as exc:
+            run_sweep(cfg)
+        assert str(exc.value) == ("test set 'test2' has 10 source lines and 9 references; it "
+                                  "needs one reference per source line, and at least one")
+        assert record_bytes(cfg) == {} and backend_calls(tmp_path) == []
+        # Nothing was recorded as failed, so the sweep runs once the file is mended.
+        write_lines_file(extra[0]["tgt"], ["line%d" % (12 + i) for i in range(10)])
         records = run_sweep(cfg)
-        assert len(backend_calls(tmp_path)) == 4
-        assert all(r.status == "done" and r.chrf == 100.0 and r.p_vs_baseline == 1.0
-                   for r in records if r.testset == "test")
-        failed = [r for r in records if r.testset == "test2"]
-        assert all(r.status == "failed" and r.chrf is None for r in failed)
-        assert all("'test2' has 10 source lines but 9 references" in r.failure_reason
-                   for r in failed)
+        assert len(records) == 8 and all(r.status == "done" and r.chrf == 100.0
+                                          for r in records)
 
-    def test_empty_test_set_fails_only_its_test_set(self, tmp_path):
+    def test_empty_test_set_is_refused_before_any_run(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
         cfg = load_experiment(write_config(
             str(tmp_path), corpus, extra_test_sets=tagged_sets(tmp_path, corpus, n_test2=0),
             backend={"command": tagging_backend(tmp_path)}))
-        records = run_sweep(cfg)
-        assert all(r.status == "done" and r.chrf == 100.0 for r in records if r.testset == "test")
-        assert [(r.status, r.failure_reason) for r in records if r.testset == "test2"] == \
-            [("failed", "test set 'test2' has no lines to score")] * 4
+        with pytest.raises(OrchestratorError) as exc:
+            run_sweep(cfg)
+        assert str(exc.value) == ("test set 'test2' has 0 source lines and 0 references; it "
+                                  "needs one reference per source line, and at least one")
+        assert record_bytes(cfg) == {} and backend_calls(tmp_path) == []
 
     def test_failing_backend_fails_every_test_set_of_its_configuration(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
@@ -1003,7 +1016,6 @@ class TestOneBackendRunPerConfiguration:
         assert len(records) == 8
         assert all(r.status == "done" and r.chrf == pytest.approx(100.0, abs=1e-9)
                    for r in records)
-        assert not os.path.exists(cell_path(cfg, "10_20", "backend.log"))
 
     @pytest.mark.parametrize("code", [0, 1])
     def test_backend_output_kept_in_log(self, tmp_path, code):
@@ -1042,3 +1054,32 @@ class TestOneBackendRunPerConfiguration:
         assert [r.status for r in records] == ["failed"]
         assert records[0].failure_reason == \
             "backend timed out after 0.5 s (log %s): started" % log
+
+    def test_quoted_placeholders_survive_spaces_quotes_and_substitutions(self, tmp_path,
+                                                                         monkeypatch):
+        # Each placeholder expands to one shell word, so nothing in the output
+        # directory's name is split, unquoted or executed.
+        monkeypatch.chdir(tmp_path)
+        corpus = write_toy_corpus(str(tmp_path), parallel_identity=True)
+        out = str(tmp_path / "out with space's $(touch INJECTED)")
+        cfg = load_experiment(write_config(str(tmp_path), corpus, output_dir=out,
+                                           backend={"command": IDENTITY_BACKEND}))
+        records = run_sweep(cfg)
+        assert len(records) == 4 and all(r.status == "done" and r.chrf == 100.0
+                                          for r in records)
+        assert not (tmp_path / "INJECTED").exists()
+
+    def test_undecodable_hypothesis_fails_only_its_configuration(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        # 10_20 appends the byte 0xff to its hypothesis.
+        command = ("h={hyp_out}; cp %s \"$h\" && if [ {config} = 10_20 ]; then "
+                   "printf '\\377' >> \"$h\"; fi" % shlex.quote(corpus["test_tgt"]))
+        cfg = load_experiment(write_config(str(tmp_path), corpus,
+                                           backend={"command": command}))
+        records = {r.config_label: r for r in run_sweep(cfg)}
+        assert records["10_20"].status == "failed"
+        assert records["10_20"].failure_reason.startswith(
+            "%s is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
+            % cell_path(cfg, "10_20", "hyp.txt"))
+        assert all(records[label].status == "done" and records[label].chrf == 100.0
+                   for label in ("10_10", "20_10", "20_20"))
