@@ -9,19 +9,21 @@ segmentation at every requested NMO from one encode per distinct word, so
 its memory grows with the word types, not with the lines. ``learn_bpe``
 counts words from any iterable of lines (an open file streams) and keeps
 only the pairs that still occur. Word-final symbols carry the reserved
-marker ``</w>``; non-final pieces render with a trailing ``@@``.
+marker ``</w>``; non-final pieces render with a trailing ``@@``. A table
+file is read and written through ``textfiles``, as every text file is.
 
 Tie-breaking is deterministic: among pairs with the maximal count, the
 lexicographically smallest ``(left, right)`` pair (code-point order) wins.
 """
 
 import heapq
-import os
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+
+from .textfiles import iter_lines, write_lines
 
 END = "</w>"
 ESCAPED_END = "<\\/w>"
@@ -69,31 +71,25 @@ class MergeTable:
         return ranks
 
     def save(self, path):
-        """Write the table to a temporary file and rename it into place, so a
-        save cut short leaves no torn table."""
-        lines = [TABLE_HEADER] + ["%s %s" % (_escape(r.left), _escape(r.right))
-                                  for r in self.rules]
-        data = ("\n".join(lines) + "\n").encode("utf-8")
-        tmp = os.fspath(path) + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        """Write the table atomically (``textfiles.write_lines``), so a save
+        cut short leaves no torn table."""
+        rules = ("%s %s" % (_escape(r.left), _escape(r.right)) for r in self.rules)
+        write_lines(path, chain([TABLE_HEADER], rules))
 
     @classmethod
     def load(cls, path) -> "MergeTable":
         rules = []
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != TABLE_HEADER:
-                raise BpeError("not a merge-table file (bad header %r): %s" % (header, path))
-            for i, line in enumerate(fh):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(" ")
-                if len(parts) != 2:
-                    raise BpeError("malformed rule on line %d of %s: %r" % (i + 2, path, line))
-                rules.append(MergeRule(_unescape(parts[0]), _unescape(parts[1])))
+        lines = iter_lines(path)
+        header = next(lines, "")
+        if header != TABLE_HEADER:
+            raise BpeError("not a merge-table file (bad header %r): %s" % (header, path))
+        for i, line in enumerate(lines, 2):
+            if not line:
+                continue
+            parts = line.split(" ")
+            if len(parts) != 2:
+                raise BpeError("malformed rule on line %d of %s: %r" % (i, path, line))
+            rules.append(MergeRule(_unescape(parts[0]), _unescape(parts[1])))
         return cls(rules)
 
 

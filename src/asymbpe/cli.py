@@ -1,24 +1,23 @@
 """Command-line interface: one entry point, one subcommand per task.
 ``sweep`` and ``report`` score a sweep directory through one function,
-``orchestrator.evaluate``, and report it through ``emit_report``."""
+``orchestrator.evaluate``, and report it through ``emit_report``. Every
+file, stdin included, is read and written through ``textfiles``."""
 
 import argparse
-import json
 import sys
 
 from . import __version__, bpe, chrf, orchestrator, sampler
-from .orchestrator import atomic_open, iter_lines, read_lines, write_lines
 from .sweep import SweepError, parse_nmo, recommend
+from .textfiles import iter_lines, iter_stdin_lines, read_lines, write_json, write_lines
 
 
 def _map_lines(input_path, output_path, fn):
     """Write each line of fn(lines), for the lines of a file (``iter_lines``)
-    or stdin, to a file or stdout, one line at a time. A file is written to
-    a temporary file beside it and renamed into place when complete
-    (``write_lines``), so the output may name the input file, and a failure
-    leaves it as it was."""
-    lines = fn(iter_lines(input_path) if input_path
-               else (line.rstrip("\n") for line in sys.stdin))
+    or stdin (``iter_stdin_lines``), to a file or stdout, one line at a
+    time. A file is written to a temporary file beside it and renamed into
+    place when complete (``write_lines``), so the output may name the input
+    file, and a failure leaves it as it was."""
+    lines = fn(iter_lines(input_path) if input_path else iter_stdin_lines())
     if output_path:
         write_lines(output_path, lines)
     else:
@@ -65,9 +64,9 @@ def cmd_sample(args):
     prefix = args.out_prefix
     write_lines(prefix + ".src", sample_src)
     write_lines(prefix + ".tgt", sample_tgt)
-    with atomic_open(prefix + ".manifest.json") as fh:
-        json.dump({"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict(),
-                   "seed": args.seed, "sampled_pairs": len(indices)}, fh, indent=2)
+    write_json(prefix + ".manifest.json",
+               {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict(),
+                "seed": args.seed, "sampled_pairs": len(indices)})
     print("sampled %d pairs -> %s.{src,tgt}" % (len(indices), prefix), file=sys.stderr)
 
 

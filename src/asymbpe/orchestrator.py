@@ -8,11 +8,11 @@ smaller table is its prefix) from the sample file as it reads it, and
 segments each split into ``<cell>/seg/`` at every NMO of its side, encoding
 each word once (``bpe.segment_lines``). Each raw file streams line by line
 into one temporary file per missing NMO, and each is renamed into place
-when complete (``write_columns``), so preparation holds word types and
-learner state but no file's lines. The source lines of every test set, in
-config order, form one combined test source per source NMO. A size the
-corpus cannot sample is refused before any backend runs; the corpus is read
-only for a missing sample.
+when complete (``textfiles.write_columns``), so preparation holds word
+types and learner state but no file's lines. The source lines of every
+test set, in config order, form one combined test source per source NMO.
+A size the corpus cannot sample is refused before any backend runs; the
+corpus is read only for a missing sample.
 
 Run: one worker pool takes every (cell, configuration) with a pending run
 and invokes the translation backend once on the cell's shared files, which
@@ -41,8 +41,9 @@ runs. Each placeholder expands to one shell-quoted word; the command's stdout
 and stderr go to ``<cell>/<config>/backend.log``, and any ``{hyp_out}`` an
 earlier attempt left is deleted before it runs. A test set whose source and
 reference line counts differ, or that has no lines, is refused before any
-cell is prepared. A text file that is not UTF-8 is refused, naming it
-(``iter_lines``).
+cell is prepared. Every file of lines is read, and every file but the
+backend's log is written, through ``textfiles``, which refuses a file that
+is not UTF-8, naming it. This module reads JSON itself (``_read_json``).
 """
 
 import contextlib
@@ -59,6 +60,8 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from . import bpe, chrf, sampler
 from .sweep import (BpeConfig, SystemResult, enumerate_grid, format_nmo, parse_nmo,
                     rank_key, render_tier_text, render_tier_tsv, tier_report, SweepError)
+from .textfiles import (TextFileError, iter_lines, read_lines, write_columns, write_json,
+                        write_lines)
 
 SCHEMA_VERSION = 1
 
@@ -349,62 +352,6 @@ def load_experiment(path) -> ExperimentConfig:
     return cfg
 
 
-def iter_lines(path):
-    """Yield the lines of a UTF-8 text file, without their newlines. A file
-    that is not UTF-8 is refused, naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line in fh:
-                yield line.rstrip("\n")
-        except UnicodeDecodeError as exc:
-            raise OrchestratorError("%s is not UTF-8 text: %s" % (path, exc)) from None
-
-
-def read_lines(path) -> list:
-    """The lines of a UTF-8 text file, without their newlines."""
-    return list(iter_lines(path))
-
-
-@contextlib.contextmanager
-def atomic_open(path):
-    """A UTF-8 text file open for writing at ``path + ".tmp"``, renamed to
-    ``path`` when the block completes and removed when it raises, so
-    ``path`` is never torn and may be read while the block writes."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
-def write_columns(paths, rows):
-    """Write item k of each row as one line of ``paths[k]``, all files at
-    once and each atomically (``atomic_open``), creating parent directories.
-    ``rows`` is consumed one row at a time."""
-    for path in paths:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(atomic_open(path)) for path in paths]
-        for row in rows:
-            for fh, line in zip(files, row):
-                fh.write(line + "\n")
-
-
-def write_lines(path, lines):
-    """Write one line per item of ``lines`` to ``path`` (``write_columns``)."""
-    write_columns([path], zip(lines))
-
-
-def _write_json(path, obj):
-    write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
-
-
 def _table_path(cell_dir, lang, nmo):
     return os.path.join(cell_dir, "tables", "%s.%s.bpe" % (lang, format_nmo(nmo)))
 
@@ -418,7 +365,6 @@ def _cell_tables(cfg, cell_dir, lang, sample_path):
         full = bpe.MergeTable.load(top)
     else:
         full = bpe.learn_bpe(iter_lines(sample_path), max(cfg.nmo_set))
-    os.makedirs(os.path.dirname(top), exist_ok=True)
     for nmo in cfg.nmo_set:
         path = _table_path(cell_dir, lang, nmo)
         if not os.path.exists(path):
@@ -469,7 +415,7 @@ def _record_path(run_dir):
 
 
 def _save_record(run_dir, record: RunRecord):
-    _write_json(_record_path(run_dir), record.to_dict())
+    write_json(_record_path(run_dir), record.to_dict())
 
 
 def _load_record(run_dir):
@@ -535,7 +481,7 @@ def run_sweep(cfg: ExperimentConfig) -> list:
     if os.path.exists(os.path.join(out, "manifest.json")):
         manifest["test_sets"] = _resumed_test_sets(out, _read_manifest(out), manifest)
     lengths = _test_set_lengths(cfg)  # before anything is written or run
-    _write_json(os.path.join(out, "manifest.json"), manifest)
+    write_json(os.path.join(out, "manifest.json"), manifest)
 
     runs, pending = [], {}  # pending: (size, rep, configuration) -> {test set: run}
     for size in cfg.sizes:
@@ -601,8 +547,8 @@ def _prepare_cells(cfg, cells):
             src_sample, tgt_sample, _ = sampler.draw_sample(train_src, train_tgt, plan)
             write_lines(s_src, src_sample)
             write_lines(s_tgt, tgt_sample)
-            _write_json(os.path.join(cell_dir, "sample", "manifest.json"),
-                        {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict()})
+            write_json(os.path.join(cell_dir, "sample", "manifest.json"),
+                       {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict()})
         tables = {"src": _cell_tables(cfg, cell_dir, cfg.src_lang, s_src),
                   "tgt": _cell_tables(cfg, cell_dir, cfg.tgt_lang, s_tgt)}
         for split, side, raw in inputs.values():
@@ -637,7 +583,7 @@ def _run_config(cfg, lengths: list, records: dict):
         if len(hyps) != expected:
             raise OrchestratorError("hypothesis line count %d does not match the %d lines "
                                     "of the test sources" % (len(hyps), expected))
-    except (OrchestratorError, OSError) as exc:
+    except (OrchestratorError, TextFileError, OSError) as exc:
         backend_error = str(exc)  # fails every pending test set of the configuration
 
     end = 0
@@ -788,11 +734,9 @@ def emit_report(records, out_dir) -> dict:
     for (direction, size, rep, testset), cell in sorted(cells.items()):
         per_src = {}
         for r in cell:
-            cur = per_src.get(r.src_nmo)
-            if cur is None or r.chrf > cur.chrf:
-                per_src[r.src_nmo] = r
+            per_src.setdefault(r.src_nmo, []).append(r)
         for src_nmo in sorted(per_src):
-            best = per_src[src_nmo]
+            best = min(per_src[src_nmo], key=lambda r: rank_key(r.chrf, r.src_nmo, r.tgt_nmo))
             lines.append("%s\t%d\t%d\t%s\t%d\t%.2f\t%s" % (
                 direction, size, rep, testset, src_nmo, best.chrf, best.config_label))
     write_lines(max_path, lines)

@@ -92,11 +92,39 @@ def test_apply_bpe_and_unbpe_use_stdin_and_stdout(tmp_path, capsys, monkeypatch)
     assert run(capsys, "learn-bpe", "--input", str(corpus), "--nmo", "8",
                "--output", str(table))[0] == 0
 
-    monkeypatch.setattr(sys, "stdin", io.StringIO("the cats\n"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"the cats\n")))
     code, segmented, _ = run(capsys, "apply-bpe", "--table", str(table))
     assert code == 0 and segmented.count("\n") == 1 and "@@" in segmented
-    monkeypatch.setattr(sys, "stdin", io.StringIO(segmented))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(segmented.encode())))
     assert run(capsys, "unbpe") == (0, "the cats\n", "")
+
+
+@pytest.mark.parametrize("command", [["unbpe"], ["apply-bpe", "--table", "{table}"]],
+                         ids=["unbpe", "apply-bpe"])
+def test_stdin_that_is_not_utf8_is_refused(tmp_path, capsys, monkeypatch, command):
+    table = tmp_path / "t.bpe"
+    learn_bpe(["the cat"], 2).save(table)
+    stdin = io.TextIOWrapper(io.BytesIO(b"ab\xff\n"))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run(capsys, *[arg.format(table=table) for arg in command])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: <stdin> is not UTF-8 text: 'utf-8' codec can't decode "
+                          "byte 0xff")
+    assert not stdin.closed and not stdin.buffer.closed
+
+
+def test_learn_bpe_and_apply_bpe_create_the_output_directory(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat\nthe cat ran\n", encoding="utf-8")
+    table = tmp_path / "tables" / "t.bpe"
+    assert run(capsys, "learn-bpe", "--input", str(corpus), "--nmo", "4",
+               "--output", str(table))[0] == 0
+    assert MergeTable.load(table) == learn_bpe(["the cat sat", "the cat ran"], 4)
+    segmented = tmp_path / "seg" / "corpus.seg"
+    assert run(capsys, "apply-bpe", "--table", str(table), "--input", str(corpus),
+               "--output", str(segmented))[0] == 0
+    assert len(segmented.read_text(encoding="utf-8").splitlines()) == 2
+    assert sorted(p.name for p in (tmp_path / "tables").iterdir()) == ["t.bpe"]
 
 
 def test_learn_bpe_nmo_takes_k_notation(tmp_path, capsys):
@@ -163,13 +191,18 @@ def test_failed_sample_manifest_write_leaves_the_earlier_manifest(tmp_path, caps
     assert run(capsys, *argv)[0] == 0
     manifest = Path(prefix + ".manifest.json")
     before = manifest.read_bytes()
-    assert before.startswith(b'{\n  "bin_plan"') and before.endswith(b"}")
+    assert before.startswith(b'{\n  "bin_plan"') and before.endswith(b"}\n")
 
-    def torn_dump(obj, fh, **kwargs):
-        fh.write("{")
-        raise OSError("disk full")
+    # The new manifest is written in full to its temporary file, whose
+    # rename into place then fails.
+    replace = os.replace
 
-    monkeypatch.setattr(json, "dump", torn_dump)
+    def failed_manifest_replace(src, dst):
+        if str(dst).endswith(".manifest.json"):
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failed_manifest_replace)
     code, _, err = run(capsys, *argv)
     assert code == 1 and "disk full" in err
     assert manifest.read_bytes() == before
@@ -474,18 +507,23 @@ def test_report_refuses_a_path_that_is_not_a_sweep_directory(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["chrf", "--hyp", "{bad}", "--ref", "{good}"],
                                      ["learn-bpe", "--input", "{bad}", "--nmo", "5",
                                       "--output", "{out}"],
-                                     ["apply-bpe", "--table", "{table}", "--input", "{bad}"]],
-                         ids=["chrf", "learn-bpe", "apply-bpe"])
+                                     ["apply-bpe", "--table", "{table}", "--input", "{bad}"],
+                                     ["apply-bpe", "--table", "{bad_table}", "--input",
+                                      "{good}"]],
+                         ids=["chrf", "learn-bpe", "apply-bpe", "apply-bpe-table"])
 def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, command):
     paths = {"bad": tmp_path / "bad.txt", "good": tmp_path / "good.txt",
-             "out": tmp_path / "out.bpe", "table": tmp_path / "t.bpe"}
+             "out": tmp_path / "out.bpe", "table": tmp_path / "t.bpe",
+             "bad_table": tmp_path / "bad.bpe"}
     paths["bad"].write_bytes(b"the cat\nsat \xff\n")
     paths["good"].write_text("the cat\nsat on\n", encoding="utf-8")
     learn_bpe(["the cat"], 2).save(str(paths["table"]))
+    paths["bad_table"].write_bytes(b"#asym-bpe v1\nt h\xff\n")
+    bad = paths["bad_table" if "{bad_table}" in command else "bad"]
     code, out, err = run(capsys, *[arg.format(**paths) for arg in command])
     assert (code, out) == (1, "")
     assert err.startswith("error: %s is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
-                          % paths["bad"])
+                          % bad)
     assert not paths["out"].exists()
 
 

@@ -813,12 +813,16 @@ class TestEmitReport:
         assert summary[1].split("\t")[5] == "3"
 
     def test_src_nmo_max_trace(self, tmp_path):
+        # Source NMO 2000 ties two target NMOs: the smaller one is its best.
         records = [make_record(500, 500, 10.0), make_record(500, 1000, 12.0),
-                   make_record(1000, 500, 15.0), make_record(1000, 1000, 11.0)]
+                   make_record(1000, 500, 15.0), make_record(1000, 1000, 11.0),
+                   make_record(2000, 1000, 13.0), make_record(2000, 500, 13.0)]
         artifacts = emit_report(records, str(tmp_path))
         lines = Path(artifacts["max_trace"]).read_text(encoding="utf-8").strip().split("\n")[1:]
         maxima = {int(l.split("\t")[4]): float(l.split("\t")[5]) for l in lines}
-        assert maxima == {500: 12.0, 1000: 15.0}
+        assert maxima == {500: 12.0, 1000: 15.0, 2000: 13.0}
+        best = {int(l.split("\t")[4]): l.split("\t")[6] for l in lines}
+        assert best[2000] == BpeConfig(2000, 500).label
 
     def test_no_completed_records_error(self, tmp_path):
         with pytest.raises(OrchestratorError):
