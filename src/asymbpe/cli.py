@@ -59,11 +59,11 @@ def cmd_sample(args):
         raise sampler.SamplerError("--bins: %s" % exc) from None
     histogram = sampler.bin_histogram(src_lines, tgt_lines, bins)
     plan = sampler.make_sample_plan(histogram, args.size, args.seed, args.granularity)
-    sample_src, sample_tgt, indices = sampler.draw_sample(src_lines, tgt_lines, plan)
+    indices = sampler.draw_sample(histogram, plan)
 
     prefix = args.out_prefix
-    write_lines(prefix + ".src", sample_src)
-    write_lines(prefix + ".tgt", sample_tgt)
+    write_lines(prefix + ".src", (src_lines[i] for i in indices))
+    write_lines(prefix + ".tgt", (tgt_lines[i] for i in indices))
     write_json(prefix + ".manifest.json",
                {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict(),
                 "seed": args.seed, "sampled_pairs": len(indices)})

@@ -1,6 +1,7 @@
-"""End-to-end sweep driver: three passes over one table of runs, each run
-one (dataset size, repetition, configuration, test set) with its finished
-record on disk or a new pending one. A (size, repetition) pair is a cell.
+"""End-to-end sweep driver over one record set, its output directory. A run
+is one (dataset size, repetition, configuration, test set) and a (size,
+repetition) pair is a cell; a planned run without a finished record there
+is pending.
 
 Prepare: each cell with a pending run draws its stratified sample of the
 training corpus, learns one merge table per side at the largest NMO (each
@@ -21,11 +22,12 @@ whatever the number of test sets. Its hypothesis file is split back into
 the test sets by their source line counts, and each slice is de-segmented
 into the run's ``hyp.detok.txt``.
 
-Evaluate: one ``evaluate`` call reads each ``hyp.detok.txt`` that a score
-or test needs once, against the references ``manifest.json`` names, and
-tests each cell and test set against its best symmetric configuration in
-one pass that shares each swap mask. ``sweep`` and ``report --run-dir``
-both use it.
+Evaluate: one ``evaluate`` call over every record in the directory reads
+each ``hyp.detok.txt`` that a score or test needs once, against the
+references ``manifest.json`` names, and tests each cell and test set
+against its best symmetric configuration in one pass that shares each swap
+mask. ``report --run-dir`` makes the same call, so a resume with a smaller
+grid keeps and reports every finished run.
 
 A backend failure fails every pending run of its configuration; a slice
 that does not match its references fails only its own run. Every sweep
@@ -248,8 +250,10 @@ def load_experiment(path) -> ExperimentConfig:
         # one distinct path component. The combined test source in
         # <cell>/seg/ joins the names with '+', so that name identifies the
         # list of test sets only if no name holds a '+'.
+        # It also fills a column of results.tsv, which a tab or a line
+        # break would split.
         if (not isinstance(name, str) or name in ("", ".", "..")
-                or "/" in name or os.sep in name):
+                or "/" in name or os.sep in name or not name.isprintable()):
             raise OrchestratorError("test set name %r is not a plain file name" % (name,))
         if "+" in name:
             raise OrchestratorError("test set name %r contains '+', which joins test set "
@@ -275,6 +279,12 @@ def load_experiment(path) -> ExperimentConfig:
     if len(langs) != 2 or not all(langs):
         raise OrchestratorError("direction must be two language codes like 'en-hi', got %r"
                                 % (direction,))
+    for lang in langs:
+        # A code names each cell's table files (<lang>.<NMO>.bpe).
+        if (lang in (".", "..") or "/" in lang or os.sep in lang
+                or any(c.isspace() for c in lang) or not lang.isprintable()):
+            raise OrchestratorError("direction %r: language code %r is not a plain name"
+                                    % (direction, lang))
     if langs[0] == langs[1]:
         raise OrchestratorError(
             "direction %r has one language on both sides; merge tables are named "
@@ -418,13 +428,6 @@ def _save_record(run_dir, record: RunRecord):
     write_json(_record_path(run_dir), record.to_dict())
 
 
-def _load_record(run_dir):
-    path = _record_path(run_dir)
-    if not os.path.exists(path):
-        return None
-    return _read_json(path, RunRecord.from_dict)
-
-
 # Manifest fields a resume must not change: every record and artifact on
 # disk was made with them. A manifest that lacks one is not compared on it.
 _RESUME_FIELDS = ("direction", "seed", "significance_iterations", "bins", "granularity",
@@ -450,8 +453,8 @@ def _resumed_test_sets(out, old: dict, new: dict) -> list:
 
 
 def run_sweep(cfg: ExperimentConfig) -> list:
-    """Execute the full sweep, resuming from whatever ``cfg.output_dir``
-    holds; returns one RunRecord per planned run."""
+    """Run each pending run of ``cfg``, then evaluate and return every record
+    in ``cfg.output_dir``, as ``report --run-dir`` does."""
     out = cfg.output_dir
     manifest = {
         "schema": SCHEMA_VERSION,
@@ -483,7 +486,8 @@ def run_sweep(cfg: ExperimentConfig) -> list:
     lengths = _test_set_lengths(cfg)  # before anything is written or run
     write_json(os.path.join(out, "manifest.json"), manifest)
 
-    runs, pending = [], {}  # pending: (size, rep, configuration) -> {test set: run}
+    finished = {_run_path(out, r) for r in collect_records(out) if r.status != "pending"}
+    pending = {}  # (size, rep, configuration) -> {test set: run}
     for size in cfg.sizes:
         for rep in range(cfg.repetitions):
             for config in enumerate_grid(cfg.nmo_set):
@@ -491,16 +495,14 @@ def run_sweep(cfg: ExperimentConfig) -> list:
                     run = RunRecord(config_label=config.label, src_nmo=config.src_nmo,
                                     tgt_nmo=config.tgt_nmo, direction=cfg.direction,
                                     size=size, rep=rep, testset=ts.name, seed=cfg.seed + rep)
-                    rec = _load_record(_run_path(out, run))
-                    if not (rec and rec.status in ("done", "failed")):
-                        rec = pending.setdefault((size, rep, config), {})[ts.name] = run
-                    runs.append(rec)
+                    if _run_path(out, run) not in finished:
+                        pending.setdefault((size, rep, config), {})[ts.name] = run
 
     # Every cell is complete before any backend starts: runs need no locks.
     _prepare_cells(cfg, dict.fromkeys(key[:2] for key in pending))
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         list(pool.map(lambda records: _run_config(cfg, lengths, records), pending.values()))
-    return evaluate(out, runs)
+    return evaluate(out, collect_records(out))
 
 
 def _test_set_lengths(cfg) -> list:
@@ -544,9 +546,9 @@ def _prepare_cells(cfg, cells):
                     train_src, train_tgt, sampler.make_bins(cfg.bin_boundaries)))
             train_src, train_tgt, histogram = corpus
             plan = sampler.make_sample_plan(histogram, size, cfg.seed + rep, cfg.granularity)
-            src_sample, tgt_sample, _ = sampler.draw_sample(train_src, train_tgt, plan)
-            write_lines(s_src, src_sample)
-            write_lines(s_tgt, tgt_sample)
+            indices = sampler.draw_sample(histogram, plan)
+            write_lines(s_src, (train_src[i] for i in indices))
+            write_lines(s_tgt, (train_tgt[i] for i in indices))
             write_json(os.path.join(cell_dir, "sample", "manifest.json"),
                        {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict()})
         tables = {"src": _cell_tables(cfg, cell_dir, cfg.src_lang, s_src),
@@ -675,17 +677,23 @@ def evaluate(run_dir, records) -> list:
     return records
 
 
+def _report_order(r: RunRecord):
+    """Size, repetition, source NMO, target NMO, test set name."""
+    return r.size, r.rep, r.src_nmo, r.tgt_nmo, r.testset
+
+
 def collect_records(run_dir) -> list:
-    """Load every persisted RunRecord under a sweep output directory, in no
-    particular order (``emit_report`` orders its rows itself)."""
-    return [_load_record(root) for root, _dirs, files in os.walk(run_dir)
-            if "record.json" in files]
+    """Load every persisted RunRecord under a sweep output directory, in
+    ``_report_order``."""
+    return sorted((_read_json(_record_path(root), RunRecord.from_dict)
+                   for root, _dirs, files in os.walk(run_dir) if "record.json" in files),
+                  key=_report_order)
 
 
 def emit_report(records, out_dir) -> dict:
     """Write results.tsv, per-cell tier reports, the per-source-NMO maximum
     trace, and a repetition-averaged summary. Returns the artifact paths.
-    Rows follow size, repetition, source NMO, target NMO and test set name.
+    Rows follow ``_report_order``.
 
     ``asymbpe sweep`` and ``asymbpe report`` both report through here the
     records ``evaluate`` returned, from their own scores (results.tsv rounds
@@ -693,7 +701,7 @@ def emit_report(records, out_dir) -> dict:
     does: each cell's tables in ``tiers/`` name as Baseline the
     configuration its records' p-values were measured against. Each file is
     replaced atomically by ``write_lines``."""
-    records = sorted(records, key=lambda r: (r.size, r.rep, r.src_nmo, r.tgt_nmo, r.testset))
+    records = sorted(records, key=_report_order)
     completed = [r for r in records if r.status == "done"]
     if not completed:
         raise OrchestratorError("no completed records to report")

@@ -7,13 +7,16 @@ manifest's percentages are basis points / 100. Quotas are floored to a
 configurable granularity (default 10), which reproduces the slightly-short
 round totals of the reference protocol (e.g. 99,990 for a 100K target).
 
-Sampling uses Python's Mersenne Twister (``random.Random(seed)``) with
-``Random.sample`` per bin, in bin order, so output is reproducible given
-(corpus, bins, quotas, seed).
+Each source line is binned once, by ``bin_histogram``, which keeps every
+bin's line indices. ``draw_sample`` draws line indices from those bins with
+Python's Mersenne Twister (``random.Random(seed)``) and ``Random.sample``
+per bin, in bin order, so the sample is reproducible given (corpus, bins,
+quotas, seed); callers pick their lines by index. A negative seed is
+refused, since ``random.Random`` would seed with its absolute value.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 DEFAULT_BOUNDARIES = (10, 15, 20, 25, 30, 35, 40)
 
@@ -63,11 +66,14 @@ def assign_bin(bins, length: int) -> int:
 
 @dataclass
 class BinPlan:
-    """Per-bin sentence counts of a corpus."""
+    """Per-bin sentence counts of a corpus. ``members`` holds each bin's
+    line indices in line order when the plan comes from ``bin_histogram``;
+    it is not part of the manifest (``to_dict``)."""
 
     bins: list
     counts: list
     total: int
+    members: list | None = field(default=None, repr=False)
 
     @property
     def basis_points(self) -> list:
@@ -112,17 +118,16 @@ class SamplePlan:
 
 
 def bin_histogram(src_lines, tgt_lines, bins=None) -> BinPlan:
-    """Count sentence pairs per source-length bin."""
+    """Bin the sentence pairs of two equally long sequences of lines by
+    source length, keeping each bin's line indices (``BinPlan.members``)."""
     bins = list(bins) if bins is not None else make_bins()
-    src_lines = list(src_lines)
-    tgt_lines = list(tgt_lines)
     if len(src_lines) != len(tgt_lines):
         raise SamplerError(
             "source/target line counts differ: %d vs %d" % (len(src_lines), len(tgt_lines)))
-    counts = [0] * len(bins)
-    for line in src_lines:
-        counts[assign_bin(bins, len(line.split()))] += 1
-    return BinPlan(bins, counts, len(src_lines))
+    members = [[] for _ in bins]
+    for idx, line in enumerate(src_lines):
+        members[assign_bin(bins, len(line.split()))].append(idx)
+    return BinPlan(bins, [len(m) for m in members], len(src_lines), members)
 
 
 def make_sample_plan(plan: BinPlan, target_size: int, seed: int,
@@ -131,8 +136,10 @@ def make_sample_plan(plan: BinPlan, target_size: int, seed: int,
 
     quota = floor(bp * target / 10000) floored to the granularity, capped at
     availability. target == total is the identity sample (quotas = counts).
-    A plan whose every quota is 0 is refused.
+    A plan whose every quota is 0 is refused, and so is a negative seed.
     """
+    if seed < 0:
+        raise SamplerError("seed must be >= 0, got %r" % (seed,))
     if target_size < 1:
         raise SamplerError("target size must be >= 1, got %r" % (target_size,))
     if granularity < 1:
@@ -151,25 +158,17 @@ def make_sample_plan(plan: BinPlan, target_size: int, seed: int,
     return SamplePlan(list(plan.bins), target_size, quotas, seed, granularity)
 
 
-def draw_sample(src_lines, tgt_lines, plan: SamplePlan):
-    """Draw the planned sample without replacement.
-
-    Returns (sampled_src, sampled_tgt, line_indices). Output order is bin
-    order, then draw order; deterministic for a fixed seed.
-    """
-    src_lines = list(src_lines)
-    tgt_lines = list(tgt_lines)
-    if len(src_lines) != len(tgt_lines):
-        raise SamplerError(
-            "source/target line counts differ: %d vs %d" % (len(src_lines), len(tgt_lines)))
-    members = [[] for _ in plan.bins]
-    for idx, line in enumerate(src_lines):
-        members[assign_bin(plan.bins, len(line.split()))].append(idx)
+def draw_sample(histogram: BinPlan, plan: SamplePlan) -> list:
+    """The line indices of the planned sample, drawn without replacement
+    from the bins of ``histogram`` (``bin_histogram``): bin order, then draw
+    order; deterministic for a fixed seed."""
+    if histogram.members is None or histogram.bins != plan.bins:
+        raise SamplerError("the sample plan needs the bin_histogram of its own bins")
     rng = random.Random(plan.seed)
     chosen = []
-    for b, quota, pool in zip(plan.bins, plan.per_bin_quota, members):
+    for b, quota, pool in zip(plan.bins, plan.per_bin_quota, histogram.members):
         if quota > len(pool):
             raise SamplerError(
                 "bin %s: quota %d exceeds available %d" % (b.label, quota, len(pool)))
         chosen.extend(rng.sample(pool, quota))
-    return [src_lines[i] for i in chosen], [tgt_lines[i] for i in chosen], chosen
+    return chosen

@@ -2,10 +2,12 @@
 lines, merge tables and stdin included, and the JSON writer.
 
 A file is read as strict UTF-8, one line at a time without its newline; one
-that is not UTF-8 is refused, naming it (``<stdin>`` for stdin). A file is
-written to ``<path>.tmp``, its parent directory created if missing, and
-renamed into place when complete, so a write cut short leaves the path as it
-was.
+that is not UTF-8 is refused, naming it (``<stdin>`` for stdin). Only ``\n``
+ends a line: a ``\r`` directly before it is dropped with it, so a CRLF file
+reads as its LF twin, and any other ``\r`` is text, so a lone ``\r`` never
+splits one line of a parallel file into two. A file is written to
+``<path>.tmp``, its parent directory created if missing, and renamed into
+place when complete, so a write cut short leaves the path as it was.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ class TextFileError(ValueError):
 def _decoded_lines(fh, name):
     try:
         for line in fh:
-            yield line.rstrip("\n")
+            yield line[:-2] if line.endswith("\r\n") else line.rstrip("\n")
     except UnicodeDecodeError as exc:
         raise TextFileError("%s is not UTF-8 text: %s" % (name, exc)) from None
 
@@ -30,7 +32,7 @@ def _decoded_lines(fh, name):
 def iter_lines(path):
     """Yield the lines of a UTF-8 text file, without their newlines. A file
     that is not UTF-8 is refused, naming it."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         yield from _decoded_lines(fh, path)
 
 
@@ -38,7 +40,7 @@ def iter_stdin_lines():
     """Yield the lines of stdin as ``iter_lines`` does, decoding its bytes
     as strict UTF-8. The decoder is detached when done, so ``sys.stdin``
     stays open."""
-    fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+    fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
     try:
         yield from _decoded_lines(fh, "<stdin>")
     finally:

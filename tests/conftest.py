@@ -8,6 +8,7 @@ import pytest
 
 from asymbpe.bpe import END, word_symbols
 from asymbpe.chrf import SignificanceResult, corpus_chrf
+from asymbpe.sampler import assign_bin
 
 
 def oracle_learn(word_freqs, nmo):
@@ -61,6 +62,22 @@ def oracle_segment(pairs, word):
                 i += 1
         symbols = out
     return " ".join([s + "@@" for s in symbols[:-1]] + [symbols[-1][:-len(END)]])
+
+
+def oracle_draw(src_lines, tgt_lines, plan):
+    """The two-pass stratified draw: bin every source line by ``plan.bins``
+    again, then ``random.Random(plan.seed).sample`` each bin's line indices,
+    in line order, by its quota, in bin order. Returns (sampled source,
+    sampled target, line indices). Independent of ``bin_histogram``'s
+    single pass."""
+    members = [[] for _ in plan.bins]
+    for idx, line in enumerate(src_lines):
+        members[assign_bin(plan.bins, len(line.split()))].append(idx)
+    rng = random.Random(plan.seed)
+    chosen = []
+    for quota, pool in zip(plan.per_bin_quota, members):
+        chosen.extend(rng.sample(pool, quota))
+    return [src_lines[i] for i in chosen], [tgt_lines[i] for i in chosen], chosen
 
 
 def random_word_freqs(rng, max_types=50, alphabet="abcde", max_len=6, max_freq=20):

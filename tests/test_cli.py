@@ -10,6 +10,7 @@ import pytest
 from asymbpe import orchestrator
 from asymbpe.bpe import MergeTable, learn_bpe
 from asymbpe.cli import main
+from asymbpe.textfiles import read_lines
 from conftest import oracle_segment
 from test_orchestrator import (IDENTITY_BACKEND, planted_backend, write_config,
                                write_toy_corpus)
@@ -549,3 +550,44 @@ def test_sweep_refuses_a_truncated_config_naming_it(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: %s: Expecting value" % config)
     assert not (tmp_path / "out").exists()
+
+
+def test_a_lone_carriage_return_does_not_end_a_line(tmp_path, capsys):
+    # Two-line files whose lines hold a '\r': each side stays two lines, so
+    # every sampled pair is a pair of the corpus.
+    src, tgt = tmp_path / "all.src", tmp_path / "all.tgt"
+    src.write_bytes(b"a b\rc d\ne f\n")
+    tgt.write_bytes(b"x y\nz\rw v\n")
+    prefix = str(tmp_path / "s2")
+    assert run(capsys, "sample", "--src", str(src), "--tgt", str(tgt), "--size", "2",
+               "--seed", "1", "--granularity", "1", "--out-prefix", prefix)[0] == 0
+    sampled = [Path(prefix + side).read_bytes().split(b"\n") for side in (".src", ".tgt")]
+    assert sorted(zip(*sampled)) == [(b"", b""), (b"a b\rc d", b"x y"), (b"e f", b"z\rw v")]
+
+
+def test_a_crlf_file_reads_as_its_lf_twin(tmp_path, capsys):
+    lines = ["the cat sat", "", "the \rcat ran", "दे खो"]
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+    crlf.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+    assert read_lines(crlf) == read_lines(lf) == lines
+    for path in (lf, crlf):
+        assert run(capsys, "unbpe", "--input", str(path), "--output", str(path) + ".out")[0] == 0
+    assert (tmp_path / "crlf.txt.out").read_bytes() == (tmp_path / "lf.txt.out").read_bytes()
+
+
+def test_unbpe_reads_a_carriage_return_on_stdin_as_text(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"a\rb\n")))
+    code, out, _ = run(capsys, "unbpe")
+    assert (code, out.count("\n")) == (0, 1)
+
+
+def test_sample_refuses_a_negative_seed(tmp_path, capsys):
+    # random.Random(-3) would draw the sample of seed 3.
+    src = tmp_path / "all.src"
+    src.write_text("".join("w%d x\n" % i for i in range(30)), encoding="utf-8")
+    code, out, err = run(capsys, "sample", "--src", str(src), "--tgt", str(src), "--size", "10",
+                         "--seed", "-3", "--out-prefix", str(tmp_path / "s10"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: seed must be >= 0, got -3")
+    assert [p.name for p in tmp_path.iterdir()] == ["all.src"]

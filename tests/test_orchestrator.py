@@ -148,6 +148,10 @@ class TestLoadExperiment:
         ("en-hi-x", "two language codes"),
         ("en-", "two language codes"),
         ("enhi", "two language codes"),
+        ("../../../escaped/en-hi", "language code '../../../escaped/en' is not a plain name"),
+        ("en-..", "language code '..' is not a plain name"),
+        ("en-h i", "language code 'h i' is not a plain name"),
+        ("en-h\x00i", "language code .* is not a plain name"),
     ])
     def test_malformed_direction_rejected(self, tmp_path, direction, message):
         corpus = write_toy_corpus(str(tmp_path))
@@ -193,7 +197,7 @@ class TestLoadExperiment:
             load_experiment(path)
         assert "''" in str(err.value)
 
-    @pytest.mark.parametrize("name", ["dev/a", ".", ".."])
+    @pytest.mark.parametrize("name", ["dev/a", ".", "..", "dev\tx", "dev\nx"])
     def test_test_set_name_must_be_one_path_component(self, tmp_path, name):
         path = self.extra_sets_config(tmp_path, name)
         with pytest.raises(OrchestratorError, match="not a plain file name") as err:
@@ -658,7 +662,9 @@ class TestSignificance:
             record = json.load(fh)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(edit(record), fh)
-        for load in (lambda: run_sweep(cfg), lambda: collect_records(cfg.output_dir)):
+        unplanned = load_experiment(write_config(str(tmp_path), corpus, nmo_set=[10]))
+        for load in (lambda: run_sweep(cfg), lambda: run_sweep(unplanned),
+                     lambda: collect_records(cfg.output_dir)):
             with pytest.raises(OrchestratorError) as exc:
                 load()
             assert path in str(exc.value) and named in str(exc.value)
@@ -728,6 +734,44 @@ class TestResume:
         manifest.write_text(json.dumps(old), encoding="utf-8")
         assert [r.chrf for r in run_sweep(changed)] == [r.chrf for r in first]
         assert json.loads(manifest.read_text("utf-8"))[field] == moved
+
+    def test_resume_with_a_smaller_grid_keeps_and_reports_every_run(self, tmp_path):
+        # 20_20 is the best symmetric configuration of every cell. Resuming
+        # with fewer NMOs, then with fewer sizes, runs nothing, changes no
+        # record and reports the whole directory, as report --run-dir does.
+        corpus = write_toy_corpus(str(tmp_path))
+        command = planted_backend(tmp_path, corpus, TestSignificance.RATES)
+
+        def sweep(nmo_set, sizes):
+            cfg = load_experiment(write_config(str(tmp_path), corpus, nmo_set=nmo_set,
+                                               sizes=sizes, backend={"command": command}))
+            records = run_sweep(cfg)
+            emit_report(records, cfg.output_dir)
+            return records
+
+        out = tmp_path / "out"
+
+        def reports():
+            paths = [out / name for name in ("results.tsv", "src_nmo_max.tsv", "summary.tsv")]
+            return {p.relative_to(out): p.read_bytes()
+                    for p in paths + sorted((out / "tiers").iterdir())}
+
+        first = sweep([10, 20], [40, 50])
+        assert {r.baseline for r in first} == {"20_20"}
+        records = {p: p.read_bytes() for p in out.rglob("record.json")}
+        swept = reports()
+        assert len(records) == 8 and len(swept) == 3 + 4
+        for nmo_set, sizes in (([10], [40, 50]), ([10, 20], [40])):
+            shutil.rmtree(out / "tiers")
+            resumed = sweep(nmo_set, sizes)
+            assert {p: p.read_bytes() for p in out.rglob("record.json")} == records
+            assert [r.to_dict() for r in resumed] == [r.to_dict() for r in first]
+            rows = [(r.size, r.rep, r.src_nmo, r.tgt_nmo, r.testset) for r in resumed]
+            assert rows == sorted(rows)
+            assert reports() == swept
+            shutil.rmtree(out / "tiers")
+            assert main(["report", "--run-dir", str(out)]) == 0
+            assert reports() == swept
 
     def test_family_of_two_seeds_is_refused(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))

@@ -5,7 +5,7 @@ import pytest
 from asymbpe.sampler import (BinPlan, SamplerError, assign_bin, bin_histogram,
                              draw_sample, make_bins, make_sample_plan)
 from conftest import (FULL_CORPUS_BIN_COUNTS, FULL_CORPUS_PERCENTAGES,
-                      FULL_CORPUS_TOTAL, QUOTAS_100K)
+                      FULL_CORPUS_TOTAL, QUOTAS_100K, oracle_draw)
 
 
 def full_corpus_plan():
@@ -119,54 +119,95 @@ class TestSamplePlan:
         assert sample.per_bin_quota[0] <= 3
 
 
+def draw(src, tgt, target, seed, granularity=10):
+    """The sample plan of ``target`` pairs and the line indices it draws."""
+    histogram = bin_histogram(src, tgt)
+    plan = make_sample_plan(histogram, target, seed, granularity)
+    return plan, draw_sample(histogram, plan)
+
+
 class TestDrawSample:
     def test_deterministic_for_fixed_seed(self):
         src, tgt = synthetic_corpus([40, 25, 15, 10, 5, 3, 1, 1])
-        plan = make_sample_plan(bin_histogram(src, tgt), 50, seed=99, granularity=1)
-        a = draw_sample(src, tgt, plan)
-        b = draw_sample(src, tgt, plan)
-        assert a == b
+        histogram = bin_histogram(src, tgt)
+        plan = make_sample_plan(histogram, 50, seed=99, granularity=1)
+        assert draw_sample(histogram, plan) == draw_sample(histogram, plan)
 
     def test_full_quota_takes_whole_bin(self):
         src, tgt = synthetic_corpus([10, 0, 0, 0, 0, 0, 0, 0])
-        plan = make_sample_plan(bin_histogram(src, tgt), 10, seed=3)
-        sampled_src, _, _ = draw_sample(src, tgt, plan)
-        assert sorted(sampled_src) == sorted(src)
+        _, indices = draw(src, tgt, 10, seed=3)
+        assert sorted(indices) == list(range(len(src)))
 
     def test_scaled_replication_of_full_corpus_shares(self):
         # ~1/8180 scale: per-bin counts rounded from the full-corpus table.
         counts = [round(c / 8180) for c in FULL_CORPUS_BIN_COUNTS]
         src, tgt = synthetic_corpus(counts, seed=5)
-        plan = make_sample_plan(bin_histogram(src, tgt), 100, seed=11, granularity=1)
-        sampled_src, _, _ = draw_sample(src, tgt, plan)
+        _, indices = draw(src, tgt, 100, seed=11, granularity=1)
         by_bin = [0] * 8
         bins = make_bins()
-        for line in sampled_src:
-            by_bin[assign_bin(bins, len(line.split()))] += 1
+        for i in indices:
+            by_bin[assign_bin(bins, len(src[i].split()))] += 1
         for share, pct in zip(by_bin, FULL_CORPUS_PERCENTAGES):
             assert abs(share - pct * sum(by_bin) / 100) <= 1.0 + 1e-9
 
     def test_alignment_and_uniqueness(self):
         src, tgt = synthetic_corpus([30, 20, 10, 5, 5, 3, 2, 5])
-        plan = make_sample_plan(bin_histogram(src, tgt), 40, seed=21, granularity=1)
-        sampled_src, sampled_tgt, indices = draw_sample(src, tgt, plan)
-        assert len(set(indices)) == len(indices)
-        for s, t, i in zip(sampled_src, sampled_tgt, indices):
-            assert src[i] == s and tgt[i] == t
+        plan, indices = draw(src, tgt, 40, seed=21, granularity=1)
+        assert len(set(indices)) == len(indices) == sum(plan.per_bin_quota)
+        assert oracle_draw(src, tgt, plan) == (
+            [src[i] for i in indices], [tgt[i] for i in indices], indices)
 
     def test_per_bin_counts_match_quota_exactly_no_leakage(self):
         src, tgt = synthetic_corpus([50, 30, 12, 8, 4, 3, 2, 6])
-        plan = make_sample_plan(bin_histogram(src, tgt), 60, seed=4, granularity=1)
-        sampled_src, _, _ = draw_sample(src, tgt, plan)
+        plan, indices = draw(src, tgt, 60, seed=4, granularity=1)
         bins = make_bins()
         got = [0] * 8
-        for line in sampled_src:
-            got[assign_bin(bins, len(line.split()))] += 1
+        for i in indices:
+            got[assign_bin(bins, len(src[i].split()))] += 1
         assert got == plan.per_bin_quota
 
     def test_infeasible_quota_names_bin(self):
         src, tgt = synthetic_corpus([5, 0, 0, 0, 0, 0, 0, 0])
-        plan = make_sample_plan(bin_histogram(src, tgt), 5, seed=1)
+        histogram = bin_histogram(src, tgt)
+        plan = make_sample_plan(histogram, 5, seed=1)
         plan.per_bin_quota[1] = 3  # nothing available in 11-15
         with pytest.raises(SamplerError, match="11-15"):
-            draw_sample(src, tgt, plan)
+            draw_sample(histogram, plan)
+
+    def test_plan_of_other_bins_or_without_indices_is_refused(self):
+        src, tgt = synthetic_corpus([5, 0, 0, 0, 0, 0, 0, 0])
+        plan = make_sample_plan(bin_histogram(src, tgt), 5, seed=1, granularity=1)
+        for histogram in (bin_histogram(src, tgt, make_bins((10,))),
+                          BinPlan(plan.bins, [5, 0, 0, 0, 0, 0, 0, 0], 5)):
+            with pytest.raises(SamplerError, match="bin_histogram of its own bins"):
+                draw_sample(histogram, plan)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_indices_match_the_two_pass_draw(self, seed):
+        # Random corpora, bins and targets: binning once in bin_histogram
+        # draws the lines that binning again in the draw drew.
+        rng = random.Random(seed)
+        src = [" ".join("w" * rng.randint(1, 3) for _ in range(rng.randint(0, 45)))
+               for _ in range(rng.randint(1, 400))]
+        tgt = ["t%d" % i for i in range(len(src))]
+        bins = make_bins(sorted(rng.sample(range(1, 50), rng.randint(0, 7))))
+        histogram = bin_histogram(src, tgt, bins)
+        plan = make_sample_plan(histogram, rng.randint(len(src) // 2, len(src)),
+                                seed=rng.randrange(1 << 32), granularity=rng.randint(1, 3))
+        indices = draw_sample(histogram, plan)
+        assert oracle_draw(src, tgt, plan) == (
+            [src[i] for i in indices], [tgt[i] for i in indices], indices)
+
+    def test_histogram_keeps_line_indices_out_of_the_manifest(self):
+        src, tgt = synthetic_corpus([3, 2, 0, 0, 0, 0, 0, 1])
+        histogram = bin_histogram(src, tgt)
+        assert histogram.members == [[i for i, line in enumerate(src)
+                                      if assign_bin(make_bins(), len(line.split())) == b]
+                                     for b in range(8)]
+        assert set(histogram.to_dict()) == {"bins", "counts", "total", "percentages"}
+
+
+def test_negative_seed_is_refused():
+    # random.Random(-3) seeds as random.Random(3).
+    with pytest.raises(SamplerError, match="seed must be >= 0, got -3"):
+        make_sample_plan(full_corpus_plan(), 100_000, seed=-3)
