@@ -7,8 +7,9 @@ its position in the table. ``segment_lines`` is the one segmenter: a
 generator that reads any iterable of lines and yields each line's
 segmentation at every requested NMO from one encode per distinct word, so
 its memory grows with the word types, not with the lines. ``learn_bpe``
-counts words from any iterable of lines (an open file streams) and keeps
-only the pairs that still occur. Word-final symbols carry the reserved
+counts words from any iterable of lines (an open file streams), keeps one
+entry per pair that still occurs, and keeps pairs seen once off its heap
+until no other pair is left. Word-final symbols carry the reserved
 marker ``</w>``; non-final pieces render with a trailing ``@@``. A table
 file is read and written through ``textfiles``, as every text file is.
 
@@ -17,11 +18,11 @@ lexicographically smallest ``(left, right)`` pair (code-point order) wins.
 """
 
 import heapq
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 from .textfiles import iter_lines, write_lines
 
@@ -169,13 +170,20 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
     rescans only the words that contain its pair, and changes only the
     counts of the pairs next to each merge site. Symbols are interned as
     dense int ids, and a pair is keyed by the exact packing of its two ids.
-    The index lists the words each pair was added to, with duplicates and
-    stale ids; a merged pair's list is deduplicated. A pair whose count
-    falls to 0 occurs in no word, so it leaves ``counts`` and ``index`` at
-    once: the learner holds only live pairs, not every pair it ever saw.
+    Each live pair has one entry ``[count, word id, word id, ...]``: its
+    count, then the words it was added to, with duplicates and stale ids. A
+    pair whose count falls to 0 occurs in no word and loses its entry at
+    once, and a merged pair loses its entry when it is popped: the learner
+    holds only live pairs, not every pair it ever saw.
+
     Every heap entry ``(-count, left, right, key)`` is an upper bound on its
-    pair's count: a pair is pushed when a merge adds it to a word, and an
-    entry popped above its live count is pushed again at that count. The
+    pair's count, and pairs of count 1 stay off the heap until no other pair
+    is left. A count rises only when a merge adds the pair to a word, and
+    the pair is pushed then; an entry popped above its live count is pushed
+    again at that count, unless that count is 1. So every live pair of count
+    2 or more holds an entry at or above its count, and once the heap runs
+    empty every live pair has count 1. The heap is then rebuilt, once, from
+    every live pair, and from there on count-1 pairs are pushed too. The
     rules equal those of a learner that recounts every pair after every
     merge.
     """
@@ -191,30 +199,49 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
     texts = list(chars) + [c + END for c in finals]
     ids = {t: i for i, t in enumerate(texts)}  # symbol text -> id
     char_id = ids.__getitem__
-    words = []  # word id -> (symbol ids, frequency)
-    counts = defaultdict(int)  # pair key -> count of a pair that occurs
-    index = defaultdict(list)  # pair key -> ids of the words it was added to
+    words = []  # word id -> symbol ids
+    freqs = list(word_freqs.values())  # word id -> frequency
+    pairs = {}  # pair key -> [count, ids of the words the pair was added to, ...]
     for wid, (word, freq) in enumerate(word_freqs.items()):
         symbols = list(map(char_id, word[:-1]))
         symbols.append(ids[word[-1] + END])
-        words.append((symbols, freq))
+        words.append(symbols)
         for left, right in zip(symbols, symbols[1:]):
             key = left << _ID_BITS | right
-            counts[key] += freq
-            index[key].append(wid)
+            entry = pairs.get(key)
+            if entry is None:
+                pairs[key] = [freq, wid]
+            else:
+                entry[0] += freq
+                entry.append(wid)
     del word_freqs, chars, finals  # the words are interned
 
-    heap = [(-c, texts[k >> _ID_BITS], texts[k & _ID_MASK], k) for k, c in counts.items()]
+    floor = 2  # the least count a pair is pushed with
+    heap = [(-e[0], texts[k >> _ID_BITS], texts[k & _ID_MASK], k)
+            for k, e in pairs.items() if e[0] >= floor]
     heapq.heapify(heap)
 
+    added = set()  # keys of the pairs a merge adds to a word
     rules = []
-    while len(rules) < nmo and heap:
+    while len(rules) < nmo:
+        if not heap:
+            if floor == 1 or not pairs:
+                break
+            floor = 1  # every live pair has count 1
+            heap = [(-e[0], texts[k >> _ID_BITS], texts[k & _ID_MASK], k)
+                    for k, e in pairs.items()]
+            heapq.heapify(heap)
         neg, left_text, right_text, best = heapq.heappop(heap)
-        count = counts.get(best)
-        if count != -neg:
-            if count:
-                heapq.heappush(heap, (-count, left_text, right_text, best))
+        entry = pairs.get(best)
+        if entry is None:
             continue
+        if entry[0] != -neg:
+            if entry[0] >= floor:
+                heapq.heappush(heap, (-entry[0], left_text, right_text, best))
+            continue
+        # A greedy pass merges every occurrence of the pair, and no added
+        # pair equals it (the merged text is longer than either side).
+        del pairs[best]
         rules.append(MergeRule(left_text, right_text))
         merged_text = left_text + right_text
         merged = ids.get(merged_text)
@@ -224,10 +251,12 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
                 raise BpeError("more than %d symbols" % (_ID_MASK + 1))
             texts.append(merged_text)
         left, right = best >> _ID_BITS, best & _ID_MASK
+        right_hi, merged_hi = right << _ID_BITS, merged << _ID_BITS
 
-        added = []  # keys of the pairs this merge adds to a word
-        for wid in set(index.pop(best)):
-            symbols, freq = words[wid]
+        added.clear()
+        for wid in islice(entry, 1, None):
+            symbols = words[wid]
+            freq = freqs[wid]
             n_left = symbols.count(left)
             if not n_left:
                 continue  # a stale id
@@ -237,32 +266,41 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
                 # this path, which skips the site lists and range loops.
                 last = len(symbols) - 1
                 if i == last or symbols[i + 1] != right:
-                    continue
+                    continue  # a stale or repeated id
                 if i:
-                    prev = symbols[i - 1]
-                    key = prev << _ID_BITS | left
-                    count = counts[key] - freq
-                    if count:
-                        counts[key] = count
-                    else:  # gone from every word: every index entry is stale
-                        del counts[key], index[key]
-                    key = prev << _ID_BITS | merged
-                    counts[key] += freq
-                    index[key].append(wid)
-                    added.append(key)
+                    prev = symbols[i - 1] << _ID_BITS
+                    key = prev | left
+                    e = pairs[key]
+                    if e[0] == freq:  # gone from every word
+                        del pairs[key]
+                    else:
+                        e[0] -= freq
+                    key = prev | merged
+                    e = pairs.get(key)
+                    if e is None:
+                        pairs[key] = [freq, wid]
+                    else:
+                        e[0] += freq
+                        e.append(wid)
+                    added.add(key)
                 if i + 1 < last:
                     nxt = symbols[i + 2]
-                    key = right << _ID_BITS | nxt
-                    count = counts[key] - freq
-                    if count:
-                        counts[key] = count
+                    key = right_hi | nxt
+                    e = pairs[key]
+                    if e[0] == freq:
+                        del pairs[key]
                     else:
-                        del counts[key], index[key]
-                    key = merged << _ID_BITS | nxt
-                    counts[key] += freq
-                    index[key].append(wid)
-                    added.append(key)
-                symbols[i:i + 2] = (merged,)
+                        e[0] -= freq
+                    key = merged_hi | nxt
+                    e = pairs.get(key)
+                    if e is None:
+                        pairs[key] = [freq, wid]
+                    else:
+                        e[0] += freq
+                        e.append(wid)
+                    added.add(key)
+                symbols[i] = merged
+                del symbols[i + 1]
                 continue
             # Greedy left-to-right merge sites.
             sites = []
@@ -281,12 +319,13 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
             for i in sites:
                 for k in range(max(i - 1, done + 1), min(i + 2, last)):
                     key = symbols[k] << _ID_BITS | symbols[k + 1]
-                    count = counts[key] - freq
-                    if count:
-                        counts[key] = count
-                    else:  # best's index is already popped
-                        del counts[key]
-                        index.pop(key, None)
+                    if key == best:
+                        continue  # its entry is gone already
+                    e = pairs[key]
+                    if e[0] == freq:
+                        del pairs[key]
+                    else:
+                        e[0] -= freq
                 done = i + 1
             for i in reversed(sites):
                 symbols[i:i + 2] = (merged,)
@@ -296,18 +335,20 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
                 j = i - n
                 for k in range(max(j - 1, done + 1), min(j + 1, last)):
                     key = symbols[k] << _ID_BITS | symbols[k + 1]
-                    counts[key] += freq
-                    index[key].append(wid)
-                    added.append(key)
+                    e = pairs.get(key)
+                    if e is None:
+                        pairs[key] = [freq, wid]
+                    else:
+                        e[0] += freq
+                        e.append(wid)
+                    added.add(key)
                 done = j
 
-        # A greedy pass merges every occurrence of the pair, and no added
-        # pair equals it (the merged text is longer than either side). Its
-        # count is gone already if only multi-site words held it.
-        counts.pop(best, None)
-        for key in set(added):
-            heapq.heappush(heap, (-counts[key], texts[key >> _ID_BITS],
-                                  texts[key & _ID_MASK], key))
+        for key in added:
+            count = pairs[key][0]
+            if count >= floor:
+                heapq.heappush(heap, (-count, texts[key >> _ID_BITS],
+                                      texts[key & _ID_MASK], key))
 
     return MergeTable(rules)
 

@@ -144,8 +144,8 @@ class RunRecord:
     p_vs_baseline: float | None = None
     baseline: str | None = None        # config label p_vs_baseline was measured against
     failure_reason: str | None = None
-    started: float | None = None
-    finished: float | None = None
+    started: float | None = None       # Unix time in whole seconds; older records
+    finished: float | None = None      # hold the float time.time() returned
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -570,7 +570,7 @@ def _run_config(cfg, lengths: list, records: dict):
     first = next(iter(records.values()))
     config_dir = os.path.dirname(_run_path(cfg.output_dir, first))
     cell_dir = os.path.dirname(config_dir)
-    started = time.time()
+    started = int(time.time())
     nmo = {"src": first.src_nmo, "tgt": first.tgt_nmo}
     paths = {name: _seg_path(cell_dir, split, side, nmo[side])
              for name, (split, side, _) in _cell_inputs(cfg, cell_dir).items()}
@@ -603,7 +603,7 @@ def _run_config(cfg, lengths: list, records: dict):
             except (bpe.BpeError, OSError) as exc:
                 reason = str(exc)
         record.status, record.failure_reason = ("failed", reason) if reason else ("done", None)
-        record.started, record.finished = started, time.time()
+        record.started, record.finished = started, int(time.time())
         _save_record(run_dir, record)
 
 

@@ -54,10 +54,16 @@ class TestLearn:
             learn_bpe(["ab ab cd"], nmo)
         assert repr(nmo) in str(err.value)
 
-    def test_pinned_table_digest(self, tmp_path):
+    @pytest.mark.parametrize("nmo, learned, digest", [
+        (2000, 2000, "e05ed8c4267b109919820c2023b55728fc34d4815266a7f33867e16322cba495"),
+        # To exhaustion: the last merges have count 1.
+        (100000, 6414, "ff3adde2c82f533859bce05a5d78842850aeac0b95b301e37e4e86758624bbbf"),
+    ], ids=["2000", "exhaustion"])
+    def test_pinned_table_digest(self, tmp_path, nmo, learned, digest):
         # A seeded corpus of Latin and Devanagari syllables with many count
-        # ties. The digest pins the saved table byte for byte; it was taken
-        # from the string-keyed learner, before symbols became int ids.
+        # ties. The digests pin the saved table byte for byte; the first was
+        # taken from the string-keyed learner, before symbols became int ids,
+        # the second from the learner that pushed count-1 pairs on its heap.
         rng = random.Random(2016)
         onsets = list("bdgkmnprstvz") + ["क", "ग", "त", "द", "न", "म", "र", "स"]
         nuclei = list("aeiou") + ["ा", "ि", "ी", "ु", "े", "ो", ""]
@@ -66,11 +72,22 @@ class TestLearn:
         for _ in range(3000):
             word = "".join(rng.choice(syllables) for _ in range(rng.randint(1, 5)))
             freqs[word] = freqs.get(word, 0) + rng.randint(1, 40)
-        table = learn_bpe(freqs, 2000)
-        assert table.nmo == 2000
+        table = learn_bpe(freqs, nmo)
+        assert table.nmo == learned
         table.save(tmp_path / "t.bpe")
-        assert hashlib.sha256((tmp_path / "t.bpe").read_bytes()).hexdigest() == \
-            "e05ed8c4267b109919820c2023b55728fc34d4815266a7f33867e16322cba495"
+        assert hashlib.sha256((tmp_path / "t.bpe").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("nmo", [2, 3, 4, 5, 9])
+    def test_count_one_boundary(self, nmo):
+        # Merge counts run 3, 2, 2, 1, 1. (b, c</w>) falls from 3 to 1 at
+        # the first merge; after the third, the last of count 2, only
+        # count-1 pairs are left, and the fifth merge takes a pair the
+        # fourth added.
+        freqs = {"aabc": 2, "abbc": 1}
+        expected = [("a", "b"), ("a", "ab"), ("aab", "c" + END), ("ab", "b"),
+                    ("abb", "c" + END)]
+        got = [r.pair for r in learn_bpe(freqs, nmo).rules]
+        assert got == expected[:nmo] == oracle_learn(freqs, nmo)
 
     def test_matches_bruteforce_oracle(self, rng):
         for _ in range(30):

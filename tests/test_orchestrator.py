@@ -358,6 +358,22 @@ class TestRunSweep:
                           for path, data in record_bytes(cfg).items()})
         assert len(swept[0]) == 4 and swept[0] == swept[1]
 
+    def test_record_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        # As floats, these two times print in different lengths.
+        corpus = write_toy_corpus(str(tmp_path))
+        swept = []
+        for out, now in (("a", 1792428028.3177662), ("b", 1792428028.25)):
+            monkeypatch.setattr(orchestrator.time, "time", lambda now=now: now)
+            cfg = load_experiment(write_config(
+                str(tmp_path), corpus, output_dir=os.path.join(str(tmp_path), out)))
+            run_sweep(cfg)
+            swept.append(record_bytes(cfg))
+        assert len(swept[0]) == 4 and swept[0] == swept[1]
+        for data in swept[0].values():
+            record = json.loads(data)
+            assert record["started"] == record["finished"] == 1792428028
+            assert type(record["started"]) is type(record["finished"]) is int
+
     def test_corrupt_hypothesis_line_count_recorded(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
         cfg = load_experiment(write_config(
@@ -636,6 +652,12 @@ class TestSignificance:
         loaded = RunRecord.from_dict(record)
         assert loaded.to_dict() == make_record(10, 20, 50.0).to_dict()
         assert "artifacts" not in loaded.to_dict()
+
+    def test_record_with_float_timestamps_loads(self):
+        record = dict(make_record(10, 20, 50.0).to_dict(),
+                      started=1792428028.3177662, finished=1792428029.25)
+        loaded = RunRecord.from_dict(record)
+        assert (loaded.started, loaded.finished) == (1792428028.3177662, 1792428029.25)
 
     @pytest.mark.parametrize("edit, named", [
         (lambda rec: dict(rec, colour="red"), "unknown key 'colour'"),
