@@ -19,17 +19,22 @@ score and the test share one scorer, so two systems whose corpus scores are
 equal test as a tie, and the test's observed difference is the difference of
 the two corpus scores to the last bit.
 
-``stats_matrix`` counts a whole corpus in one vectorised pass, with no
-per-sentence n-gram dictionaries: each line is split once, the characters of
-all lines become one code-point array and the words one array of dense word
-ids. For each order, every n-gram gets an integer key built from the dense
-id of its (line, first n-1 unigrams) and its last unigram. One ``np.unique``
-of the keys gives each distinct (line, n-gram) a dense id, which is also the
-prefix id of the next order's keys; one ``np.bincount`` of (id, side) gives
-its hypothesis and reference counts, and the clipped match is the smaller.
+``stats_matrix`` counts a corpus in blocks of lines, with no per-sentence
+n-gram dictionaries and in bounded working memory: it takes the two sides
+as iterables and consumes one block at a time, a block holding lines until
+their hypothesis plus reference characters would pass
+``_STATS_BLOCK_CHARS`` (a longer single line forms a block of its own). In
+a block, each line is split once, the characters of its lines become one
+code-point array and the words one array of dense word ids. For each order,
+every n-gram gets an integer key built from the dense id of its (line,
+first n-1 unigrams) and its last unigram. One ``np.unique`` of the keys
+gives each distinct (line, n-gram) a dense id, which is also the prefix id
+of the next order's keys; one ``np.bincount`` of (id, side) gives its
+hypothesis and reference counts, and the clipped match is the smaller.
 The keys are exact, not hashes: an n-gram's key determines its line and
 unigrams, so distinct n-grams never share a key, and every key stays far
-below 2^63.
+below 2^63. A row only ever counts its own line, so the blocks' rows, in
+order, are the rows of the whole corpus counted at once.
 N-grams that would span two lines, or the end of the hypotheses and the
 start of the references, are never formed.
 
@@ -42,11 +47,14 @@ system's p-value equals the one a separate pairwise test gives. The S
 systems' row-swap differences sit side by side in one ``n x S·width`` array,
 so each chunk of k masks makes one ``mask @ diff`` product for all systems,
 and each side's shifted sums are scored with one call over ``k·S`` rows.
+Chunks are small (``_SIGNIFICANCE_CHUNK_CELLS``), so besides the difference
+array the test's working memory stays near a megabyte.
 The statistics are integer counts and the mask is 0/1, so every sum is exact
 in float64 and no p-value depends on the product's summation order.
 """
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -57,10 +65,18 @@ DEFAULT_BETA = 2.0
 SIGNIFICANCE_METHOD = "paired-approximate-randomization"
 # Float64 cells per significance chunk and array. Each iteration of a chunk
 # draws n mask cells (one per line) and shifts S·width column sums (S
-# systems), so a chunk holds 250,000 // (n + S·width) iterations and each of
-# its draw, float mask and shifted sums stays near 2 MB. The draw fills row
-# by row, so the chunk size never changes a p-value.
-_SIGNIFICANCE_CHUNK_CELLS = 250_000
+# systems), so a chunk holds 65,536 // (n + S·width) iterations and each of
+# its draw, float mask and shifted sums stays near 512 KB; but never fewer
+# than _SIGNIFICANCE_CHUNK_MIN_ITERATIONS, because every chunk reads the
+# whole n x S·width difference array once. The draw fills row by row, so
+# the chunk size never changes a p-value.
+_SIGNIFICANCE_CHUNK_CELLS = 65_536
+_SIGNIFICANCE_CHUNK_MIN_ITERATIONS = 64
+# Hypothesis plus reference characters of the lines that stats_matrix
+# counts at once. A block's key arrays take up to about 200 bytes per
+# character, so its working memory stays within about 3 MB whatever the
+# corpus size.
+_STATS_BLOCK_CHARS = 16_384
 
 
 class ChrfError(ValueError):
@@ -132,24 +148,40 @@ def _ngram_stats(ids: np.ndarray, lengths: list, n: int, max_order: int, base: i
     return matched, totals[:n], totals[n:]
 
 
-def stats_matrix(hypotheses, references, char_order: int = CHAR_ORDER,
-                 word_order: int = WORD_ORDER) -> np.ndarray:
-    """``n x 3·orders`` int64 matrix of per-sentence statistics: each row is
-    one line's matched, hypothesis-total and reference-total counts.
-
-    All lines are counted in one batch: the characters (whitespace removed)
-    of every line form one code-point array, the words one array of dense
-    word ids, and each order's n-grams are counted with one ``np.unique`` of
-    their (line, n-gram) keys (``_ngram_stats``).
-    """
-    hypotheses = list(hypotheses)
-    references = list(references)
-    if len(hypotheses) != len(references):
+def _line_blocks(hypotheses, references):
+    """Yield the line pairs of two iterables as blocks ``(hypotheses,
+    references)`` of at most ``_STATS_BLOCK_CHARS`` characters, a longer
+    pair forming a block of its own; an empty corpus is one empty block.
+    Both sides are consumed one block at a time and counted to the end, and
+    unequal line counts are refused after the last block."""
+    hyps, refs = [], []
+    chars = pairs = extra_hyps = extra_refs = 0
+    for hyp, ref in zip_longest(hypotheses, references):
+        if hyp is None or ref is None:  # one side has run out: count the other
+            extra_hyps += hyp is not None
+            extra_refs += ref is not None
+            continue
+        size = len(hyp) + len(ref)
+        if hyps and chars + size > _STATS_BLOCK_CHARS:
+            yield hyps, refs
+            hyps, refs, chars = [], [], 0
+        hyps.append(hyp)
+        refs.append(ref)
+        chars += size
+        pairs += 1
+    if extra_hyps or extra_refs:
         raise ChrfError("hypothesis/reference line counts differ: %d vs %d"
-                        % (len(hypotheses), len(references)))
-    if char_order < 0 or word_order < 0:
-        raise ChrfError("n-gram orders must be >= 0, got char %d, word %d"
-                        % (char_order, word_order))
+                        % (pairs + extra_hyps, pairs + extra_refs))
+    yield hyps, refs
+
+
+def _block_stats(hypotheses: list, references: list, char_order: int,
+                 word_order: int) -> np.ndarray:
+    """The ``stats_matrix`` rows of one block of lines, counted in one
+    batch: the characters (whitespace removed) of its lines form one
+    code-point array, the words one array of dense word ids, and each
+    order's n-grams are counted with one ``np.unique`` of their (line,
+    n-gram) keys (``_ngram_stats``)."""
     n = len(hypotheses)
     words = [line.split() for line in hypotheses + references]
     chars = ["".join(w) for w in words]
@@ -163,6 +195,29 @@ def stats_matrix(hypotheses, references, char_order: int = CHAR_ORDER,
                               int(code_points.max(initial=0)) + 1)
     word_stats = _ngram_stats(word_ids, [len(w) for w in words], n, word_order, len(vocab))
     return np.hstack([part for pair in zip(char_stats, word_stats) for part in pair])
+
+
+def stats_matrix(hypotheses, references, char_order: int = CHAR_ORDER,
+                 word_order: int = WORD_ORDER) -> np.ndarray:
+    """``n x 3·orders`` int64 matrix of per-sentence statistics: each row is
+    one line's matched, hypothesis-total and reference-total counts.
+
+    ``hypotheses`` and ``references`` may be any iterables of lines, such as
+    two ``textfiles.iter_lines``: they are read one block of lines at a time
+    (``_line_blocks``) and each block is counted in one batch
+    (``_block_stats``), so the working memory is one block's plus the rows.
+    Unequal line counts are refused, both counted to the end.
+    """
+    if char_order < 0 or word_order < 0:
+        raise ChrfError("n-gram orders must be >= 0, got char %d, word %d"
+                        % (char_order, word_order))
+    # Each block's rows are appended to one growing buffer, so the rows are
+    # never held twice, as stacking a list of blocks would hold them.
+    rows, n = bytearray(), 0
+    for hyps, refs in _line_blocks(hypotheses, references):
+        rows += _block_stats(hyps, refs, char_order, word_order).data
+        n += len(hyps)
+    return np.frombuffer(rows, dtype=np.int64).reshape(n, 3 * (char_order + word_order))
 
 
 def corpus_chrf(stats, beta: float = DEFAULT_BETA) -> ChrfScore:
@@ -247,7 +302,8 @@ def paired_significance_stats(systems, baseline, iterations: int = 10000,
 
     rng = np.random.default_rng(seed)
     counts = np.zeros(len(systems), dtype=np.int64)
-    chunk = max(1, min(iterations, _SIGNIFICANCE_CHUNK_CELLS // (n + diff.shape[1])))
+    chunk = min(iterations, max(_SIGNIFICANCE_CHUNK_MIN_ITERATIONS,
+                                _SIGNIFICANCE_CHUNK_CELLS // (n + diff.shape[1])))
     done = 0
     while done < iterations:
         k = min(chunk, iterations - done)

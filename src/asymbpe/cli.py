@@ -71,7 +71,7 @@ def cmd_sample(args):
 
 
 def cmd_chrf(args):
-    score = chrf.corpus_chrf_from_lines(read_lines(args.hyp), read_lines(args.ref),
+    score = chrf.corpus_chrf_from_lines(iter_lines(args.hyp), iter_lines(args.ref),
                                         beta=args.beta,
                                         char_order=args.char_order,
                                         word_order=args.word_order)

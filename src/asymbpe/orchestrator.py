@@ -647,7 +647,7 @@ def evaluate(run_dir, records) -> list:
                                             % (run_dir, r.testset))
                 refs[r.testset] = read_lines(ref_paths[r.testset])
             stats[r.config_label] = chrf.stats_matrix(
-                read_lines(os.path.join(_run_path(run_dir, r), "hyp.detok.txt")), refs[r.testset])
+                iter_lines(os.path.join(_run_path(run_dir, r), "hyp.detok.txt")), refs[r.testset])
         return stats[r.config_label]
 
     # A family is one (direction, size, repetition, test set); its baseline is

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ TINY_REF_TOTAL = [7, 6, 5, 4, 3, 2, 2, 1]
 TINY_SCORE = 64.5005199907557
 
 
-def oracle_stats(hyp, ref):
+def oracle_stats(hyp, ref, char_order=6, word_order=2):
     """Exhaustive n-gram enumeration, independent of the production path."""
     def ngrams(seq, n):
         return [tuple(seq[i:i + n]) for i in range(len(seq) - n + 1)]
@@ -35,8 +37,8 @@ def oracle_stats(hyp, ref):
         return matched
 
     matched, hyp_total, ref_total = [], [], []
-    for sh, sr, orders in (("".join(hyp.split()), "".join(ref.split()), 6),
-                           (hyp.split(), ref.split(), 2)):
+    for sh, sr, orders in (("".join(hyp.split()), "".join(ref.split()), char_order),
+                           (hyp.split(), ref.split(), word_order)):
         for n in range(1, orders + 1):
             hg, rg = ngrams(sh, n), ngrams(sr, n)
             matched.append(clipped(hg, rg))
@@ -147,6 +149,79 @@ class TestStatsMatrix:
     def test_line_count_mismatch_rejected(self):
         with pytest.raises(ChrfError, match="line counts differ: 1 vs 2"):
             stats_matrix(["a b"], ["a", "b"])
+
+    @pytest.mark.parametrize("block_chars", [1, 7, 50])
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=st.lists(st.tuples(LINE, LINE), max_size=12),
+           char_order=st.integers(0, 6), word_order=st.integers(0, 2))
+    @example(pairs=[], char_order=6, word_order=2)
+    @example(pairs=[("", ""), ("ab ab", ""), ("", "\U0001F600b")], char_order=6, word_order=2)
+    @example(pairs=[("abcdefgh ijkl", "abc"), ("a", "a")], char_order=0, word_order=2)
+    @example(pairs=[("\U0010FFFF\U0001F600 x", "\U0001F600 x"), ("x", "y")],
+             char_order=6, word_order=0)
+    def test_blocks_match_oracle(self, block_chars, pairs, char_order, word_order):
+        # Blocks of one line or a few lines, lines longer than a block, empty
+        # lines and an empty corpus, all read from one-pass iterators.
+        with mock.patch.object(chrf, "_STATS_BLOCK_CHARS", block_chars):
+            matrix = stats_matrix(iter([h for h, _ in pairs]), (r for _, r in pairs),
+                                  char_order, word_order)
+        assert matrix.dtype == np.int64
+        assert matrix.shape == (len(pairs), 3 * (char_order + word_order))
+        for row, (hyp, ref) in zip(matrix.tolist(), pairs):
+            matched, hyp_total, ref_total = oracle_stats(hyp, ref, char_order, word_order)
+            assert row == matched + hyp_total + ref_total
+
+    @pytest.mark.parametrize("hyps, refs", [(5, 3), (3, 5), (0, 4)])
+    def test_streams_of_unequal_length_counted_to_the_end(self, monkeypatch, hyps, refs):
+        monkeypatch.setattr(chrf, "_STATS_BLOCK_CHARS", 1)
+        with pytest.raises(ChrfError, match="line counts differ: %d vs %d" % (hyps, refs)):
+            stats_matrix(iter(["a b"] * hyps), iter(["a c"] * refs))
+
+    def test_streams_read_one_block_at_a_time(self, monkeypatch):
+        lines = ["w%d x%d" % (i, i % 3) for i in range(40)]
+        expected = stats_matrix(lines, lines[::-1])  # one block
+        read = []  # every line taken from either stream
+
+        def stream(side):
+            for line in side:
+                read.append(line)
+                yield line
+
+        counted = []  # each block's line count
+        block_stats = chrf._block_stats
+
+        def spy(hyps, refs, *orders):
+            counted.append(len(hyps))
+            # The lines of the blocks so far, and at most one pair read ahead.
+            assert len(read) <= 2 * (sum(counted) + 1)
+            return block_stats(hyps, refs, *orders)
+        monkeypatch.setattr(chrf, "_STATS_BLOCK_CHARS", 30)
+        monkeypatch.setattr(chrf, "_block_stats", spy)
+        matrix = stats_matrix(stream(lines), stream(lines[::-1]))
+        assert len(counted) > 10 and sum(counted) == 40
+        assert matrix.tolist() == expected.tolist()
+
+    def test_memory_does_not_grow_with_lines(self):
+        # 2,000 and then 20,000 line pairs of one vocabulary. The blocks bound
+        # the n-gram key arrays, so the traced peaks differ by the extra rows'
+        # bytes, which the growing row buffer may over-allocate by an eighth,
+        # plus a small slack.
+        rng = random.Random(6)
+        vocab = ["".join(rng.choices("abcdefghijक्ष", k=rng.randint(2, 7)))
+                 for _ in range(300)]
+        peaks, rows = [], []
+        for n in (2000, 20000):
+            refs = [" ".join(rng.choices(vocab, k=rng.randint(3, 9))) for _ in range(n)]
+            hyps = [" ".join(rng.choices(vocab, k=rng.randint(3, 9))) for _ in range(n)]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                matrix = stats_matrix(hyps, refs)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            rows.append(matrix.nbytes)
+        assert peaks[1] - peaks[0] < (rows[1] - rows[0]) * 9 // 8 + (1 << 19), (peaks, rows)
 
 
 class TestCorpusChrf:
@@ -380,9 +455,10 @@ class TestBatchedSignificance:
         self.check_equal_to_pairwise(systems, ["the cat"], refs, 300, 2)
 
     def test_iterations_span_several_chunks(self):
-        # 250,000 // (n + S·24) iterations per chunk: with n = 2,000 lines a
-        # chunk holds 122 iterations for S = 2 systems (123 for one), so
-        # 4,500 iterations need 37 chunks from one stream.
+        # 65,536 // (n + S·24) iterations per chunk, but at least 64: with
+        # n = 2,000 lines that is 32 for S = 2 systems (and for one), so a
+        # chunk holds the floor's 64 iterations and 4,500 iterations need 71
+        # chunks from one stream.
         rng = random.Random(9)
         refs = ["w%d w%d" % (rng.randrange(50), rng.randrange(50)) for _ in range(2000)]
         systems = [random_system(refs, rng, rate) for rate in (0.2, 0.6)]
@@ -396,6 +472,7 @@ class TestBatchedSignificance:
         baseline = stats_matrix(random_system(refs, rng, 0.35), refs)
         default = paired_significance_stats(systems, baseline, iterations=300, seed=3)
         monkeypatch.setattr(chrf, "_SIGNIFICANCE_CHUNK_CELLS", 1)
+        monkeypatch.setattr(chrf, "_SIGNIFICANCE_CHUNK_MIN_ITERATIONS", 1)
         assert paired_significance_stats(systems, baseline, iterations=300, seed=3) == default
         assert any(r.p_value < 1.0 for r in default)
 
@@ -445,6 +522,7 @@ class TestSignificanceOracle:
 
     def test_one_iteration_per_chunk(self, monkeypatch):
         monkeypatch.setattr(chrf, "_SIGNIFICANCE_CHUNK_CELLS", 1)
+        monkeypatch.setattr(chrf, "_SIGNIFICANCE_CHUNK_MIN_ITERATIONS", 1)
         systems, baseline = self.cell(3, 12, (0.2, 0.6))
         self.check(systems, baseline, 150, 6)
 

@@ -601,8 +601,12 @@ class TestSignificance:
     def test_statistics_computed_once_per_run_and_line(self, tmp_path, monkeypatch):
         calls = []  # one (hypothesis, reference) entry per row computed
         stats = chrf.stats_matrix
-        monkeypatch.setattr(chrf, "stats_matrix",
-                            lambda h, r, *a: calls.extend(zip(h, r)) or stats(h, r, *a))
+
+        def counted(h, r, *a):  # the hypotheses may be a stream: read it once
+            h, r = list(h), list(r)
+            calls.extend(zip(h, r))
+            return stats(h, r, *a)
+        monkeypatch.setattr(chrf, "stats_matrix", counted)
         corpus = write_toy_corpus(str(tmp_path))
         extra = [{"name": "test2", "src": corpus["test_src"], "tgt": corpus["test_tgt"]}]
         cfg = load_experiment(write_config(
