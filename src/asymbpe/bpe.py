@@ -88,7 +88,7 @@ class MergeTable:
             if not line:
                 continue
             parts = line.split(" ")
-            if len(parts) != 2:
+            if len(parts) != 2 or not all(parts):  # an empty symbol never merges
                 raise BpeError("malformed rule on line %d of %s: %r" % (i, path, line))
             rules.append(MergeRule(_unescape(parts[0]), _unescape(parts[1])))
         return cls(rules)

@@ -51,12 +51,19 @@ Chunks are small (``_SIGNIFICANCE_CHUNK_CELLS``), so besides the difference
 array the test's working memory stays near a megabyte.
 The statistics are integer counts and the mask is 0/1, so every sum is exact
 in float64 and no p-value depends on the product's summation order.
+
+numpy is imported by the functions that compute with it, not with this
+module, which ``import asymbpe`` loads. So the commands that only segment,
+sample or recommend never load numpy (about 13 MB of RSS and 60-100 ms),
+and a process that prepares and then scores, as a sweep does, imports it
+into memory that learning and segmentation have already freed. The first
+scoring call in a process pays the import.
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-
-import numpy as np
 
 CHAR_ORDER = 6
 WORD_ORDER = 2
@@ -123,6 +130,7 @@ def _ngram_stats(ids: np.ndarray, lengths: list, n: int, max_order: int, base: i
     is_reference)`` counts each n-gram on both sides, and the smaller count
     is its clipped match.
     """
+    import numpy as np
     lengths = np.array(lengths, dtype=np.int64)
     totals = np.maximum(lengths[:, None] - np.arange(max_order), 0)
     matched = np.zeros((n, max_order), dtype=np.int64)
@@ -182,6 +190,7 @@ def _block_stats(hypotheses: list, references: list, char_order: int,
     code-point array, the words one array of dense word ids, and each
     order's n-grams are counted with one ``np.unique`` of their (line,
     n-gram) keys (``_ngram_stats``)."""
+    import numpy as np
     n = len(hypotheses)
     words = [line.split() for line in hypotheses + references]
     chars = ["".join(w) for w in words]
@@ -208,6 +217,7 @@ def stats_matrix(hypotheses, references, char_order: int = CHAR_ORDER,
     (``_block_stats``), so the working memory is one block's plus the rows.
     Unequal line counts are refused, both counted to the end.
     """
+    import numpy as np
     if char_order < 0 or word_order < 0:
         raise ChrfError("n-gram orders must be >= 0, got char %d, word %d"
                         % (char_order, word_order))
@@ -222,6 +232,7 @@ def stats_matrix(hypotheses, references, char_order: int = CHAR_ORDER,
 
 def corpus_chrf(stats, beta: float = DEFAULT_BETA) -> ChrfScore:
     """Aggregate a ``stats_matrix`` into one corpus score."""
+    import numpy as np
     if not 0 <= beta < np.inf:  # also false for NaN
         raise ChrfError("beta must be a finite number >= 0, got %r" % (beta,))
     if len(stats) == 0:
@@ -249,6 +260,7 @@ def corpus_chrf_from_lines(hypotheses, references, beta: float = DEFAULT_BETA,
 
 
 def _scores_from_sum_rows(sums: np.ndarray, orders: int, beta: float) -> np.ndarray:
+    import numpy as np
     m = sums[:, :orders]
     h = sums[:, orders:2 * orders]
     r = sums[:, 2 * orders:]
@@ -270,6 +282,7 @@ def paired_significance_stats(systems, baseline, iterations: int = 10000,
     system (A = the system, B = the baseline). One swap-mask stream drawn
     from ``seed`` serves every system, so each result equals a separate
     ``paired_significance`` with the same seed."""
+    import numpy as np
     if iterations < 1:
         raise ChrfError("iterations must be >= 1")
     if seed < 0:

@@ -213,15 +213,22 @@ def _read_json(path, parse=lambda value: value):
             raise OrchestratorError("%s: %s" % (path, exc)) from None
 
 
+def _refuse_unknown_keys(obj: dict, what: str, allowed):
+    """Refuse keys of a config object outside ``allowed``, so that a
+    misspelt optional key is not silently ignored."""
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise OrchestratorError("unknown %s keys: %s (allowed: %s)"
+                                % (what, ", ".join(sorted(unknown)), ", ".join(allowed)))
+
+
 def load_experiment(path) -> ExperimentConfig:
     """Load and validate the JSON experiment config (schema 1)."""
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise OrchestratorError("the config must be a JSON object, got %s"
                                 % type(raw).__name__)
-    unknown = set(raw) - _CONFIG_FIELDS
-    if unknown:
-        raise OrchestratorError("unknown config keys: %s" % ", ".join(sorted(unknown)))
+    _refuse_unknown_keys(raw, "config", sorted(_CONFIG_FIELDS))
     missing = [f for f in _REQUIRED_FIELDS if f not in raw]
     if missing:
         raise OrchestratorError("missing config fields: %s" % ", ".join(missing))
@@ -242,6 +249,7 @@ def load_experiment(path) -> ExperimentConfig:
         raise OrchestratorError("extra_test_sets must be a list of objects, got %r"
                                 % (extras,))
     for extra in extras:
+        _refuse_unknown_keys(extra, "extra test set", ("name", "src", "tgt"))
         for key in ("name", "src", "tgt"):
             if key not in extra:
                 raise OrchestratorError("extra test set missing field %r" % key)
@@ -269,6 +277,7 @@ def load_experiment(path) -> ExperimentConfig:
     if not isinstance(backend, dict) or "command" not in backend:
         raise OrchestratorError("backend must be a command string or an object with a "
                                 "'command' template, got %r" % (backend,))
+    _refuse_unknown_keys(backend, "backend", ("command", "timeout"))
     if not isinstance(backend["command"], str):
         raise OrchestratorError("backend.command must be a string, got %r"
                                 % (backend["command"],))

@@ -413,3 +413,13 @@ class TestTableFile:
         path.write_text("nope\na b\n", encoding="utf-8")
         with pytest.raises(BpeError):
             MergeTable.load(path)
+
+    # A rule with an empty symbol never applies, yet it would count in the
+    # table's NMO.
+    @pytest.mark.parametrize("rule", ["a ", " b", " ", "a b c"],
+                             ids=["empty-right", "empty-left", "both-empty", "three-fields"])
+    def test_malformed_rule_rejected(self, tmp_path, rule):
+        path = tmp_path / "t.bpe"
+        path.write_text("#asym-bpe v1\nx y\n%s\n" % rule, encoding="utf-8")
+        with pytest.raises(BpeError, match="malformed rule on line 3 of "):
+            MergeTable.load(path)

@@ -2,13 +2,16 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from asymbpe import orchestrator
 from asymbpe.bpe import MergeTable, learn_bpe
+from asymbpe.chrf import corpus_chrf, paired_significance, stats_matrix
 from asymbpe.cli import main
 from asymbpe.textfiles import read_lines
 from conftest import oracle_segment
@@ -591,3 +594,59 @@ def test_sample_refuses_a_negative_seed(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: seed must be >= 0, got -3")
     assert [p.name for p in tmp_path.iterdir()] == ["all.src"]
+
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh_interpreter(script, cwd):
+    """Run ``script`` in a new Python process that imports the package from
+    this checkout, and return its stdout."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR) + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_only_scoring_commands_import_numpy(tmp_path):
+    # numpy is imported by the chrf functions that compute with it, so the
+    # segmentation, sampling and recommendation commands never load it.
+    (tmp_path / "corpus.txt").write_text(
+        "".join("the cat sat on mat %d\n" % (i % 7) for i in range(60)), encoding="utf-8")
+    out = run_fresh_interpreter("""
+        import sys
+        import asymbpe, asymbpe.cli, asymbpe.orchestrator
+
+        def run(*argv):
+            assert asymbpe.cli.main(list(argv)) == 0, argv
+
+        run("learn-bpe", "--input", "corpus.txt", "--nmo", "20", "--output", "t.bpe")
+        run("apply-bpe", "--table", "t.bpe", "--input", "corpus.txt", "--output", "seg.txt")
+        run("unbpe", "--input", "seg.txt", "--output", "out.txt")
+        run("sample", "--src", "corpus.txt", "--tgt", "corpus.txt", "--size", "20",
+            "--seed", "1", "--out-prefix", "s20")
+        run("recommend", "--size", "100000")
+        assert "numpy" not in sys.modules, "numpy loaded before any scoring"
+        run("chrf", "--hyp", "out.txt", "--ref", "corpus.txt")
+        assert "numpy" in sys.modules
+        """, tmp_path)
+    assert out.endswith("100.00\n")
+    assert (tmp_path / "out.txt").read_bytes() == (tmp_path / "corpus.txt").read_bytes()
+
+
+def test_package_exports_score_in_a_fresh_interpreter(tmp_path):
+    hyps = ["the cat sat", "a dog ran", "birds fly south"]
+    refs = ["the cat sat down", "a dog ran", "the birds fly north"]
+    out = run_fresh_interpreter("""
+        from asymbpe import corpus_chrf, paired_significance
+        from asymbpe.chrf import stats_matrix
+        hyps = %r
+        refs = %r
+        print(repr(corpus_chrf(stats_matrix(hyps, refs)).value))
+        print(repr(paired_significance(hyps, refs, refs, iterations=200, seed=3).p_value))
+        """ % (hyps, refs), tmp_path)
+    expected = (corpus_chrf(stats_matrix(hyps, refs)).value,
+                paired_significance(hyps, refs, refs, iterations=200, seed=3).p_value)
+    assert out.split() == [repr(v) for v in expected]

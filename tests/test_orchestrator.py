@@ -248,6 +248,11 @@ class TestLoadExperiment:
          "extra test set missing field 'tgt'"),
         ({"extra_test_sets": [{"name": "dev", "src": "test.src", "tgt": "nope.tgt"}]},
          "test set 'dev' path does not exist: .*nope\\.tgt"),
+        # A misspelt timeout would otherwise run the backend with none.
+        ({"backend": {"command": IDENTITY_BACKEND, "timout": 5}},
+         "unknown backend keys: timout \\(allowed: command, timeout\\)"),
+        ({"extra_test_sets": [{"name": "dev", "src": "test.src", "tgt": "test.tgt", "weight": 2}]},
+         "unknown extra test set keys: weight \\(allowed: name, src, tgt\\)"),
     ])
     def test_mistyped_structure_named(self, tmp_path, overrides, message):
         # None stands for a config whose top level is a list.
