@@ -1,12 +1,15 @@
 """Command-line interface: one entry point, one subcommand per task.
 ``sweep`` and ``report`` score a sweep directory through one function,
-``orchestrator.evaluate``, and report it through ``emit_report``. Every
+``orchestrator.evaluate``, and report it through ``emit_report``. They are
+the only commands that import ``orchestrator``, and they import it when
+they run, so the one-shot commands (``learn-bpe``, ``apply-bpe``, ``unbpe``,
+``sample``, ``chrf``, ``significance``, ``recommend``) never load it. Every
 file, stdin included, is read and written through ``textfiles``."""
 
 import argparse
 import sys
 
-from . import __version__, bpe, chrf, orchestrator, sampler
+from . import __version__, bpe, chrf, sampler
 from .sweep import SweepError, parse_nmo, recommend
 from .textfiles import iter_lines, iter_stdin_lines, read_lines, write_json, write_lines
 
@@ -98,6 +101,7 @@ def cmd_recommend(args):
 def cmd_report(args):
     """Complete a sweep directory's scores and p-values, then rebuild every
     report: the same files, byte for byte, that ``asymbpe sweep`` wrote."""
+    from . import orchestrator
     records = orchestrator.evaluate(args.run_dir, orchestrator.collect_records(args.run_dir))
     artifacts = orchestrator.emit_report(records, args.run_dir)
     print("results: %s" % artifacts["results"])
@@ -108,6 +112,7 @@ def cmd_report(args):
 
 
 def cmd_sweep(args):
+    from . import orchestrator
     cfg = orchestrator.load_experiment(args.config)
     if args.workers is not None:
         if args.workers < 1:

@@ -556,10 +556,11 @@ def _prepare_cells(cfg, cells):
             train_src, train_tgt, histogram = corpus
             plan = sampler.make_sample_plan(histogram, size, cfg.seed + rep, cfg.granularity)
             indices = sampler.draw_sample(histogram, plan)
-            write_lines(s_src, (train_src[i] for i in indices))
-            write_lines(s_tgt, (train_tgt[i] for i in indices))
+            # The two sample files mark the sample complete, so they come last.
             write_json(os.path.join(cell_dir, "sample", "manifest.json"),
                        {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict()})
+            write_lines(s_src, (train_src[i] for i in indices))
+            write_lines(s_tgt, (train_tgt[i] for i in indices))
         tables = {"src": _cell_tables(cfg, cell_dir, cfg.src_lang, s_src),
                   "tgt": _cell_tables(cfg, cell_dir, cfg.tgt_lang, s_tgt)}
         for split, side, raw in inputs.values():

@@ -12,8 +12,6 @@ replay tests require reproducing them verbatim.
 """
 
 from dataclasses import dataclass, field
-from decimal import Decimal
-from fractions import Fraction
 
 PAPER_NMO_SET = (500, 1000, 2000, 4000, 8000, 16000, 25000, 32000)
 
@@ -35,17 +33,23 @@ def format_nmo(nmo: int) -> str:
 def parse_nmo(text) -> int:
     """Accept plain integers and K-notation ("0.5K", "25K"). A K value is
     read exactly and must be a whole number of merges: "1.1K" is 1100, and
-    "0.0025K" (2.5 merges) is refused."""
+    "0.0025K" (2.5 merges) is refused. ``fractions`` and ``decimal`` are
+    imported only on those paths, so a plain integer loads neither."""
     if isinstance(text, int) and not isinstance(text, bool):
         value = text
     else:
         s = str(text).strip().upper()
         try:
-            # Fraction reads a decimal exactly; it would also read "1/2".
-            value = Fraction(s[:-1]) * 1000 if s.endswith("K") and "/" not in s else int(s)
+            if s.endswith("K") and "/" not in s:
+                from fractions import Fraction
+                # Fraction reads a decimal exactly; it would also read "1/2".
+                value = Fraction(s[:-1]) * 1000
+            else:
+                value = int(s)
         except ValueError:
             raise SweepError("cannot parse NMO value %r" % text) from None
         if value.denominator != 1:
+            from decimal import Decimal
             raise SweepError("%r is %s merges, not a whole number"
                              % (text, Decimal(value.numerator) / value.denominator))
         value = int(value)

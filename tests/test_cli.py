@@ -636,6 +636,52 @@ def test_only_scoring_commands_import_numpy(tmp_path):
     assert (tmp_path / "out.txt").read_bytes() == (tmp_path / "corpus.txt").read_bytes()
 
 
+def test_one_shot_commands_never_import_the_orchestrator(tmp_path):
+    # Only sweep and report import orchestrator (and with it
+    # concurrent.futures), and parse_nmo imports fractions and decimal only
+    # for K-notation, so a one-shot command with a plain --nmo loads none.
+    (tmp_path / "corpus.txt").write_text(
+        "".join("the cat sat on mat %d\n" % (i % 7) for i in range(60)), encoding="utf-8")
+    (tmp_path / "plain").mkdir()
+    out = run_fresh_interpreter("""
+        import contextlib, io, sys
+        import asymbpe.cli
+
+        def run(*argv):
+            assert asymbpe.cli.main(list(argv)) == 0, argv
+
+        run("learn-bpe", "--input", "corpus.txt", "--nmo", "20", "--output", "t.bpe")
+        run("apply-bpe", "--table", "t.bpe", "--input", "corpus.txt", "--output", "seg.txt")
+        run("unbpe", "--input", "seg.txt", "--output", "out.txt")
+        run("sample", "--src", "corpus.txt", "--tgt", "corpus.txt", "--size", "20",
+            "--seed", "1", "--out-prefix", "s20")
+        run("recommend", "--size", "100000")
+        run("chrf", "--hyp", "out.txt", "--ref", "corpus.txt")
+        run("significance", "--hyp-a", "out.txt", "--hyp-b", "seg.txt", "--ref", "corpus.txt",
+            "--iterations", "50")
+        loaded = [m for m in ("asymbpe.orchestrator", "concurrent.futures", "fractions",
+                              "decimal") if m in sys.modules]
+        assert not loaded, loaded
+
+        run("learn-bpe", "--input", "corpus.txt", "--nmo", "0.02K", "--output", "k.bpe")
+        assert open("k.bpe", "rb").read() == open("t.bpe", "rb").read()
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                asymbpe.cli.main(["learn-bpe", "--input", "corpus.txt", "--nmo", "0.0025K",
+                                  "--output", "f.bpe"])
+            except SystemExit as exc:
+                assert exc.code == 2
+            else:
+                raise AssertionError("0.0025K accepted")
+            assert asymbpe.cli.main(["report", "--run-dir", "plain"]) == 1
+        print(err.getvalue())
+        """, tmp_path)
+    assert "'0.0025K' is 2.5 merges" in out
+    assert "error: not a sweep output directory (no manifest.json): plain\n" in out
+    assert not (tmp_path / "f.bpe").exists()
+
+
 def test_package_exports_score_in_a_fresh_interpreter(tmp_path):
     hyps = ["the cat sat", "a dog ran", "birds fly south"]
     refs = ["the cat sat down", "a dog ran", "the birds fly north"]

@@ -804,6 +804,41 @@ class TestResume:
             assert main(["report", "--run-dir", str(out)]) == 0
             assert reports() == swept
 
+    @pytest.mark.parametrize("interrupted", ["manifest.json", "train.src", "train.tgt"])
+    def test_sample_step_interrupted_at_any_write_resumes_to_a_fresh_sample(
+            self, tmp_path, monkeypatch, interrupted):
+        # A resume skips the sample step once both sample files exist, so
+        # every other sample file must already be on disk by then.
+        corpus = write_toy_corpus(str(tmp_path))
+        fresh = load_experiment(write_config(str(tmp_path), corpus,
+                                             output_dir=str(tmp_path / "fresh")))
+        run_sweep(fresh)
+        cfg = load_experiment(write_config(str(tmp_path), corpus))
+
+        class Interrupted(Exception):
+            pass
+
+        def interrupting(write):
+            def wrapped(path, obj):
+                if path == cell_path(cfg, "sample", interrupted):
+                    raise Interrupted(path)
+                return write(path, obj)
+            return wrapped
+
+        with monkeypatch.context() as patch:
+            for name in ("write_lines", "write_json"):
+                patch.setattr(orchestrator, name, interrupting(getattr(orchestrator, name)))
+            with pytest.raises(Interrupted):
+                run_sweep(cfg)
+        records = run_sweep(cfg)
+        assert len(records) == 4 and all(r.status == "done" for r in records)
+
+        def sample_files(c):
+            sample = Path(cell_path(c, "sample"))
+            return {p.name: p.read_bytes() for p in sample.iterdir()}
+
+        assert sample_files(cfg) == sample_files(fresh)
+
     def test_family_of_two_seeds_is_refused(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
         cfg = load_experiment(write_config(str(tmp_path), corpus))
