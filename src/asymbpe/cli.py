@@ -11,7 +11,7 @@ import sys
 
 from . import __version__, bpe, chrf, sampler
 from .sweep import SweepError, parse_nmo, recommend
-from .textfiles import iter_lines, iter_stdin_lines, read_lines, write_json, write_lines
+from .textfiles import iter_lines, iter_stdin_lines, read_lines, write_lines
 
 
 def _map_lines(input_path, output_path, fn):
@@ -54,23 +54,17 @@ def cmd_unbpe(args):
 
 
 def cmd_sample(args):
-    src_lines = read_lines(args.src)
-    tgt_lines = read_lines(args.tgt)
     try:
         bins = sampler.make_bins([int(b) if b.isdecimal() else b for b in args.bins.split(",")])
     except sampler.SamplerError as exc:
         raise sampler.SamplerError("--bins: %s" % exc) from None
-    histogram = sampler.bin_histogram(src_lines, tgt_lines, bins)
+    histogram = sampler.bin_files(args.src, args.tgt, bins)
     plan = sampler.make_sample_plan(histogram, args.size, args.seed, args.granularity)
-    indices = sampler.draw_sample(histogram, plan)
-
     prefix = args.out_prefix
-    write_lines(prefix + ".src", (src_lines[i] for i in indices))
-    write_lines(prefix + ".tgt", (tgt_lines[i] for i in indices))
-    write_json(prefix + ".manifest.json",
-               {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict(),
-                "seed": args.seed, "sampled_pairs": len(indices)})
-    print("sampled %d pairs -> %s.{src,tgt}" % (len(indices), prefix), file=sys.stderr)
+    n = sampler.write_sample(histogram, plan, (args.src, args.tgt),
+                             (prefix + ".src", prefix + ".tgt"), prefix + ".manifest.json",
+                             seed=args.seed, sampled_pairs=sum(plan.per_bin_quota))
+    print("sampled %d pairs -> %s.{src,tgt}" % (n, prefix), file=sys.stderr)
 
 
 def cmd_chrf(args):

@@ -12,8 +12,11 @@ into one temporary file per missing NMO, and each is renamed into place
 when complete (``textfiles.write_columns``), so preparation holds word
 types and learner state but no file's lines. The source lines of every
 test set, in config order, form one combined test source per source NMO.
-A size the corpus cannot sample is refused before any backend runs; the
-corpus is read only for a missing sample.
+A size the corpus cannot sample is refused before any backend runs. The
+corpus is read only for a missing sample, through the sampler's one path
+for files (``sampler.bin_files``, once for every cell, then
+``sampler.write_sample`` per cell), which holds one index per corpus line
+and the sample but no corpus line.
 
 Run: one worker pool takes every (cell, configuration) with a pending run
 and invokes the translation backend once on the cell's shared files, which
@@ -543,24 +546,19 @@ def _cell_inputs(cfg, cell_dir) -> dict:
 def _prepare_cells(cfg, cells):
     """Complete the sample, merge tables and segmented files of each (size,
     rep) of ``cells``, reading the training corpus only for a missing sample."""
-    corpus = None
+    histogram = None
     for size, rep in cells:
         cell_dir = os.path.join(cfg.output_dir, "size%d" % size, "rep%d" % rep)
         inputs = _cell_inputs(cfg, cell_dir)
         (s_src,), (s_tgt,) = inputs["train_src"][2], inputs["train_tgt"][2]
         if not (os.path.exists(s_src) and os.path.exists(s_tgt)):
-            if corpus is None:
-                train_src, train_tgt = read_lines(cfg.train_src), read_lines(cfg.train_tgt)
-                corpus = (train_src, train_tgt, sampler.bin_histogram(
-                    train_src, train_tgt, sampler.make_bins(cfg.bin_boundaries)))
-            train_src, train_tgt, histogram = corpus
+            if histogram is None:
+                histogram = sampler.bin_files(cfg.train_src, cfg.train_tgt,
+                                              sampler.make_bins(cfg.bin_boundaries))
             plan = sampler.make_sample_plan(histogram, size, cfg.seed + rep, cfg.granularity)
-            indices = sampler.draw_sample(histogram, plan)
-            # The two sample files mark the sample complete, so they come last.
-            write_json(os.path.join(cell_dir, "sample", "manifest.json"),
-                       {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict()})
-            write_lines(s_src, (train_src[i] for i in indices))
-            write_lines(s_tgt, (train_tgt[i] for i in indices))
+            # The two sample files, written last, mark the sample complete.
+            sampler.write_sample(histogram, plan, (cfg.train_src, cfg.train_tgt), (s_src, s_tgt),
+                                 os.path.join(cell_dir, "sample", "manifest.json"))
         tables = {"src": _cell_tables(cfg, cell_dir, cfg.src_lang, s_src),
                   "tgt": _cell_tables(cfg, cell_dir, cfg.tgt_lang, s_tgt)}
         for split, side, raw in inputs.values():

@@ -7,16 +7,28 @@ manifest's percentages are basis points / 100. Quotas are floored to a
 configurable granularity (default 10), which reproduces the slightly-short
 round totals of the reference protocol (e.g. 99,990 for a 100K target).
 
-Each source line is binned once, by ``bin_histogram``, which keeps every
-bin's line indices. ``draw_sample`` draws line indices from those bins with
-Python's Mersenne Twister (``random.Random(seed)``) and ``Random.sample``
-per bin, in bin order, so the sample is reproducible given (corpus, bins,
-quotas, seed); callers pick their lines by index. A negative seed is
-refused, since ``random.Random`` would seed with its absolute value.
+``bin_histogram`` bins each source line once, in one pass over the two
+sides that checks their line counts, and keeps every bin's line indices.
+``draw_sample`` draws line indices from those bins with Python's Mersenne
+Twister (``random.Random(seed)``) and ``Random.sample`` per bin, in bin
+order, so the sample is reproducible given (corpus, bins, quotas, seed). A
+negative seed is refused, since ``random.Random`` would seed with its
+absolute value.
+
+``bin_files`` and ``write_sample`` are the one sampling path of files, for
+``asymbpe sample`` and a sweep alike: the first reads each side of the
+corpus once to bin it, the second draws the sample, writes its manifest and
+then each side of the sample, from one more pass over each side of the
+corpus that keeps only the drawn lines. No corpus line is held: the memory
+is one index per corpus line, plus the sample. The trade is that each side
+is read twice, so it must be a file that reads the same twice (not a pipe).
 """
 
+import itertools
 import random
 from dataclasses import dataclass, field
+
+from .textfiles import iter_lines, write_json, write_lines
 
 DEFAULT_BOUNDARIES = (10, 15, 20, 25, 30, 35, 40)
 
@@ -117,17 +129,29 @@ class SamplePlan:
         }
 
 
-def bin_histogram(src_lines, tgt_lines, bins=None) -> BinPlan:
-    """Bin the sentence pairs of two equally long sequences of lines by
-    source length, keeping each bin's line indices (``BinPlan.members``)."""
+def bin_histogram(src_lines, tgt_lines, bins=None, names=("source", "target")) -> BinPlan:
+    """Bin the sentence pairs of two iterables of lines by source length, in
+    one pass, keeping each bin's line indices (``BinPlan.members``). Sides of
+    different line counts are refused, naming both counts and ``names``."""
     bins = list(bins) if bins is not None else make_bins()
-    if len(src_lines) != len(tgt_lines):
-        raise SamplerError(
-            "source/target line counts differ: %d vs %d" % (len(src_lines), len(tgt_lines)))
     members = [[] for _ in bins]
-    for idx, line in enumerate(src_lines):
-        members[assign_bin(bins, len(line.split()))].append(idx)
-    return BinPlan(bins, [len(m) for m in members], len(src_lines), members)
+    n_src = n_tgt = 0
+    for line, pair in itertools.zip_longest(src_lines, tgt_lines):
+        if line is not None:
+            members[assign_bin(bins, len(line.split()))].append(n_src)
+            n_src += 1
+        if pair is not None:
+            n_tgt += 1
+    if n_src != n_tgt:
+        raise SamplerError("%s and %s line counts differ: %d vs %d" % (*names, n_src, n_tgt))
+    return BinPlan(bins, [len(m) for m in members], n_src, members)
+
+
+def bin_files(src_path, tgt_path, bins) -> BinPlan:
+    """``bin_histogram`` of a parallel corpus's two files, read line by line;
+    a line count mismatch is refused naming both files."""
+    return bin_histogram(iter_lines(src_path), iter_lines(tgt_path), bins,
+                         ("source file %s" % src_path, "target file %s" % tgt_path))
 
 
 def make_sample_plan(plan: BinPlan, target_size: int, seed: int,
@@ -172,3 +196,32 @@ def draw_sample(histogram: BinPlan, plan: SamplePlan) -> list:
                 "bin %s: quota %d exceeds available %d" % (b.label, quota, len(pool)))
         chosen.extend(rng.sample(pool, quota))
     return chosen
+
+
+def write_sample(histogram: BinPlan, plan: SamplePlan, corpus_paths, sample_paths,
+                 manifest_path, **manifest_fields) -> int:
+    """Draw the planned sample of the corpus files ``corpus_paths`` (source,
+    target) from their ``bin_files`` histogram, write its manifest
+    (``bin_plan``, ``sample_plan`` and ``manifest_fields``) to
+    ``manifest_path``, then write line k of the draw to line k of each of
+    ``sample_paths`` from one more pass over that side, which keeps only the
+    drawn lines. The sample files come last, so a caller may take them to
+    mean the sample is complete. Returns the number of pairs drawn."""
+    indices = draw_sample(histogram, plan)
+    write_json(manifest_path, {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict(),
+                               **manifest_fields})
+    slot = {index: k for k, index in enumerate(indices)}
+    for corpus_path, sample_path in zip(corpus_paths, sample_paths):
+        picked = [None] * len(indices)
+        n = 0
+        for line in iter_lines(corpus_path):
+            k = slot.get(n)
+            if k is not None:
+                picked[k] = line
+            n += 1
+        if n != histogram.total:
+            raise SamplerError("%s has %d lines on its second read, not %d: sampling reads "
+                               "each side twice, so it needs a file that reads the same "
+                               "twice, not a pipe" % (corpus_path, n, histogram.total))
+        write_lines(sample_path, picked)
+    return len(indices)

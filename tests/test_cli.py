@@ -1,20 +1,22 @@
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from asymbpe import orchestrator
+from asymbpe import orchestrator, sampler
 from asymbpe.bpe import MergeTable, learn_bpe
 from asymbpe.chrf import corpus_chrf, paired_significance, stats_matrix
 from asymbpe.cli import main
 from asymbpe.textfiles import read_lines
-from conftest import oracle_segment
+from conftest import oracle_draw, oracle_segment
 from test_orchestrator import (IDENTITY_BACKEND, planted_backend, write_config,
                                write_toy_corpus)
 
@@ -369,6 +371,115 @@ def test_sweep_refuses_a_size_that_draws_nothing(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "--config", config)
     assert code == 1 and "target size 5" in err and "granularity 10" in err
     assert not (tmp_path / "out" / "size5" / "rep0" / "sample").exists()
+
+
+def test_sample_refuses_sides_of_different_line_counts_naming_both(tmp_path, capsys):
+    src = tmp_path / "all.src"
+    tgt = tmp_path / "all.tgt"
+    src.write_text("a b\nc d\n", encoding="utf-8")
+    tgt.write_text("x\ny\nz\n", encoding="utf-8")
+    code, _, err = run(capsys, "sample", "--src", str(src), "--tgt", str(tgt), "--size", "1",
+                       "--seed", "1", "--granularity", "1", "--out-prefix",
+                       str(tmp_path / "out" / "s1"))
+    assert code == 1
+    assert err == ("error: source file %s and target file %s line counts differ: 2 vs 3\n"
+                   % (src, tgt))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["all.src", "all.tgt"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_sample_refuses_a_side_that_does_not_read_the_same_twice(tmp_path, capsys):
+    # Sampling reads each side twice; a pipe is empty the second time.
+    tgt = tmp_path / "all.tgt"
+    tgt.write_text("".join("t%d\n" % i for i in range(30)), encoding="utf-8")
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, "".join("w%d x\n" % i for i in range(30)).encode("utf-8"))
+        os.close(write_end)
+        src = "/dev/fd/%d" % read_end
+        code, _, err = run(capsys, "sample", "--src", src, "--tgt", str(tgt), "--size", "10",
+                           "--seed", "1", "--out-prefix", str(tmp_path / "s10"))
+    finally:
+        os.close(read_end)
+    assert code == 1
+    assert "%s has 0 lines on its second read, not 30" % src in err
+    assert not (tmp_path / "s10.src").exists() and not (tmp_path / "s10.tgt").exists()
+
+
+def test_sweep_refuses_a_training_corpus_of_different_line_counts_naming_both(tmp_path,
+                                                                                capsys):
+    corpus = write_toy_corpus(str(tmp_path))
+    with open(corpus["train_tgt"], "a", encoding="utf-8") as fh:
+        fh.write("one more\n")
+    code, _, err = run(capsys, "sweep", "--config", write_config(str(tmp_path), corpus))
+    assert code == 1
+    assert ("source file %s and target file %s line counts differ: 120 vs 121"
+            % (corpus["train_src"], corpus["train_tgt"])) in err
+    assert not (tmp_path / "out" / "size50").exists()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sample_writes_the_bytes_of_a_sweep_cell_sample(tmp_path, capsys, seed):
+    # Random corpora, bins, granularities and sizes: asymbpe sample with a
+    # sweep's settings and seed + rep writes the cell's sample files, and
+    # both hold the lines of the two-pass oracle draw.
+    rng = random.Random(seed)
+    n = rng.randint(60, 300)
+    src = [" ".join("w" * rng.randint(1, 3) for _ in range(rng.randint(1, 45)))
+           for _ in range(n)]
+    tgt = ["t%d %s" % (i, "v" * rng.randint(1, 4)) for i in range(n)]
+    corpus = write_toy_corpus(str(tmp_path))
+    for side, lines in (("src", src), ("tgt", tgt)):
+        Path(corpus["train_" + side]).write_text("".join(line + "\n" for line in lines),
+                                                  encoding="utf-8")
+    bins = sorted(rng.sample(range(1, 50), rng.randint(1, 6)))
+    granularity = rng.randint(1, 3)
+    size = rng.randint(n // 2, n)
+    config = write_config(str(tmp_path), corpus, sizes=[size], repetitions=2, nmo_set=[10],
+                          bins=bins, granularity=granularity, backend=IDENTITY_BACKEND)
+    assert run(capsys, "sweep", "--config", config)[0] == 0
+    for rep in range(2):
+        sample_dir = tmp_path / "out" / ("size%d" % size) / ("rep%d" % rep) / "sample"
+        prefix = str(tmp_path / ("cli%d" % rep))
+        assert run(capsys, "sample", "--src", corpus["train_src"], "--tgt", corpus["train_tgt"],
+                   "--size", str(size), "--seed", str(7 + rep), "--bins",
+                   ",".join(map(str, bins)), "--granularity", str(granularity),
+                   "--out-prefix", prefix)[0] == 0
+        manifest = json.loads(Path(prefix + ".manifest.json").read_text(encoding="utf-8"))
+        assert {key: manifest.pop(key) for key in ("seed", "sampled_pairs")} == {
+            "seed": 7 + rep, "sampled_pairs": sum(manifest["sample_plan"]["per_bin_quota"])}
+        assert manifest == json.loads((sample_dir / "manifest.json").read_text(encoding="utf-8"))
+        plan = sampler.make_sample_plan(sampler.bin_histogram(src, tgt, sampler.make_bins(bins)),
+                                        size, 7 + rep, granularity)
+        for side, lines in zip(("src", "tgt"), oracle_draw(src, tgt, plan)):
+            expected = "".join(line + "\n" for line in lines).encode("utf-8")
+            assert Path(prefix + "." + side).read_bytes() == expected
+            assert (sample_dir / ("train." + side)).read_bytes() == expected
+
+
+def test_sample_memory_does_not_grow_with_pool_lines(tmp_path, capsys):
+    # 200 pairs from a pool of 2,000 and then 20,000 lines: the sampler
+    # holds one index per pool line and the sample, not the pool's lines.
+    rng = random.Random(11)
+    words = ["".join(rng.choices("abcdefghij", k=rng.randint(2, 7))) for _ in range(300)]
+    peaks = []
+    for n in (2000, 20000):
+        paths = [str(tmp_path / ("pool%d.%s" % (n, side))) for side in ("src", "tgt")]
+        for path in paths:
+            with open(path, "w", encoding="utf-8") as fh:
+                for _ in range(n):
+                    fh.write(" ".join(rng.choices(words, k=rng.randint(1, 45))) + "\n")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = main(["sample", "--src", paths[0], "--tgt", paths[1], "--size", "200",
+                         "--seed", "1", "--granularity", "1",
+                         "--out-prefix", str(tmp_path / ("s%d" % n))])
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+    assert peaks[1] - peaks[0] <= 64 * 18000, peaks
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf", "-2"])

@@ -827,7 +827,7 @@ class TestResume:
 
         with monkeypatch.context() as patch:
             for name in ("write_lines", "write_json"):
-                patch.setattr(orchestrator, name, interrupting(getattr(orchestrator, name)))
+                patch.setattr(sampler, name, interrupting(getattr(sampler, name)))
             with pytest.raises(Interrupted):
                 run_sweep(cfg)
         records = run_sweep(cfg)
