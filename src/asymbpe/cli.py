@@ -62,8 +62,7 @@ def cmd_sample(args):
     plan = sampler.make_sample_plan(histogram, args.size, args.seed, args.granularity)
     prefix = args.out_prefix
     n = sampler.write_sample(histogram, plan, (args.src, args.tgt),
-                             (prefix + ".src", prefix + ".tgt"), prefix + ".manifest.json",
-                             seed=args.seed, sampled_pairs=sum(plan.per_bin_quota))
+                             (prefix + ".src", prefix + ".tgt"), prefix + ".manifest.json")
     print("sampled %d pairs -> %s.{src,tgt}" % (n, prefix), file=sys.stderr)
 
 

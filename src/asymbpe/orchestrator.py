@@ -27,10 +27,12 @@ into the run's ``hyp.detok.txt``.
 
 Evaluate: one ``evaluate`` call over every record in the directory reads
 each ``hyp.detok.txt`` that a score or test needs once, against the
-references ``manifest.json`` names, and tests each cell and test set
-against its best symmetric configuration in one pass that shares each swap
-mask. ``report --run-dir`` makes the same call, so a resume with a smaller
-grid keeps and reports every finished run.
+references ``manifest.json`` names, and tests each family (a cell and test
+set) against its best symmetric configuration in one pass that shares each
+swap mask. ``report --run-dir`` makes the same call, so a resume with a
+smaller grid keeps and reports every finished run. ``evaluate`` and
+``emit_report`` take the families from ``_families``, which refuses two
+records of one run and a family of two seeds.
 
 A backend failure fails every pending run of its configuration; a slice
 that does not match its references fails only its own run. Every sweep
@@ -87,6 +89,11 @@ _REQUIRED_FIELDS = ("train_src", "train_tgt", "valid_src", "valid_tgt",
                     "test_src", "test_tgt", "direction", "sizes", "nmo_set",
                     "backend", "output_dir")
 
+# A configuration directory's own entries, beside one directory per test set.
+_MODEL_DIR, _HYP_OUT, _BACKEND_LOG = "model", "hyp.txt", "backend.log"
+_CONFIG_DIR_ENTRIES = {_MODEL_DIR: "the backend's {model_dir}",
+                       _HYP_OUT: "the backend's {hyp_out}", _BACKEND_LOG: "the backend's log"}
+
 
 class OrchestratorError(ValueError):
     pass
@@ -111,12 +118,12 @@ class ExperimentConfig:
     nmo_set: list
     backend_command: str
     output_dir: str
+    bins: list
     seed: int = 0
     repetitions: int = 1
     workers: int = 1
     significance_iterations: int = 10000
     backend_timeout: float | None = None
-    bin_boundaries: tuple = sampler.DEFAULT_BOUNDARIES
     granularity: int = 10
 
     @property
@@ -196,10 +203,12 @@ _RECORD_VALUES = (
 
 
 def _check_backend_template(command: str):
-    fields = [f for _, f, _, _ in string.Formatter().parse(command) if f]
+    # An unnamed {} has the field name "", and literal text has None.
+    fields = [f for _, f, _, _ in string.Formatter().parse(command) if f is not None]
     unknown = set(fields) - BACKEND_PLACEHOLDERS
     if unknown:
-        raise OrchestratorError("unknown backend placeholders: %s" % ", ".join(sorted(unknown)))
+        raise OrchestratorError("unknown backend placeholders: %s (a literal brace is written "
+                                "{{ or }})" % ", ".join("{%s}" % f for f in sorted(unknown)))
     if len(fields) != len(set(fields)):
         raise OrchestratorError("backend placeholders may be used at most once")
     if "hyp_out" not in fields:
@@ -271,6 +280,9 @@ def load_experiment(path) -> ExperimentConfig:
                                     "names in the combined test source's file name" % name)
         if any(ts.name == name for ts in test_sets):
             raise OrchestratorError("test set name %r is used twice" % name)
+        if name in _CONFIG_DIR_ENTRIES:
+            raise OrchestratorError("test set name %r is taken by %s in each configuration "
+                                    "directory" % (name, _CONFIG_DIR_ENTRIES[name]))
         test_sets.append(TestSet(name, resolve(extra["src"], "test set %r src" % name),
                                  resolve(extra["tgt"], "test set %r tgt" % name)))
 
@@ -354,6 +366,7 @@ def load_experiment(path) -> ExperimentConfig:
         nmo_set=nmo_set,
         backend_command=backend["command"],
         output_dir=resolve(raw["output_dir"], "output_dir"),
+        bins=bins,
         # Cell seeds also seed the significance test's generator, which
         # takes no negative seed.
         seed=integer("seed", 0, 0),
@@ -361,7 +374,6 @@ def load_experiment(path) -> ExperimentConfig:
         workers=integer("workers", 1, 1),
         significance_iterations=integer("significance_iterations", 10000, 1),
         backend_timeout=timeout,
-        bin_boundaries=tuple(bins),
         granularity=integer("granularity", 10, 1),
     )
     for name in ("train_src", "train_tgt", "valid_src", "valid_tgt"):
@@ -440,8 +452,9 @@ def _save_record(run_dir, record: RunRecord):
     write_json(_record_path(run_dir), record.to_dict())
 
 
-# Manifest fields a resume must not change: every record and artifact on
-# disk was made with them. A manifest that lacks one is not compared on it.
+# The ExperimentConfig fields that manifest.json records under their own
+# names and a resume must not change: every record and artifact on disk was
+# made with them. A manifest that lacks one is not compared on it.
 _RESUME_FIELDS = ("direction", "seed", "significance_iterations", "bins", "granularity",
                   "train_src", "train_tgt", "valid_src", "valid_tgt")
 
@@ -470,19 +483,8 @@ def run_sweep(cfg: ExperimentConfig) -> list:
     out = cfg.output_dir
     manifest = {
         "schema": SCHEMA_VERSION,
-        "train_src": cfg.train_src,
-        "train_tgt": cfg.train_tgt,
-        "valid_src": cfg.valid_src,
-        "valid_tgt": cfg.valid_tgt,
-        "direction": cfg.direction,
-        "sizes": cfg.sizes,
-        "nmo_set": cfg.nmo_set,
-        "seed": cfg.seed,
-        "repetitions": cfg.repetitions,
+        **{key: getattr(cfg, key) for key in _RESUME_FIELDS + ("sizes", "nmo_set", "repetitions")},
         "planned_runs": cfg.planned_runs(),
-        "significance_iterations": cfg.significance_iterations,
-        "bins": list(cfg.bin_boundaries),
-        "granularity": cfg.granularity,
         "test_sets": [asdict(ts) for ts in cfg.test_sets],
         "assumptions": [
             "validation data is segmented with the same per-configuration "
@@ -554,7 +556,7 @@ def _prepare_cells(cfg, cells):
         if not (os.path.exists(s_src) and os.path.exists(s_tgt)):
             if histogram is None:
                 histogram = sampler.bin_files(cfg.train_src, cfg.train_tgt,
-                                              sampler.make_bins(cfg.bin_boundaries))
+                                              sampler.make_bins(cfg.bins))
             plan = sampler.make_sample_plan(histogram, size, cfg.seed + rep, cfg.granularity)
             # The two sample files, written last, mark the sample complete.
             sampler.write_sample(histogram, plan, (cfg.train_src, cfg.train_tgt), (s_src, s_tgt),
@@ -582,12 +584,12 @@ def _run_config(cfg, lengths: list, records: dict):
     nmo = {"src": first.src_nmo, "tgt": first.tgt_nmo}
     paths = {name: _seg_path(cell_dir, split, side, nmo[side])
              for name, (split, side, _) in _cell_inputs(cfg, cell_dir).items()}
-    paths.update(model_dir=os.path.join(config_dir, "model"),
-                 hyp_out=os.path.join(config_dir, "hyp.txt"), config=first.config_label)
+    paths.update(model_dir=os.path.join(config_dir, _MODEL_DIR),
+                 hyp_out=os.path.join(config_dir, _HYP_OUT), config=first.config_label)
     hyps, backend_error = [], None
     try:
         os.makedirs(paths["model_dir"], exist_ok=True)
-        _invoke_backend(cfg, paths, os.path.join(config_dir, "backend.log"))
+        _invoke_backend(cfg, paths, os.path.join(config_dir, _BACKEND_LOG))
         hyps = read_lines(paths["hyp_out"])
         expected = sum(lengths)
         if len(hyps) != expected:
@@ -631,21 +633,34 @@ def _read_manifest(run_dir) -> dict:
     return manifest
 
 
-def evaluate(run_dir, records) -> list:
-    """Score each unscored done record of the sweep output directory
-    ``run_dir``, and test each without a p-value against its family's
-    baseline, in place; save each changed record once and return ``records``.
-    Two records of one run are refused."""
-    manifest = _read_manifest(run_dir)
-    ref_paths = {ts["name"]: ts["tgt"] for ts in manifest["test_sets"]}
-    families, refs = {}, {}
-    for r in records:
+def _families(records) -> dict:
+    """(direction, size, repetition, test set) -> {configuration label:
+    record} of ``records``, in key order. Two records of one run are
+    refused, and so is a family whose records hold two seeds."""
+    families = {}
+    for r in sorted(records, key=lambda r: (r.direction, r.size, r.rep, r.testset)):
         family = families.setdefault((r.direction, r.size, r.rep, r.testset), {})
         if r.config_label in family:
             raise OrchestratorError("two records for one run: direction %s, size %d, rep %d, "
                                     "test set %s, configuration %s" % (
                                         r.direction, r.size, r.rep, r.testset, r.config_label))
         family[r.config_label] = r
+    for (_, size, rep, testset), family in families.items():
+        seeds = sorted({r.seed for r in family.values()})
+        if len(seeds) > 1:
+            raise OrchestratorError("size %d, rep %d, test set %s: records of seeds %d and %d"
+                                    % (size, rep, testset, seeds[0], seeds[-1]))
+    return families
+
+
+def evaluate(run_dir, records) -> list:
+    """Score each unscored done record of the sweep output directory
+    ``run_dir``, and test each without a p-value against its family's
+    baseline, in place; save each changed record once and return ``records``.
+    Records that ``_families`` refuses are refused before any is scored."""
+    manifest = _read_manifest(run_dir)
+    ref_paths = {ts["name"]: ts["tgt"] for ts in manifest["test_sets"]}
+    families, refs = _families(records), {}
 
     def statistics(r, stats):
         if r.config_label not in stats:
@@ -658,14 +673,8 @@ def evaluate(run_dir, records) -> list:
                 iter_lines(os.path.join(_run_path(run_dir, r), "hyp.detok.txt")), refs[r.testset])
         return stats[r.config_label]
 
-    # A family is one (direction, size, repetition, test set); its baseline is
-    # its first symmetric member in rank_key order, as in its tier report.
+    # A family's baseline is its best symmetric member (rank_key), as in its tiers.
     for family in families.values():
-        seeds = sorted({r.seed for r in family.values()})
-        if len(seeds) > 1:
-            r = next(iter(family.values()))
-            raise OrchestratorError("size %d, rep %d, test set %s: records of seeds %d and %d"
-                                    % (r.size, r.rep, r.testset, seeds[0], seeds[-1]))
         done = [r for r in family.values() if r.status == "done"]
         stats, unscored = {}, [r for r in done if r.chrf is None]
         for r in unscored:
@@ -701,7 +710,7 @@ def collect_records(run_dir) -> list:
 def emit_report(records, out_dir) -> dict:
     """Write results.tsv, per-cell tier reports, the per-source-NMO maximum
     trace, and a repetition-averaged summary. Returns the artifact paths.
-    Rows follow ``_report_order``.
+    Rows follow ``_report_order``; records that ``_families`` refuses write no file.
 
     ``asymbpe sweep`` and ``asymbpe report`` both report through here the
     records ``evaluate`` returned, from their own scores (results.tsv rounds
@@ -710,8 +719,8 @@ def emit_report(records, out_dir) -> dict:
     configuration its records' p-values were measured against. Each file is
     replaced atomically by ``write_lines``."""
     records = sorted(records, key=_report_order)
-    completed = [r for r in records if r.status == "done"]
-    if not completed:
+    families = _families(records)
+    if not any(r.status == "done" for r in records):
         raise OrchestratorError("no completed records to report")
 
     results_path = os.path.join(out_dir, "results.tsv")
@@ -725,48 +734,38 @@ def emit_report(records, out_dir) -> dict:
             r.status]))
     write_lines(results_path, lines)
 
-    artifacts = {"results": results_path, "tiers": [], "max_trace": None, "summary": None}
-
-    cells = {}
-    for r in completed:
-        cells.setdefault((r.direction, r.size, r.rep, r.testset), []).append(r)
-    tier_dir = os.path.join(out_dir, "tiers")
-    for (direction, size, rep, testset), cell in sorted(cells.items()):
-        results = [SystemResult(BpeConfig(r.src_nmo, r.tgt_nmo), r.chrf, r.p_vs_baseline)
-                   for r in cell]
-        try:
-            report = tier_report(results)
-        except SweepError:
-            continue  # not enough coverage for tiers in this cell
-        stem = "%s_size%d_rep%d_%s" % (direction, size, rep, testset)
-        tsv_path = os.path.join(tier_dir, stem + ".tsv")
-        write_lines(tsv_path, render_tier_tsv(report))
-        write_lines(os.path.join(tier_dir, stem + ".txt"), render_tier_text(report))
-        artifacts["tiers"].append(tsv_path)
-
-    # Stepped-maximum trace: best score per source NMO within each cell.
-    max_path = os.path.join(out_dir, "src_nmo_max.tsv")
-    lines = ["direction\tsize\trep\ttestset\tsrc_nmo\tmax_chrf\tbest_config"]
-    for (direction, size, rep, testset), cell in sorted(cells.items()):
+    artifacts = {"results": results_path, "tiers": [],
+                 "max_trace": os.path.join(out_dir, "src_nmo_max.tsv"),
+                 "summary": os.path.join(out_dir, "summary.tsv")}
+    max_lines = ["direction\tsize\trep\ttestset\tsrc_nmo\tmax_chrf\tbest_config"]
+    scores = {}  # (direction, size, test set, configuration) -> its scores by repetition
+    for (direction, size, rep, testset), family in families.items():
+        cell = [r for r in family.values() if r.status == "done"]
+        # Stepped-maximum trace: best score per source NMO within each cell.
         per_src = {}
         for r in cell:
             per_src.setdefault(r.src_nmo, []).append(r)
+            scores.setdefault((direction, size, testset, r.config_label), []).append(r.chrf)
         for src_nmo in sorted(per_src):
             best = min(per_src[src_nmo], key=lambda r: rank_key(r.chrf, r.src_nmo, r.tgt_nmo))
-            lines.append("%s\t%d\t%d\t%s\t%d\t%.2f\t%s" % (
+            max_lines.append("%s\t%d\t%d\t%s\t%d\t%.2f\t%s" % (
                 direction, size, rep, testset, src_nmo, best.chrf, best.config_label))
-    write_lines(max_path, lines)
-    artifacts["max_trace"] = max_path
+        try:
+            report = tier_report(SystemResult(BpeConfig(r.src_nmo, r.tgt_nmo), r.chrf,
+                                              r.p_vs_baseline) for r in cell)
+        except SweepError:
+            continue  # not enough coverage for tiers in this cell
+        stem = "%s_size%d_rep%d_%s" % (direction, size, rep, testset)
+        tsv_path = os.path.join(out_dir, "tiers", stem + ".tsv")
+        write_lines(tsv_path, render_tier_tsv(report))
+        write_lines(os.path.join(out_dir, "tiers", stem + ".txt"), render_tier_text(report))
+        artifacts["tiers"].append(tsv_path)
+    write_lines(artifacts["max_trace"], max_lines)
 
     # Mean corpus score per configuration across repetitions.
-    summary_path = os.path.join(out_dir, "summary.tsv")
-    groups = {}
-    for r in completed:
-        groups.setdefault((r.direction, r.size, r.testset, r.config_label), []).append(r.chrf)
     lines = ["direction\tsize\ttestset\tconfig\tmean_chrf\trepetitions"]
-    for (direction, size, testset, label), scores in sorted(groups.items()):
+    for (direction, size, testset, label), values in sorted(scores.items()):
         lines.append("%s\t%d\t%s\t%s\t%.2f\t%d" % (
-            direction, size, testset, label, sum(scores) / len(scores), len(scores)))
-    write_lines(summary_path, lines)
-    artifacts["summary"] = summary_path
+            direction, size, testset, label, sum(values) / len(values), len(values)))
+    write_lines(artifacts["summary"], lines)
     return artifacts

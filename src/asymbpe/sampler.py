@@ -199,17 +199,18 @@ def draw_sample(histogram: BinPlan, plan: SamplePlan) -> list:
 
 
 def write_sample(histogram: BinPlan, plan: SamplePlan, corpus_paths, sample_paths,
-                 manifest_path, **manifest_fields) -> int:
+                 manifest_path) -> int:
     """Draw the planned sample of the corpus files ``corpus_paths`` (source,
     target) from their ``bin_files`` histogram, write its manifest
-    (``bin_plan``, ``sample_plan`` and ``manifest_fields``) to
+    (``bin_plan``, ``sample_plan``, the plan's ``seed`` and the number of
+    ``sampled_pairs``; the same for ``asymbpe sample`` and a sweep cell) to
     ``manifest_path``, then write line k of the draw to line k of each of
     ``sample_paths`` from one more pass over that side, which keeps only the
     drawn lines. The sample files come last, so a caller may take them to
     mean the sample is complete. Returns the number of pairs drawn."""
     indices = draw_sample(histogram, plan)
     write_json(manifest_path, {"bin_plan": histogram.to_dict(), "sample_plan": plan.to_dict(),
-                               **manifest_fields})
+                               "seed": plan.seed, "sampled_pairs": len(indices)})
     slot = {index: k for k, index in enumerate(indices)}
     for corpus_path, sample_path in zip(corpus_paths, sample_paths):
         picked = [None] * len(indices)

@@ -211,6 +211,17 @@ class TestLoadExperiment:
             load_experiment(path)
         assert "'dev+x'" in str(err.value)
 
+    @pytest.mark.parametrize("name, entry", [("model", "{model_dir}"), ("hyp.txt", "{hyp_out}"),
+                                             ("backend.log", "log")])
+    def test_test_set_named_after_a_configuration_entry_rejected(self, tmp_path, name, entry):
+        # A configuration directory holds the backend's model/, hyp.txt and
+        # backend.log beside one directory per test set.
+        path = self.extra_sets_config(tmp_path, name)
+        with pytest.raises(OrchestratorError) as err:
+            load_experiment(path)
+        assert str(err.value) == ("test set name %r is taken by the backend's %s in each "
+                                  "configuration directory" % (name, entry))
+
     @pytest.mark.parametrize("field, value", [
         ("seed", "abc"), ("seed", 1.5), ("seed", True), ("seed", -1),
         ("repetitions", 1.7), ("repetitions", "2"), ("workers", True),
@@ -253,6 +264,9 @@ class TestLoadExperiment:
          "unknown backend keys: timout \\(allowed: command, timeout\\)"),
         ({"extra_test_sets": [{"name": "dev", "src": "test.src", "tgt": "test.tgt", "weight": 2}]},
          "unknown extra test set keys: weight \\(allowed: name, src, tgt\\)"),
+        # An unnamed {} would fail only when the backend runs.
+        ({"backend": {"command": "echo {} > /dev/null; " + IDENTITY_BACKEND}},
+         "unknown backend placeholders: \\{\\} \\(a literal brace is written \\{\\{ or \\}\\}\\)"),
     ])
     def test_mistyped_structure_named(self, tmp_path, overrides, message):
         # None stands for a config whose top level is a list.
@@ -933,6 +947,50 @@ class TestEmitReport:
         assert maxima == {500: 12.0, 1000: 15.0, 2000: 13.0}
         best = {int(l.split("\t")[4]): l.split("\t")[6] for l in lines}
         assert best[2000] == BpeConfig(2000, 500).label
+
+    def test_two_records_of_one_run_are_refused_before_any_file(self, tmp_path):
+        records = [make_record(src, tgt, 30.0 + src / 100 + tgt / 1000)
+                   for src in (500, 1000) for tgt in (500, 1000)]
+        records.append(make_record(1000, 500, 42.0))
+        with pytest.raises(OrchestratorError) as err:
+            emit_report(records, str(tmp_path))
+        assert str(err.value) == ("two records for one run: direction en-xx, size 50, rep 0, "
+                                  "test set test, configuration 1K_500")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_record_order_does_not_change_any_report(self, tmp_path):
+        # Summed in repetition order, as here, 500_1K's three scores average
+        # to 28.554999999999996 (28.55); summed in reverse, to
+        # 28.555000000000003 (28.56). A failed 250_250 run of each
+        # repetition's test set comes first in report order, and its family
+        # still follows dev's in key order.
+        asymmetric = (2.504056, 27.555644, 55.6053)
+        records = []
+        for testset in ("test", "dev"):
+            for rep, score in enumerate(asymmetric):
+                if testset == "test":
+                    records.append(make_record(250, 250, None, rep=rep, status="failed"))
+                records += [make_record(500, 500, 20.0 + rep, rep=rep, testset=testset),
+                            make_record(1000, 1000, 25.5 - rep, rep=rep, testset=testset),
+                            make_record(500, 1000, score, rep=rep, testset=testset),
+                            make_record(1000, 500, 30.25, rep=rep, testset=testset),
+                            make_record(2000, 500, None, rep=rep, testset=testset,
+                                        status="failed")]
+        records[0].p_vs_baseline, records[0].baseline = 0.0123, "1K_1K"
+
+        def reports(order, name):
+            out = tmp_path / name
+            emit_report(order, str(out))
+            return {str(p.relative_to(out)): p.read_bytes()
+                    for p in sorted(out.rglob("*")) if p.is_file()}
+
+        forward = reports(records, "forward")
+        assert reports(records[::-1], "reverse") == forward
+        assert set(forward) == {"results.tsv", "src_nmo_max.tsv", "summary.tsv"} | {
+            "tiers/en-xx_size50_rep%d_%s.%s" % (rep, testset, ext)
+            for rep in range(3) for testset in ("test", "dev") for ext in ("tsv", "txt")}
+        assert b"en-xx\t50\ttest\t500_1K\t28.55\t3\n" in forward["summary.tsv"]
+        assert forward["src_nmo_max.tsv"].split(b"\n")[1].startswith(b"en-xx\t50\t0\tdev\t")
 
     def test_no_completed_records_error(self, tmp_path):
         with pytest.raises(OrchestratorError):
