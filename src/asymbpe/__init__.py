@@ -8,13 +8,13 @@ over configuration grids.
 
 __version__ = "0.1.0"
 
-from .bpe import MergeRule, MergeTable, learn_bpe, unsegment
+from .bpe import MergeTable, learn_bpe, unsegment
 from .chrf import corpus_chrf, paired_significance
 from .sampler import bin_histogram, draw_sample, make_sample_plan
 from .sweep import BpeConfig, enumerate_grid, recommend, tier_report
 
 __all__ = [
-    "MergeRule", "MergeTable", "learn_bpe", "unsegment",
+    "MergeTable", "learn_bpe", "unsegment",
     "corpus_chrf", "paired_significance",
     "bin_histogram", "draw_sample", "make_sample_plan",
     "BpeConfig", "enumerate_grid", "recommend", "tier_report",

@@ -2,8 +2,9 @@
 
 Learns ranked merge tables from a whitespace-tokenized corpus and segments
 text into subword pieces with them. The number of merge operations (NMO) is
-the only capacity parameter. A ``MergeTable`` is immutable; a rule's rank is
-its position in the table. ``segment_lines`` is the one segmenter: a
+the only capacity parameter. A ``MergeTable`` holds an immutable tuple of
+rules, each the ``(left, right)`` pair of symbols it merges, and a rule's
+rank is its position in the table. ``segment_lines`` is the one segmenter: a
 generator that reads any iterable of lines and yields each line's
 segmentation at every requested NMO from one encode per distinct word, so
 its memory grows with the word types, not with the lines. ``learn_bpe``
@@ -37,22 +38,11 @@ class BpeError(ValueError):
 
 
 @dataclass(frozen=True)
-class MergeRule:
-    """One merge operation: concatenate adjacent (left, right) symbols."""
-
-    left: str
-    right: str
-
-    @property
-    def pair(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True)
 class MergeTable:
-    """Immutable sequence of merge rules; rank equals position."""
+    """Immutable sequence of merge rules; rank equals position. A rule is
+    the ``(left, right)`` pair of adjacent symbols it concatenates."""
 
-    rules: tuple[MergeRule, ...]
+    rules: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -67,14 +57,14 @@ class MergeTable:
         table. A pair listed twice keeps its first rank, so every prefix of
         the table ranks its pairs as the whole table does."""
         ranks = {}
-        for i, r in enumerate(self.rules):
-            ranks.setdefault(r.pair, i)
+        for i, pair in enumerate(self.rules):
+            ranks.setdefault(pair, i)
         return ranks
 
     def save(self, path):
         """Write the table atomically (``textfiles.write_lines``), so a save
         cut short leaves no torn table."""
-        rules = ("%s %s" % (_escape(r.left), _escape(r.right)) for r in self.rules)
+        rules = ("%s %s" % (_escape(left), _escape(right)) for left, right in self.rules)
         write_lines(path, chain([TABLE_HEADER], rules))
 
     @classmethod
@@ -90,7 +80,7 @@ class MergeTable:
             parts = line.split(" ")
             if len(parts) != 2 or not all(parts):  # an empty symbol never merges
                 raise BpeError("malformed rule on line %d of %s: %r" % (i, path, line))
-            rules.append(MergeRule(_unescape(parts[0]), _unescape(parts[1])))
+            rules.append((_unescape(parts[0]), _unescape(parts[1])))
         return cls(rules)
 
 
@@ -242,7 +232,7 @@ def learn_bpe(corpus, nmo: int) -> MergeTable:
         # A greedy pass merges every occurrence of the pair, and no added
         # pair equals it (the merged text is longer than either side).
         del pairs[best]
-        rules.append(MergeRule(left_text, right_text))
+        rules.append((left_text, right_text))
         merged_text = left_text + right_text
         merged = ids.get(merged_text)
         if merged is None:

@@ -13,11 +13,11 @@ orders has to leave it out.
 Scores and tests work from per-sentence sufficient statistics: an
 ``n x 3·orders`` integer matrix (``stats_matrix``) whose row holds one
 sentence's clipped matches, hypothesis totals and reference totals per
-order. A system's matrix is computed once, scored with ``corpus_chrf`` and
-handed to ``paired_significance_stats`` without rescoring any text. The
-score and the test share one scorer, so two systems whose corpus scores are
-equal test as a tie, and the test's observed difference is the difference of
-the two corpus scores to the last bit.
+order. A system's matrix is computed once, scored with ``corpus_chrf``, which
+returns a plain float, and handed to ``paired_significance_stats`` without
+rescoring any text. The score and the test share one scorer, so two systems
+whose corpus scores are equal test as a tie, and the test's observed
+difference is the difference of the two corpus scores to the last bit.
 
 ``stats_matrix`` counts a corpus in blocks of lines, with no per-sentence
 n-gram dictionaries and in bounded working memory: it takes the two sides
@@ -88,12 +88,6 @@ _STATS_BLOCK_CHARS = 16_384
 
 class ChrfError(ValueError):
     pass
-
-
-@dataclass
-class ChrfScore:
-    value: float
-    beta: float
 
 
 @dataclass
@@ -230,8 +224,8 @@ def stats_matrix(hypotheses, references, char_order: int = CHAR_ORDER,
     return np.frombuffer(rows, dtype=np.int64).reshape(n, 3 * (char_order + word_order))
 
 
-def corpus_chrf(stats, beta: float = DEFAULT_BETA) -> ChrfScore:
-    """Aggregate a ``stats_matrix`` into one corpus score."""
+def corpus_chrf(stats, beta: float = DEFAULT_BETA) -> float:
+    """Aggregate a ``stats_matrix`` into one corpus score in [0, 100]."""
     import numpy as np
     if not 0 <= beta < np.inf:  # also false for NaN
         raise ChrfError("beta must be a finite number >= 0, got %r" % (beta,))
@@ -240,8 +234,7 @@ def corpus_chrf(stats, beta: float = DEFAULT_BETA) -> ChrfScore:
     stats = np.asarray(stats, dtype=np.int64)
     _check_width(stats)
     sums = stats.sum(axis=0)
-    return ChrfScore(float(_scores_from_sum_rows(sums[None, :], len(sums) // 3, beta)[0]),
-                     beta)
+    return float(_scores_from_sum_rows(sums[None, :], len(sums) // 3, beta)[0])
 
 
 def _check_width(matrix: np.ndarray):
@@ -255,7 +248,7 @@ def _check_width(matrix: np.ndarray):
 
 def corpus_chrf_from_lines(hypotheses, references, beta: float = DEFAULT_BETA,
                            char_order: int = CHAR_ORDER,
-                           word_order: int = WORD_ORDER) -> ChrfScore:
+                           word_order: int = WORD_ORDER) -> float:
     return corpus_chrf(stats_matrix(hypotheses, references, char_order, word_order), beta)
 
 

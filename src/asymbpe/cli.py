@@ -71,7 +71,7 @@ def cmd_chrf(args):
                                         beta=args.beta,
                                         char_order=args.char_order,
                                         word_order=args.word_order)
-    print("%.2f" % score.value)
+    print("%.2f" % score)
 
 
 def cmd_significance(args):

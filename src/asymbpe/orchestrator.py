@@ -32,7 +32,10 @@ set) against its best symmetric configuration in one pass that shares each
 swap mask. ``report --run-dir`` makes the same call, so a resume with a
 smaller grid keeps and reports every finished run. ``evaluate`` and
 ``emit_report`` take the families from ``_families``, which refuses two
-records of one run and a family of two seeds.
+records of one run and a family of two seeds; a sweep reads the records on
+disk once and puts them through ``_families`` before it writes or runs
+anything. Reports order records by direction, size, repetition, source NMO,
+target NMO and test set (``_report_order``).
 
 A backend failure fails every pending run of its configuration; a slice
 that does not match its references fails only its own run. Every sweep
@@ -41,7 +44,10 @@ files and completed records on disk are kept and never recomputed, so an
 interrupted sweep can resume without changing earlier scores, and a fresh
 sweep needs a fresh output directory. A finished cell builds nothing. A
 configuration with any pending test set runs the backend again over all
-test sets and writes only the pending records.
+test sets and writes only the pending records. A sweep holds its output
+directory's ``sweep.lock`` from start to end (``_sweep_lock``): a second
+sweep on the directory is refused, naming the holder's pid, a killed
+sweep's lock blocks no resume, and a finished directory holds no lock file.
 
 The backend is an external command template, the only way a configuration
 runs. Each placeholder expands to one shell-quoted word; the command's stdout
@@ -54,6 +60,7 @@ is not UTF-8, naming it. This module reads JSON itself (``_read_json``).
 """
 
 import contextlib
+import fcntl
 import json
 import math
 import os
@@ -93,6 +100,8 @@ _REQUIRED_FIELDS = ("train_src", "train_tgt", "valid_src", "valid_tgt",
 _MODEL_DIR, _HYP_OUT, _BACKEND_LOG = "model", "hyp.txt", "backend.log"
 _CONFIG_DIR_ENTRIES = {_MODEL_DIR: "the backend's {model_dir}",
                        _HYP_OUT: "the backend's {hyp_out}", _BACKEND_LOG: "the backend's log"}
+# An output directory's entry while a sweep holds it (_sweep_lock).
+_LOCK_FILE = "sweep.lock"
 
 
 class OrchestratorError(ValueError):
@@ -479,7 +488,9 @@ def _resumed_test_sets(out, old: dict, new: dict) -> list:
 
 def run_sweep(cfg: ExperimentConfig) -> list:
     """Run each pending run of ``cfg``, then evaluate and return every record
-    in ``cfg.output_dir``, as ``report --run-dir`` does."""
+    in ``cfg.output_dir``, as ``report --run-dir`` does. The sweep holds the
+    directory's lock (``_sweep_lock``) throughout, and refuses records that
+    ``_families`` refuses before it writes or runs anything."""
     out = cfg.output_dir
     manifest = {
         "schema": SCHEMA_VERSION,
@@ -495,28 +506,69 @@ def run_sweep(cfg: ExperimentConfig) -> list:
             "writes one {hyp_out} line per {test_src} line, and must not modify the shared "
             "<cell>/seg/ inputs"],
     }
-    if os.path.exists(os.path.join(out, "manifest.json")):
-        manifest["test_sets"] = _resumed_test_sets(out, _read_manifest(out), manifest)
-    lengths = _test_set_lengths(cfg)  # before anything is written or run
-    write_json(os.path.join(out, "manifest.json"), manifest)
+    with _sweep_lock(out):
+        if os.path.exists(os.path.join(out, "manifest.json")):
+            manifest["test_sets"] = _resumed_test_sets(out, _read_manifest(out), manifest)
+        # Refusals come before anything is written or run.
+        lengths = _test_set_lengths(cfg)
+        records = collect_records(out)
+        _families(records)
+        write_json(os.path.join(out, "manifest.json"), manifest)
 
-    finished = {_run_path(out, r) for r in collect_records(out) if r.status != "pending"}
-    pending = {}  # (size, rep, configuration) -> {test set: run}
-    for size in cfg.sizes:
-        for rep in range(cfg.repetitions):
-            for config in enumerate_grid(cfg.nmo_set):
-                for ts in cfg.test_sets:
-                    run = RunRecord(config_label=config.label, src_nmo=config.src_nmo,
-                                    tgt_nmo=config.tgt_nmo, direction=cfg.direction,
-                                    size=size, rep=rep, testset=ts.name, seed=cfg.seed + rep)
-                    if _run_path(out, run) not in finished:
-                        pending.setdefault((size, rep, config), {})[ts.name] = run
+        finished = {_run_path(out, r) for r in records if r.status != "pending"}
+        pending = {}  # (size, rep, configuration) -> {test set: run}
+        for size in cfg.sizes:
+            for rep in range(cfg.repetitions):
+                for config in enumerate_grid(cfg.nmo_set):
+                    for ts in cfg.test_sets:
+                        run = RunRecord(config_label=config.label, src_nmo=config.src_nmo,
+                                        tgt_nmo=config.tgt_nmo, direction=cfg.direction,
+                                        size=size, rep=rep, testset=ts.name,
+                                        seed=cfg.seed + rep)
+                        if _run_path(out, run) not in finished:
+                            pending.setdefault((size, rep, config), {})[ts.name] = run
 
-    # Every cell is complete before any backend starts: runs need no locks.
-    _prepare_cells(cfg, dict.fromkeys(key[:2] for key in pending))
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        list(pool.map(lambda records: _run_config(cfg, lengths, records), pending.values()))
-    return evaluate(out, collect_records(out))
+        # Every cell is complete before any backend starts: runs need no locks.
+        _prepare_cells(cfg, dict.fromkeys(key[:2] for key in pending))
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            list(pool.map(lambda records: _run_config(cfg, lengths, records),
+                          pending.values()))
+        return evaluate(out, collect_records(out))
+
+
+@contextlib.contextmanager
+def _sweep_lock(out):
+    """Hold the lock of the sweep output directory ``out`` (created if
+    missing): an exclusive ``fcntl.flock`` on ``out/sweep.lock``, which
+    records the holder's pid. A directory that another sweep holds is
+    refused, naming the lock file and its pid. The kernel drops a lock when
+    its holder exits, so the file a killed sweep leaves blocks no resume;
+    the file is removed on release, so a finished directory holds none."""
+    path = os.path.join(out, _LOCK_FILE)
+    os.makedirs(out, exist_ok=True)
+    while True:
+        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            holder = os.read(fd, 32).decode("ascii", "replace").strip()
+            os.close(fd)
+            raise OrchestratorError("%s is in use by another sweep: %s is locked%s" % (
+                out, path, " by pid %s" % holder if holder else "")) from None
+        # A holder that released in between removed the file it locked:
+        # lock the file now at the path instead.
+        with contextlib.suppress(FileNotFoundError):
+            if os.path.samestat(os.fstat(fd), os.stat(path)):
+                break
+        os.close(fd)
+    try:
+        os.ftruncate(fd, 0)  # a killed holder's pid
+        os.write(fd, b"%d\n" % os.getpid())
+        yield
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)  # while still locked, so no other sweep locks this file
+        os.close(fd)
 
 
 def _test_set_lengths(cfg) -> list:
@@ -678,7 +730,7 @@ def evaluate(run_dir, records) -> list:
         done = [r for r in family.values() if r.status == "done"]
         stats, unscored = {}, [r for r in done if r.chrf is None]
         for r in unscored:
-            r.chrf = round(chrf.corpus_chrf(statistics(r, stats)).value, 6)
+            r.chrf = round(chrf.corpus_chrf(statistics(r, stats)), 6)
         base = min((r for r in done if r.src_nmo == r.tgt_nmo), default=None,
                    key=lambda r: rank_key(r.chrf, r.src_nmo, r.tgt_nmo))
         untested = [r for r in done if base and (r.p_vs_baseline is None
@@ -695,8 +747,8 @@ def evaluate(run_dir, records) -> list:
 
 
 def _report_order(r: RunRecord):
-    """Size, repetition, source NMO, target NMO, test set name."""
-    return r.size, r.rep, r.src_nmo, r.tgt_nmo, r.testset
+    """Direction, size, repetition, source NMO, target NMO, test set name."""
+    return r.direction, r.size, r.rep, r.src_nmo, r.tgt_nmo, r.testset
 
 
 def collect_records(run_dir) -> list:

@@ -120,15 +120,15 @@ def oracle_significance(systems, baseline, iterations, seed):
     chunked production path; the production scorer is shared so that ties
     compare alike."""
     masks = np.random.default_rng(seed).random((iterations, len(baseline))) < 0.5
-    score_b = corpus_chrf(baseline).value
+    score_b = corpus_chrf(baseline)
     results = []
     for system in systems:
-        score_a = corpus_chrf(system).value
+        score_a = corpus_chrf(system)
         count = 0
         for swap in masks:
             side_a = np.where(swap[:, None], baseline, system)
             side_b = np.where(swap[:, None], system, baseline)
-            diff = corpus_chrf(side_a).value - corpus_chrf(side_b).value
+            diff = corpus_chrf(side_a) - corpus_chrf(side_b)
             count += abs(diff) >= abs(score_a - score_b) - 1e-12
         better = "A" if score_a > score_b else ("B" if score_b > score_a else "tie")
         results.append(SignificanceResult((count + 1) / (iterations + 1), iterations, seed,

@@ -7,13 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymbpe import bpe
-from asymbpe.bpe import (END, BpeError, MergeRule, MergeTable, learn_bpe, segment_line,
+from asymbpe.bpe import (END, BpeError, MergeTable, learn_bpe, segment_line,
                          segment_lines, unsegment)
 from conftest import oracle_learn, oracle_segment, random_word_freqs
-
-
-def table_from_pairs(pairs):
-    return MergeTable([MergeRule(l, r) for l, r in pairs])
 
 
 def oracle_lines(pairs, lines):
@@ -23,7 +19,7 @@ def oracle_lines(pairs, lines):
 class TestLearn:
     def test_most_frequent_pair_first(self):
         table = learn_bpe({"aaab": 3}, 1)
-        assert [r.pair for r in table.rules] == [("a", "a")]
+        assert list(table.rules) == [("a", "a")]
 
     def test_nmo_zero_is_identity(self):
         assert learn_bpe({"whatever": 1}, 0).nmo == 0
@@ -40,13 +36,13 @@ class TestLearn:
     def test_tie_break_lexicographic(self):
         # (a,b/END) and (b,a/END) both appear once; smaller pair wins.
         table = learn_bpe({"ab": 1, "ba": 1}, 1)
-        assert table.rules[0].pair == ("a", "b" + END)
+        assert table.rules[0] == ("a", "b" + END)
 
     def test_tie_break_on_text_not_symbol_order(self):
         # After (a,b), (ab,x) and (b,y) both count 5. "ab" < "b" as text,
         # but "ab" is the newer symbol and (b,y) the older pair.
         table = learn_bpe({"abx": 5, "abz": 2, "by": 5}, 2)
-        assert [r.pair for r in table.rules] == [("a", "b"), ("ab", "x" + END)]
+        assert list(table.rules) == [("a", "b"), ("ab", "x" + END)]
 
     @pytest.mark.parametrize("nmo", [2.5, True, False, "3", None, -1])
     def test_bad_nmo_rejected(self, nmo):
@@ -86,14 +82,14 @@ class TestLearn:
         freqs = {"aabc": 2, "abbc": 1}
         expected = [("a", "b"), ("a", "ab"), ("aab", "c" + END), ("ab", "b"),
                     ("abb", "c" + END)]
-        got = [r.pair for r in learn_bpe(freqs, nmo).rules]
+        got = list(learn_bpe(freqs, nmo).rules)
         assert got == expected[:nmo] == oracle_learn(freqs, nmo)
 
     def test_matches_bruteforce_oracle(self, rng):
         for _ in range(30):
             freqs = random_word_freqs(rng)
             nmo = rng.randint(0, 25)
-            got = [r.pair for r in learn_bpe(freqs, nmo).rules]
+            got = list(learn_bpe(freqs, nmo).rules)
             assert got == oracle_learn(freqs, nmo)
 
     def test_prefix_property(self, rng):
@@ -167,13 +163,13 @@ class TestLearnProperties:
            st.integers(0, 80))
     def test_matches_oracle_on_stress_corpora(self, freqs, nmo):
         # nmo up to 80 runs most of these corpora out of pairs.
-        assert [r.pair for r in learn_bpe(freqs, nmo).rules] == oracle_learn(freqs, nmo)
+        assert list(learn_bpe(freqs, nmo).rules) == oracle_learn(freqs, nmo)
 
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(DEVANAGARI_WORDS, st.integers(1, 9), min_size=1, max_size=12),
            st.integers(0, 60))
     def test_matches_oracle_on_devanagari(self, freqs, nmo):
-        assert [r.pair for r in learn_bpe(freqs, nmo).rules] == oracle_learn(freqs, nmo)
+        assert list(learn_bpe(freqs, nmo).rules) == oracle_learn(freqs, nmo)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(STRESS_WORDS, min_size=1, max_size=6), min_size=1, max_size=10),
@@ -186,19 +182,19 @@ class TestLearnProperties:
                 freqs[word] = freqs.get(word, 0) + 1
         from_lines = learn_bpe(lines, nmo).rules
         assert from_lines == learn_bpe(freqs, nmo).rules
-        assert [r.pair for r in from_lines] == oracle_learn(freqs, nmo)
+        assert list(from_lines) == oracle_learn(freqs, nmo)
 
 
 class TestApply:
     def test_published_segmentation_example(self):
-        table = table_from_pairs([("b", "o"), ("s", "u"), ("s", "c"), ("sc", "o" + END)])
+        table = MergeTable([("b", "o"), ("s", "u"), ("s", "c"), ("sc", "o" + END)])
         assert segment_line(table, "bosusco") == "bo@@ su@@ sco"
 
     def test_empty_table_splits_to_characters(self):
         assert segment_line(MergeTable([]), "cat") == "c@@ a@@ t"
 
     def test_full_coverage_leaves_word_whole(self):
-        table = table_from_pairs([("c", "a"), ("ca", "t" + END)])
+        table = MergeTable([("c", "a"), ("ca", "t" + END)])
         assert segment_line(table, "cat") == "cat"
 
     def test_empty_sentence(self):
@@ -210,31 +206,31 @@ class TestApply:
         assert segment_line(table, "xyz") == "x@@ y@@ z"
 
     def test_pure_function(self):
-        table = table_from_pairs([("a", "b")])
+        table = MergeTable([("a", "b")])
         assert segment_line(table, "abab ab") == segment_line(table, "abab ab") == \
             "ab@@ a@@ b a@@ b"
 
     def test_repeated_pair_ranks_built_once(self):
-        table = table_from_pairs([("a", "b"), ("c", "d"), ("a", "b")])
+        table = MergeTable([("a", "b"), ("c", "d"), ("a", "b")])
         assert table.pair_ranks == {("a", "b"): 0, ("c", "d"): 1}
         assert table.pair_ranks is table.pair_ranks
 
     def test_rules_ranked_by_position_not_stored_rank(self, tmp_path):
-        table = MergeTable([MergeRule("b", "c" + END), MergeRule("a", "b")])
+        table = MergeTable([("b", "c" + END), ("a", "b")])
         table.save(tmp_path / "t.bpe")
         assert segment_line(table, "abc") == \
             segment_line(MergeTable.load(tmp_path / "t.bpe"), "abc") == "a@@ bc"
 
     def test_rules_cannot_change_in_place(self):
-        rules = [MergeRule("a", "b" + END)]
+        rules = [("a", "b" + END)]
         table = MergeTable(rules)
         assert isinstance(table.rules, tuple)
-        rules.append(MergeRule("c", "d"))
+        rules.append(("c", "d"))
         assert table.nmo == 1
         with pytest.raises(AttributeError):
-            table.rules.append(MergeRule("c", "d"))
+            table.rules.append(("c", "d"))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            table.rules = (MergeRule("c", "d"),)
+            table.rules = (("c", "d"),)
         assert segment_line(table, "ab ab") == "ab ab"
 
 
@@ -259,7 +255,7 @@ class TestSegmentLines:
         # pairs; the table may also hold more rules than the largest NMO.
         lines = [" ".join(train)] + [" ".join(words) for words in extra] + [""]
         full = learn_bpe(lines, max(nmos) + surplus)
-        pairs = [r.pair for r in full.rules]
+        pairs = list(full.rules)
         rows = list(segment_lines(full, lines, nmos))
         assert [len(row) for row in rows] == [len(nmos)] * len(lines)
         for k, nmo in enumerate(nmos):
@@ -277,10 +273,10 @@ class TestSegmentLines:
     def test_any_rule_list_including_repeated_pairs(self, pairs, words, nmos):
         # A hand-made table may list a pair twice; its prefixes must still
         # rank that pair as the whole table does.
-        full = table_from_pairs(pairs)
+        full = MergeTable(pairs)
         rows = list(segment_lines(full, words, nmos))
         for k, nmo in enumerate(nmos):
-            prefix = table_from_pairs(pairs[:nmo])
+            prefix = MergeTable(pairs[:nmo])
             assert [row[k] for row in rows] == [segment_line(prefix, word) for word in words] \
                 == oracle_lines(pairs[:nmo], words)
 
@@ -384,7 +380,7 @@ class TestTableFile:
         path = tmp_path / "t.bpe"
         if old is not None:
             path.write_bytes(old)
-        table = table_from_pairs([("a", "b</w>"), ("c", "\ud800")])
+        table = MergeTable([("a", "b</w>"), ("c", "\ud800")])
         with pytest.raises(UnicodeEncodeError):
             table.save(path)
         assert (path.read_bytes() if path.exists() else None) == old
@@ -396,7 +392,7 @@ class TestTableFile:
         path = tmp_path / "t.bpe"
         table.save(path)
         loaded = MergeTable.load(path)
-        assert [r.pair for r in loaded.rules] == [r.pair for r in table.rules]
+        assert list(loaded.rules) == list(table.rules)
         assert segment_line(loaded, "x</w>y") == segment_line(table, "x</w>y")
 
     def test_blank_lines_do_not_shift_ranks(self, tmp_path):
@@ -405,7 +401,7 @@ class TestTableFile:
         path = tmp_path / "t.bpe"
         path.write_text("#asym-bpe v1\n\na b</w>\n", encoding="utf-8")
         table = MergeTable.load(path)
-        assert [r.pair for r in table.rules] == [("a", "b</w>")]
+        assert list(table.rules) == [("a", "b</w>")]
         assert segment_line(table, "ab") == "ab"
 
     def test_bad_header_rejected(self, tmp_path):

@@ -227,14 +227,14 @@ class TestStatsMatrix:
 class TestCorpusChrf:
     def test_identical_corpus_is_100(self):
         lines = ["the cat", "sat on", "a mat"]
-        assert corpus_chrf_from_lines(lines, lines).value == pytest.approx(100.0, abs=1e-9)
+        assert corpus_chrf_from_lines(lines, lines) == pytest.approx(100.0, abs=1e-9)
 
     def test_disjoint_corpus_is_0(self):
-        assert corpus_chrf_from_lines(["abc"], ["xyz"]).value == 0.0
+        assert corpus_chrf_from_lines(["abc"], ["xyz"]) == 0.0
 
     def test_tiny_corpus_value(self):
         score = corpus_chrf_from_lines(["the cat"], ["the cats"])
-        assert score.value == pytest.approx(TINY_SCORE, abs=1e-6)
+        assert score == pytest.approx(TINY_SCORE, abs=1e-6)
 
     def test_empty_list_error(self):
         with pytest.raises(ChrfError):
@@ -246,8 +246,8 @@ class TestCorpusChrf:
         matrix = stats_matrix(hyps, refs)
         assert matrix.shape == (3, 24)
         rows = np.vstack([stats_matrix([h], [r]) for h, r in zip(hyps, refs)])
-        assert corpus_chrf(matrix).value == corpus_chrf(rows).value == \
-            corpus_chrf_from_lines(hyps, refs).value
+        assert corpus_chrf(matrix) == corpus_chrf(rows) == \
+            corpus_chrf_from_lines(hyps, refs)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ChrfError, match="orders"):
@@ -273,8 +273,8 @@ class TestCorpusChrf:
     def test_permutation_invariance(self):
         hyps = ["a cat", "the dog ran", "x y z"]
         refs = ["a cut", "the dog runs", "x z y"]
-        v1 = corpus_chrf_from_lines(hyps, refs).value
-        v2 = corpus_chrf_from_lines(hyps[::-1], refs[::-1]).value
+        v1 = corpus_chrf_from_lines(hyps, refs)
+        v2 = corpus_chrf_from_lines(hyps[::-1], refs[::-1])
         assert v1 == pytest.approx(v2, abs=1e-12)
 
     def test_range_bound(self):
@@ -282,7 +282,7 @@ class TestCorpusChrf:
         for _ in range(50):
             hyp = " ".join(rng.choice("ab cde") for _ in range(rng.randint(0, 10)))
             ref = " ".join(rng.choice("ab cde") for _ in range(rng.randint(1, 10)))
-            v = corpus_chrf_from_lines([" ".join(hyp.split())], [" ".join(ref.split()) or "a"]).value
+            v = corpus_chrf_from_lines([" ".join(hyp.split())], [" ".join(ref.split()) or "a"])
             assert 0.0 <= v <= 100.0
 
     def test_replacing_hyp_with_ref_never_decreases(self):
@@ -291,11 +291,11 @@ class TestCorpusChrf:
         for _ in range(30):
             refs = [" ".join(rng.choices(words, k=rng.randint(1, 6))) for _ in range(5)]
             hyps = [" ".join(rng.choices(words, k=rng.randint(1, 6))) for _ in range(5)]
-            base = corpus_chrf_from_lines(hyps, refs).value
+            base = corpus_chrf_from_lines(hyps, refs)
             i = rng.randrange(5)
             improved = list(hyps)
             improved[i] = refs[i]
-            assert corpus_chrf_from_lines(improved, refs).value >= base - 1e-9
+            assert corpus_chrf_from_lines(improved, refs) >= base - 1e-9
 
 
 # One sentence's statistics each. B holds A's 8 orders permuted: the same
@@ -338,7 +338,7 @@ class TestScoringRules:
     @given(sided_stats_rows(), st.sampled_from([0.5, 1.0, 2.0, 3.0]))
     @example(np.zeros((2, 24), dtype=np.int64), 2.0)
     def test_corpus_score_matches_plain_reference(self, matrix, beta):
-        assert corpus_chrf(matrix, beta).value == \
+        assert corpus_chrf(matrix, beta) == \
             pytest.approx(reference_chrf(matrix, beta), rel=0, abs=1e-9)
 
 
@@ -347,7 +347,7 @@ class TestOneScorer:
     test's verdict and observed difference follow the two corpus scores."""
 
     def check_agrees(self, mat_a, mat_b):
-        a, b = corpus_chrf(mat_a).value, corpus_chrf(mat_b).value
+        a, b = corpus_chrf(mat_a), corpus_chrf(mat_b)
         result = paired_significance_stats([mat_a], mat_b, iterations=1)[0]
         assert (result.better_system == "tie") == (a == b)
         assert (result.better_system == "A") == (a > b)

@@ -4,6 +4,7 @@ import random
 import shlex
 import shutil
 import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -864,6 +865,25 @@ class TestResume:
         with pytest.raises(OrchestratorError, match="test set test: records of seeds 7 and 8"):
             evaluate(cfg.output_dir, collect_records(cfg.output_dir))
 
+    def test_family_of_two_seeds_is_refused_before_any_write_or_backend(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        backend = {"command": tagging_backend(tmp_path)}
+        run_sweep(load_experiment(write_config(str(tmp_path), corpus, backend=backend)))
+        cfg = load_experiment(write_config(str(tmp_path), corpus, backend=backend,
+                                           nmo_set=[10, 20, 40]))
+        path = cell_path(cfg, "20_10", "test", "record.json")
+        record = json.loads(read_bytes(path))
+        record["seed"] = 8
+        write_lines_file(path, [json.dumps(record)])
+        manifest, calls = read_bytes(os.path.join(cfg.output_dir, "manifest.json")), \
+            backend_calls(tmp_path)
+        with pytest.raises(OrchestratorError) as exc:
+            run_sweep(cfg)
+        assert str(exc.value) == "size 50, rep 0, test set test: records of seeds 7 and 8"
+        assert backend_calls(tmp_path) == calls
+        assert read_bytes(os.path.join(cfg.output_dir, "manifest.json")) == manifest
+        assert not os.path.exists(cell_path(cfg, "tables", "en.40.bpe"))
+
     def test_record_of_a_test_set_the_manifest_does_not_name_is_refused(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
         cfg = load_experiment(write_config(str(tmp_path), corpus))
@@ -875,6 +895,56 @@ class TestResume:
         with pytest.raises(OrchestratorError) as exc:
             evaluate(cfg.output_dir, collect_records(cfg.output_dir))
         assert str(exc.value) == "%s names no test set 'gone' in manifest.json" % cfg.output_dir
+
+
+def hold_sweep_lock(out):
+    """A process that locks ``out/sweep.lock`` as a sweep does (an exclusive
+    ``flock``, its pid in the file) and holds it until it is killed."""
+    holder = subprocess.Popen(
+        [sys.executable, "-c", "import fcntl, os, sys\n"
+         "os.makedirs(sys.argv[1])\n"
+         "fd = os.open(os.path.join(sys.argv[1], 'sweep.lock'), os.O_RDWR | os.O_CREAT)\n"
+         "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+         "os.write(fd, b'%d\\n' % os.getpid())\n"
+         "print('held', flush=True)\n"
+         "sys.stdin.read()\n", out],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    assert holder.stdout.readline() == "held\n"
+    return holder
+
+
+class TestSweepLock:
+    def test_held_lock_refuses_a_second_sweep_and_a_dead_holder_is_taken_over(
+            self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(str(tmp_path), corpus,
+                                           backend={"command": tagging_backend(tmp_path)}))
+        lock = os.path.join(cfg.output_dir, "sweep.lock")
+        holder = hold_sweep_lock(cfg.output_dir)
+        try:
+            with pytest.raises(OrchestratorError) as exc:
+                run_sweep(cfg)
+        finally:
+            holder.kill()  # as a killed sweep dies, leaving its lock file
+            holder.communicate()
+        assert str(exc.value) == "%s is in use by another sweep: %s is locked by pid %d" % (
+            cfg.output_dir, lock, holder.pid)
+        assert sorted(os.listdir(cfg.output_dir)) == ["sweep.lock"]
+        assert backend_calls(tmp_path) == []
+        records = run_sweep(cfg)
+        assert len(records) == 4 and all(r.status == "done" for r in records)
+        assert len(backend_calls(tmp_path)) == 4
+        assert not os.path.exists(lock)
+
+    def test_a_sweep_that_raises_midway_leaves_no_lock(self, tmp_path):
+        corpus = write_toy_corpus(str(tmp_path), n_train=60)
+        cfg = load_experiment(write_config(str(tmp_path), corpus, sizes=[40, 600]))
+        with pytest.raises(sampler.SamplerError, match="target size 600 exceeds"):
+            run_sweep(cfg)
+        assert os.path.exists(os.path.join(cfg.output_dir, "manifest.json"))
+        assert not os.path.exists(os.path.join(cfg.output_dir, "sweep.lock"))
+        cfg.sizes = [40]
+        assert len(run_sweep(cfg)) == 4
 
 
 def make_record(src, tgt, score, size=50, rep=0, direction="en-xx",
@@ -991,6 +1061,14 @@ class TestEmitReport:
             for rep in range(3) for testset in ("test", "dev") for ext in ("tsv", "txt")}
         assert b"en-xx\t50\ttest\t500_1K\t28.55\t3\n" in forward["summary.tsv"]
         assert forward["src_nmo_max.tsv"].split(b"\n")[1].startswith(b"en-xx\t50\t0\tdev\t")
+        # Records of two directions that tie on every other key: results.tsv
+        # rows go by direction first, whatever the input order.
+        mixed = [make_record(src, tgt, 20.0 + src / 100 + tgt / 1000, direction=direction)
+                 for direction in ("en-hi", "hi-en") for src in (500, 1000) for tgt in (500, 1000)]
+        forward = reports(mixed, "mixed")
+        assert reports(mixed[::-1], "mixed-reverse") == forward
+        rows = forward["results.tsv"].split(b"\n")[1:-1]
+        assert [row.split(b"\t")[3] for row in rows] == [b"en-hi"] * 4 + [b"hi-en"] * 4
 
     def test_no_completed_records_error(self, tmp_path):
         with pytest.raises(OrchestratorError):
