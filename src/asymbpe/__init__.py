@@ -11,12 +11,12 @@ __version__ = "0.1.0"
 from .bpe import MergeTable, learn_bpe, unsegment
 from .chrf import corpus_chrf, paired_significance
 from .sampler import bin_histogram, draw_sample, make_sample_plan
-from .sweep import BpeConfig, enumerate_grid, recommend, tier_report
+from .sweep import enumerate_grid, recommend, tier_report
 
 __all__ = [
     "MergeTable", "learn_bpe", "unsegment",
     "corpus_chrf", "paired_significance",
     "bin_histogram", "draw_sample", "make_sample_plan",
-    "BpeConfig", "enumerate_grid", "recommend", "tier_report",
+    "enumerate_grid", "recommend", "tier_report",
     "__version__",
 ]

@@ -1,7 +1,8 @@
 """End-to-end sweep driver over one record set, its output directory. A run
-is one (dataset size, repetition, configuration, test set) and a (size,
-repetition) pair is a cell; a planned run without a finished record there
-is pending.
+is one (dataset size, repetition, configuration, test set), where a
+configuration is a (source NMO, target NMO) pair named by
+``sweep.config_label``, and a (size, repetition) pair is a cell; a planned
+run without a finished record there is pending.
 
 Prepare: each cell with a pending run draws its stratified sample of the
 training corpus, learns one merge table per side at the largest NMO (each
@@ -35,7 +36,10 @@ smaller grid keeps and reports every finished run. ``evaluate`` and
 records of one run and a family of two seeds; a sweep reads the records on
 disk once and puts them through ``_families`` before it writes or runs
 anything. Reports order records by direction, size, repetition, source NMO,
-target NMO and test set (``_report_order``).
+target NMO and test set (``_report_order``). A family's tier report is the
+rows ``sweep.tier_report`` returns for its done records, passed as
+``(src_nmo, tgt_nmo, chrf, p_vs_baseline)`` tuples; ``emit_report`` refuses
+a done record without a score before it writes any file.
 
 A backend failure fails every pending run of its configuration; a slice
 that does not match its references fails only its own run. Every sweep
@@ -72,8 +76,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 
 from . import bpe, chrf, sampler
-from .sweep import (BpeConfig, SystemResult, enumerate_grid, format_nmo, parse_nmo,
-                    rank_key, render_tier_text, render_tier_tsv, tier_report, SweepError)
+from .sweep import (config_label, enumerate_grid, format_nmo, parse_nmo, rank_key,
+                    render_tier_text, render_tier_tsv, tier_report, SweepError)
 from .textfiles import (TextFileError, iter_lines, read_lines, write_columns, write_json,
                         write_lines)
 
@@ -128,12 +132,12 @@ class ExperimentConfig:
     backend_command: str
     output_dir: str
     bins: list
-    seed: int = 0
-    repetitions: int = 1
-    workers: int = 1
-    significance_iterations: int = 10000
-    backend_timeout: float | None = None
-    granularity: int = 10
+    seed: int
+    repetitions: int
+    workers: int
+    significance_iterations: int
+    backend_timeout: float | None
+    granularity: int
 
     @property
     def src_lang(self) -> str:
@@ -516,17 +520,17 @@ def run_sweep(cfg: ExperimentConfig) -> list:
         write_json(os.path.join(out, "manifest.json"), manifest)
 
         finished = {_run_path(out, r) for r in records if r.status != "pending"}
-        pending = {}  # (size, rep, configuration) -> {test set: run}
+        pending = {}  # (size, rep, src NMO, tgt NMO) -> {test set: run}
         for size in cfg.sizes:
             for rep in range(cfg.repetitions):
-                for config in enumerate_grid(cfg.nmo_set):
+                for src, tgt in enumerate_grid(cfg.nmo_set):
                     for ts in cfg.test_sets:
-                        run = RunRecord(config_label=config.label, src_nmo=config.src_nmo,
-                                        tgt_nmo=config.tgt_nmo, direction=cfg.direction,
+                        run = RunRecord(config_label=config_label(src, tgt), src_nmo=src,
+                                        tgt_nmo=tgt, direction=cfg.direction,
                                         size=size, rep=rep, testset=ts.name,
                                         seed=cfg.seed + rep)
                         if _run_path(out, run) not in finished:
-                            pending.setdefault((size, rep, config), {})[ts.name] = run
+                            pending.setdefault((size, rep, src, tgt), {})[ts.name] = run
 
         # Every cell is complete before any backend starts: runs need no locks.
         _prepare_cells(cfg, dict.fromkeys(key[:2] for key in pending))
@@ -762,7 +766,8 @@ def collect_records(run_dir) -> list:
 def emit_report(records, out_dir) -> dict:
     """Write results.tsv, per-cell tier reports, the per-source-NMO maximum
     trace, and a repetition-averaged summary. Returns the artifact paths.
-    Rows follow ``_report_order``; records that ``_families`` refuses write no file.
+    Rows follow ``_report_order``; records that ``_families`` refuses, and a
+    done record without a score, write no file.
 
     ``asymbpe sweep`` and ``asymbpe report`` both report through here the
     records ``evaluate`` returned, from their own scores (results.tsv rounds
@@ -772,6 +777,12 @@ def emit_report(records, out_dir) -> dict:
     replaced atomically by ``write_lines``."""
     records = sorted(records, key=_report_order)
     families = _families(records)
+    for r in records:
+        if r.status == "done" and r.chrf is None:
+            raise OrchestratorError(
+                "done record without a score: direction %s, size %d, rep %d, test set %s, "
+                "configuration %s; score it with evaluate or report --run-dir" % (
+                    r.direction, r.size, r.rep, r.testset, r.config_label))
     if not any(r.status == "done" for r in records):
         raise OrchestratorError("no completed records to report")
 
@@ -803,14 +814,13 @@ def emit_report(records, out_dir) -> dict:
             max_lines.append("%s\t%d\t%d\t%s\t%d\t%.2f\t%s" % (
                 direction, size, rep, testset, src_nmo, best.chrf, best.config_label))
         try:
-            report = tier_report(SystemResult(BpeConfig(r.src_nmo, r.tgt_nmo), r.chrf,
-                                              r.p_vs_baseline) for r in cell)
+            tiers = tier_report((r.src_nmo, r.tgt_nmo, r.chrf, r.p_vs_baseline) for r in cell)
         except SweepError:
             continue  # not enough coverage for tiers in this cell
         stem = "%s_size%d_rep%d_%s" % (direction, size, rep, testset)
         tsv_path = os.path.join(out_dir, "tiers", stem + ".tsv")
-        write_lines(tsv_path, render_tier_tsv(report))
-        write_lines(os.path.join(out_dir, "tiers", stem + ".txt"), render_tier_text(report))
+        write_lines(tsv_path, render_tier_tsv(tiers))
+        write_lines(os.path.join(out_dir, "tiers", stem + ".txt"), render_tier_text(tiers))
         artifacts["tiers"].append(tsv_path)
     write_lines(artifacts["max_trace"], max_lines)
 

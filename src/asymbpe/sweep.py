@@ -1,17 +1,21 @@
 """BPE configuration grids, tier reports, and size-conditioned recommendations.
 
-A configuration pairs a source and a target merge-operation count and is
-labeled "m1_m2" in K-notation ("16K_500", "0.5K" and "500" both parse to
-500). Tier reports pick the best symmetric system as baseline, the top two
-asymmetric systems (High A/B), and the bottom two systems overall
-(Low A/B); deltas are score minus baseline score.
+A configuration is a plain ``(src_nmo, tgt_nmo)`` pair of merge-operation
+counts, labeled "m1_m2" in K-notation by ``config_label`` ("16K_500";
+"0.5K" and "500" both parse to 500), and symmetric when the two are equal.
+A tier report is its rows: ``tier_report`` takes a cell's
+``(src_nmo, tgt_nmo, score, p_value)`` systems and returns one
+``(tier, system, delta)`` row per tier of ``TIERS``. It picks the best
+symmetric system as baseline, the top two asymmetric systems (High A/B),
+and the bottom two systems overall (Low A/B); deltas are score minus
+baseline score.
 
 Low tiers intentionally range over *all* configurations: published tier
 tables occasionally surface a symmetric system among the two worst, and the
 replay tests require reproducing them verbatim.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 PAPER_NMO_SET = (500, 1000, 2000, 4000, 8000, 16000, 25000, 32000)
 
@@ -58,54 +62,22 @@ def parse_nmo(text) -> int:
     return value
 
 
-@dataclass(frozen=True, order=True)
-class BpeConfig:
-    src_nmo: int
-    tgt_nmo: int
+TIERS = ("Low A", "Low B", "Baseline", "High B", "High A")
 
-    @property
-    def label(self) -> str:
-        return "%s_%s" % (format_nmo(self.src_nmo), format_nmo(self.tgt_nmo))
 
-    @property
-    def symmetric(self) -> bool:
-        return self.src_nmo == self.tgt_nmo
+def config_label(src_nmo, tgt_nmo) -> str:
+    """16000, 500 -> "16K_500"."""
+    return "%s_%s" % (format_nmo(src_nmo), format_nmo(tgt_nmo))
 
 
 def enumerate_grid(nmo_set) -> list:
-    """Full Cartesian product in src-major order."""
+    """Full Cartesian product of (src, tgt) pairs in src-major order."""
     values = [parse_nmo(v) for v in nmo_set]
     if not values:
         raise SweepError("empty NMO set")
     if len(set(values)) != len(values):
         raise SweepError("duplicate NMO values in %r" % (nmo_set,))
-    return [BpeConfig(s, t) for s in values for t in values]
-
-
-@dataclass
-class SystemResult:
-    config: BpeConfig
-    score: float
-    p_vs_baseline: float | None = None
-
-
-@dataclass
-class TierReport:
-    baseline: SystemResult
-    high_a: SystemResult
-    high_b: SystemResult
-    low_a: SystemResult
-    low_b: SystemResult
-    deltas: dict = field(default_factory=dict)
-
-    TIERS = ("Low A", "Low B", "Baseline", "High B", "High A")
-
-    def rows(self):
-        by_tier = {"Low A": self.low_a, "Low B": self.low_b,
-                   "Baseline": self.baseline, "High B": self.high_b,
-                   "High A": self.high_a}
-        for tier in self.TIERS:
-            yield tier, by_tier[tier], self.deltas[tier]
+    return [(s, t) for s in values for t in values]
 
 
 def rank_key(score, src_nmo, tgt_nmo):
@@ -116,25 +88,19 @@ def rank_key(score, src_nmo, tgt_nmo):
     return (-score, src_nmo, tgt_nmo)
 
 
-def _best_key(result: SystemResult):
-    return rank_key(result.score, result.config.src_nmo, result.config.tgt_nmo)
-
-
-def _worst_key(result: SystemResult):
-    return (result.score, result.config.src_nmo, result.config.tgt_nmo)
-
-
-def tier_report(results) -> TierReport:
-    """Baseline / High A-B / Low A-B tiers for one result cell. Each delta
-    is the full-precision score difference, rounded to 2 decimals."""
-    results = list(results)
+def tier_report(systems) -> list:
+    """Baseline / High A-B / Low A-B tiers for one result cell, from its
+    ``(src_nmo, tgt_nmo, score, p_value or None)`` systems, as
+    ``(tier, system, delta)`` rows in ``TIERS`` order. Each delta is the
+    full-precision score difference, rounded to 2 decimals."""
+    systems = list(systems)
     seen = set()
-    for r in results:
-        if r.config in seen:
-            raise SweepError("duplicate result for configuration %s" % r.config.label)
-        seen.add(r.config)
-    symmetric = [r for r in results if r.config.symmetric]
-    asymmetric = [r for r in results if not r.config.symmetric]
+    for src, tgt, _score, _p in systems:
+        if (src, tgt) in seen:
+            raise SweepError("duplicate result for configuration %s" % config_label(src, tgt))
+        seen.add((src, tgt))
+    symmetric = [s for s in systems if s[0] == s[1]]
+    asymmetric = [s for s in systems if s[0] != s[1]]
     missing = []
     if not symmetric:
         missing.append("at least 1 symmetric configuration")
@@ -143,21 +109,19 @@ def tier_report(results) -> TierReport:
     if missing:
         raise SweepError("insufficient coverage for tier report: need " + "; ".join(missing))
 
-    baseline = min(symmetric, key=_best_key)
-    highs = sorted(asymmetric, key=_best_key)
-    lows = sorted(results, key=_worst_key)
-    high_a, high_b = highs[0], highs[1]
-    low_candidates = [r for r in lows if r is not baseline][:2]
-    low_a, low_b = low_candidates[0], low_candidates[1]
+    def best_first(system):
+        src, tgt, score, _p = system
+        return rank_key(score, src, tgt)
 
-    def delta(r):
-        # round() keeps the sign of a difference that rounds to zero; adding
-        # 0.0 turns -0.0 into 0.0, so it renders as "0.00", not "-0.00".
-        return round(r.score - baseline.score, 2) + 0.0
-
-    deltas = {"Baseline": delta(baseline), "High A": delta(high_a),
-              "High B": delta(high_b), "Low A": delta(low_a), "Low B": delta(low_b)}
-    return TierReport(baseline, high_a, high_b, low_a, low_b, deltas)
+    baseline = min(symmetric, key=best_first)
+    highs = sorted(asymmetric, key=best_first)
+    lows = [s for s in sorted(systems, key=lambda s: (s[2], s[0], s[1])) if s is not baseline]
+    by_tier = {"Low A": lows[0], "Low B": lows[1], "Baseline": baseline,
+               "High B": highs[1], "High A": highs[0]}
+    # round() keeps the sign of a difference that rounds to zero; adding
+    # 0.0 turns -0.0 into 0.0, so it renders as "0.00", not "-0.00".
+    return [(tier, by_tier[tier], round(by_tier[tier][2] - baseline[2], 2) + 0.0)
+            for tier in TIERS]
 
 
 @dataclass
@@ -198,27 +162,24 @@ def significance_markers(p_value) -> tuple:
     return (sig, star)
 
 
-def render_tier_tsv(report: TierReport) -> list:
-    """The tier report as TSV lines, without newlines."""
+def render_tier_tsv(rows) -> list:
+    """``tier_report`` rows as TSV lines, without newlines."""
     lines = ["tier\tsrc\ttgt\tchrf\tdelta\tsignificant_p05\thigh_significance"]
-    for tier, result, delta in report.rows():
-        sig, star = significance_markers(result.p_vs_baseline)
+    for tier, (src, tgt, score, p_value), delta in rows:
+        sig, star = significance_markers(p_value)
         lines.append("%s\t%s\t%s\t%.2f\t%.2f\t%s\t%s" % (
-            tier, format_nmo(result.config.src_nmo), format_nmo(result.config.tgt_nmo),
-            result.score, delta, sig, star))
+            tier, format_nmo(src), format_nmo(tgt), score, delta, sig, star))
     return lines
 
 
-def render_tier_text(report: TierReport) -> list:
-    """The tier report as aligned text lines, without newlines."""
+def render_tier_text(rows) -> list:
+    """``tier_report`` rows as aligned text lines, without newlines."""
     header = ("tier", "src", "tgt", "CHRF++", "delta", "sig")
-    rows = [header]
-    for tier, result, delta in report.rows():
-        sig, star = significance_markers(result.p_vs_baseline)
-        mark = (star or ("+" if sig else "")) if result.p_vs_baseline is not None else ""
-        rows.append((tier, format_nmo(result.config.src_nmo),
-                     format_nmo(result.config.tgt_nmo),
-                     "%.2f%s" % (result.score, mark), "%.2f" % delta,
-                     "p<0.01" if star else ("p<0.05" if sig else "")))
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    table = [header]
+    for tier, (src, tgt, score, p_value), delta in rows:
+        sig, star = significance_markers(p_value)
+        table.append((tier, format_nmo(src), format_nmo(tgt),
+                      "%.2f%s" % (score, star or ("+" if sig else "")),
+                      "%.2f" % delta, "p<0.01" if star else ("p<0.05" if sig else "")))
+    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]

@@ -16,8 +16,7 @@ from asymbpe import bpe, chrf
 from asymbpe.bpe import MergeTable, learn_bpe, segment_line, unsegment
 from asymbpe.orchestrator import emit_report, load_experiment, run_sweep
 from asymbpe.sampler import BinPlan, make_bins, make_sample_plan
-from asymbpe.sweep import (PAPER_NMO_SET, BpeConfig, SystemResult,
-                           enumerate_grid, tier_report)
+from asymbpe.sweep import PAPER_NMO_SET, enumerate_grid, tier_report
 from conftest import (FULL_CORPUS_BIN_COUNTS, FULL_CORPUS_TOTAL,
                       PUBLISHED_TIER_TABLES, QUOTAS_100K, oracle_learn,
                       random_word_freqs)
@@ -152,12 +151,10 @@ def test_criterion_8_tier_replay():
     checked = 0
     for direction, table in PUBLISHED_TIER_TABLES.items():
         for size, cell in table.items():
-            results = [SystemResult(BpeConfig(src, tgt), score)
-                       for src, tgt, score, _ in cell.values()]
-            rep = tier_report(results)
-            for tier, result, delta in rep.rows():
+            systems = [(src, tgt, score, None) for src, tgt, score, _ in cell.values()]
+            for tier, system, delta in tier_report(systems):
                 src, tgt, score, expected_delta = cell[tier]
-                assert result.config == BpeConfig(src, tgt), (direction, size, tier)
+                assert system[:2] == (src, tgt), (direction, size, tier)
                 assert delta == pytest.approx(expected_delta, abs=0.005), \
                     (direction, size, tier)
             checked += 1
@@ -221,11 +218,10 @@ def test_criterion_10_end_to_end(tmp_path):
         backend={"command": command},
         output_dir=str(tmp_path / "out_planted")))
     planted_records = run_sweep(planted_cfg)
-    results = [SystemResult(BpeConfig(r.src_nmo, r.tgt_nmo), r.chrf)
-               for r in planted_records]
-    rep = tier_report(results)
-    assert rep.high_a.config == BpeConfig(40, 20)
-    assert rep.low_a.config == BpeConfig(20, 40)
+    rows = tier_report((r.src_nmo, r.tgt_nmo, r.chrf, None) for r in planted_records)
+    tiers = {tier: system[:2] for tier, system, _ in rows}
+    assert tiers["High A"] == (40, 20)
+    assert tiers["Low A"] == (20, 40)
 
     elapsed = time.time() - start
     assert elapsed < 60.0

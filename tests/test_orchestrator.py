@@ -14,7 +14,7 @@ from asymbpe import bpe, chrf, orchestrator, sampler
 from asymbpe.cli import main
 from asymbpe.orchestrator import (OrchestratorError, RunRecord, collect_records,
                                   emit_report, evaluate, load_experiment, run_sweep)
-from asymbpe.sweep import BpeConfig
+from asymbpe.sweep import config_label
 from conftest import PUBLISHED_TIER_TABLES
 
 WORDS = ["the", "cat", "sat", "mat", "dog", "ran", "big", "red", "sun", "sky",
@@ -949,7 +949,7 @@ class TestSweepLock:
 
 def make_record(src, tgt, score, size=50, rep=0, direction="en-xx",
                 testset="test", status="done"):
-    return RunRecord(config_label=BpeConfig(src, tgt).label, src_nmo=src,
+    return RunRecord(config_label=config_label(src, tgt), src_nmo=src,
                      tgt_nmo=tgt, direction=direction, size=size, rep=rep,
                      testset=testset, seed=0, status=status,
                      chrf=score if status == "done" else None)
@@ -1016,7 +1016,7 @@ class TestEmitReport:
         maxima = {int(l.split("\t")[4]): float(l.split("\t")[5]) for l in lines}
         assert maxima == {500: 12.0, 1000: 15.0, 2000: 13.0}
         best = {int(l.split("\t")[4]): l.split("\t")[6] for l in lines}
-        assert best[2000] == BpeConfig(2000, 500).label
+        assert best[2000] == config_label(2000, 500)
 
     def test_two_records_of_one_run_are_refused_before_any_file(self, tmp_path):
         records = [make_record(src, tgt, 30.0 + src / 100 + tgt / 1000)
@@ -1026,6 +1026,16 @@ class TestEmitReport:
             emit_report(records, str(tmp_path))
         assert str(err.value) == ("two records for one run: direction en-xx, size 50, rep 0, "
                                   "test set test, configuration 1K_500")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unscored_done_record_is_refused_before_any_file(self, tmp_path):
+        records = [make_record(500, 500, 30.0), make_record(500, 1000, 31.0),
+                   make_record(1000, 500, None)]
+        with pytest.raises(OrchestratorError) as err:
+            emit_report(records, str(tmp_path))
+        assert str(err.value) == (
+            "done record without a score: direction en-xx, size 50, rep 0, test set test, "
+            "configuration 1K_500; score it with evaluate or report --run-dir")
         assert list(tmp_path.iterdir()) == []
 
     def test_record_order_does_not_change_any_report(self, tmp_path):
