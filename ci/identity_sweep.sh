@@ -24,6 +24,12 @@ cat > experiment.json <<'JSON'
 JSON
 asymbpe sweep --config experiment.json --workers 2
 if grep -q 'failed$' runs/results.tsv; then exit 1; fi
+# `asymbpe sample` with its default bins and granularity draws the sweep's
+# default sample of a cell: seed 0 + rep 0.
+asymbpe sample --src train.txt --tgt train.txt --size 40 --seed 0 --out-prefix cli40
+cmp cli40.manifest.json runs/size40/rep0/sample/manifest.json
+cmp cli40.src runs/size40/rep0/sample/train.src
+cmp cli40.tgt runs/size40/rep0/sample/train.tgt
 cp runs/results.tsv swept.tsv
 cp runs/src_nmo_max.tsv swept_max.tsv
 cp runs/summary.tsv swept_summary.tsv

@@ -59,10 +59,10 @@ def cmd_sample(args):
     except sampler.SamplerError as exc:
         raise sampler.SamplerError("--bins: %s" % exc) from None
     histogram = sampler.bin_files(args.src, args.tgt, bins)
-    plan = sampler.make_sample_plan(histogram, args.size, args.seed, args.granularity)
     prefix = args.out_prefix
-    n = sampler.write_sample(histogram, plan, (args.src, args.tgt),
-                             (prefix + ".src", prefix + ".tgt"), prefix + ".manifest.json")
+    n = sampler.write_sample(histogram, args.size, args.seed, args.granularity,
+                             (args.src, args.tgt), (prefix + ".src", prefix + ".tgt"),
+                             prefix + ".manifest.json")
     print("sampled %d pairs -> %s.{src,tgt}" % (n, prefix), file=sys.stderr)
 
 
@@ -152,9 +152,9 @@ def build_parser():
     p.add_argument("--tgt", required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bins", default="10,15,20,25,30,35,40",
+    p.add_argument("--bins", default=",".join(map(str, sampler.DEFAULT_BOUNDARIES)),
                    help="comma-separated upper bin boundaries")
-    p.add_argument("--granularity", type=int, default=10)
+    p.add_argument("--granularity", type=int, default=sampler.DEFAULT_GRANULARITY)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_sample)
 

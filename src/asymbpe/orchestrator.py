@@ -217,11 +217,21 @@ _RECORD_VALUES = (
 
 def _check_backend_template(command: str):
     # An unnamed {} has the field name "", and literal text has None.
-    fields = [f for _, f, _, _ in string.Formatter().parse(command) if f is not None]
+    parsed = [(f, conversion, spec) for _, f, spec, conversion
+              in string.Formatter().parse(command) if f is not None]
+    fields = [f for f, _, _ in parsed]
     unknown = set(fields) - BACKEND_PLACEHOLDERS
     if unknown:
         raise OrchestratorError("unknown backend placeholders: %s (a literal brace is written "
                                 "{{ or }})" % ", ".join("{%s}" % f for f in sorted(unknown)))
+    # A conversion such as !r would quote the path again, and a format spec
+    # fails only once a cell is prepared.
+    decorated = ["{%s%s%s}" % (f, "!" + conversion if conversion else "",
+                               ":" + spec if spec else "")
+                 for f, conversion, spec in parsed if conversion or spec]
+    if decorated:
+        raise OrchestratorError("backend placeholders take no conversion or format spec: %s"
+                                % ", ".join(decorated))
     if len(fields) != len(set(fields)):
         raise OrchestratorError("backend placeholders may be used at most once")
     if "hyp_out" not in fields:
@@ -257,8 +267,12 @@ def load_experiment(path) -> ExperimentConfig:
     missing = [f for f in _REQUIRED_FIELDS if f not in raw]
     if missing:
         raise OrchestratorError("missing config fields: %s" % ", ".join(missing))
-    if raw.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise OrchestratorError("unsupported schema version %r" % raw.get("schema"))
+    schema = raw.get("schema", SCHEMA_VERSION)
+    # true and 1.0 equal 1 in Python, so the type is checked first.
+    if not _is_int(schema):
+        raise OrchestratorError("schema must be an int, got %r" % (schema,))
+    if schema != SCHEMA_VERSION:
+        raise OrchestratorError("unsupported schema version %r" % schema)
 
     base = os.path.dirname(os.path.abspath(path))
 
@@ -346,9 +360,8 @@ def load_experiment(path) -> ExperimentConfig:
     if len(set(nmo_set)) != len(nmo_set):
         raise OrchestratorError("nmo_set repeats a value: %r" % (raw["nmo_set"],))
 
-    bins = raw.get("bins", list(sampler.DEFAULT_BOUNDARIES))
     try:
-        sampler.make_bins(bins)
+        bins = sampler.make_bins(raw.get("bins", sampler.DEFAULT_BOUNDARIES))
     except sampler.SamplerError as exc:
         raise OrchestratorError(str(exc)) from None
 
@@ -387,7 +400,7 @@ def load_experiment(path) -> ExperimentConfig:
         workers=integer("workers", 1, 1),
         significance_iterations=integer("significance_iterations", 10000, 1),
         backend_timeout=timeout,
-        granularity=integer("granularity", 10, 1),
+        granularity=integer("granularity", sampler.DEFAULT_GRANULARITY, 1),
     )
     for name in ("train_src", "train_tgt", "valid_src", "valid_tgt"):
         if not os.path.exists(getattr(cfg, name)):
@@ -611,11 +624,10 @@ def _prepare_cells(cfg, cells):
         (s_src,), (s_tgt,) = inputs["train_src"][2], inputs["train_tgt"][2]
         if not (os.path.exists(s_src) and os.path.exists(s_tgt)):
             if histogram is None:
-                histogram = sampler.bin_files(cfg.train_src, cfg.train_tgt,
-                                              sampler.make_bins(cfg.bins))
-            plan = sampler.make_sample_plan(histogram, size, cfg.seed + rep, cfg.granularity)
+                histogram = sampler.bin_files(cfg.train_src, cfg.train_tgt, cfg.bins)
             # The two sample files, written last, mark the sample complete.
-            sampler.write_sample(histogram, plan, (cfg.train_src, cfg.train_tgt), (s_src, s_tgt),
+            sampler.write_sample(histogram, size, cfg.seed + rep, cfg.granularity,
+                                 (cfg.train_src, cfg.train_tgt), (s_src, s_tgt),
                                  os.path.join(cell_dir, "sample", "manifest.json"))
         tables = {"src": _cell_tables(cfg, cell_dir, cfg.src_lang, s_src),
                   "tgt": _cell_tables(cfg, cell_dir, cfg.tgt_lang, s_tgt)}

@@ -8,7 +8,6 @@ import pytest
 
 from asymbpe.bpe import END, word_symbols
 from asymbpe.chrf import SignificanceResult, corpus_chrf
-from asymbpe.sampler import assign_bin
 
 
 def oracle_learn(word_freqs, nmo):
@@ -64,18 +63,30 @@ def oracle_segment(pairs, word):
     return " ".join([s + "@@" for s in symbols[:-1]] + [symbols[-1][:-len(END)]])
 
 
-def oracle_draw(src_lines, tgt_lines, plan):
-    """The two-pass stratified draw: bin every source line by ``plan.bins``
-    again, then ``random.Random(plan.seed).sample`` each bin's line indices,
-    in line order, by its quota, in bin order. Returns (sampled source,
-    sampled target, line indices). Independent of ``bin_histogram``'s
-    single pass."""
-    members = [[] for _ in plan.bins]
+def oracle_bin(bins, line):
+    """The bin of a source line: the first upper boundary in ``bins`` that
+    its token count does not exceed, found by a linear scan; past the last
+    boundary, the open bin ``len(bins)``. Independent of ``bin_histogram``'s
+    bisection."""
+    length = len(line.split())
+    b = 0
+    while b < len(bins) and length > bins[b]:
+        b += 1
+    return b
+
+
+def oracle_draw(src_lines, tgt_lines, bins, per_bin_quota, seed):
+    """The two-pass stratified draw: bin every source line again
+    (``oracle_bin``), then ``random.Random(seed).sample`` each bin's line
+    indices, in line order, by its quota, in bin order. Returns (sampled
+    source, sampled target, line indices). Independent of
+    ``bin_histogram``'s single pass."""
+    members = [[] for _ in range(len(bins) + 1)]
     for idx, line in enumerate(src_lines):
-        members[assign_bin(plan.bins, len(line.split()))].append(idx)
-    rng = random.Random(plan.seed)
+        members[oracle_bin(bins, line)].append(idx)
+    rng = random.Random(seed)
     chosen = []
-    for quota, pool in zip(plan.per_bin_quota, members):
+    for quota, pool in zip(per_bin_quota, members):
         chosen.extend(rng.sample(pool, quota))
     return [src_lines[i] for i in chosen], [tgt_lines[i] for i in chosen], chosen
 

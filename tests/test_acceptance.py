@@ -15,10 +15,9 @@ import pytest
 from asymbpe import bpe, chrf
 from asymbpe.bpe import MergeTable, learn_bpe, segment_line, unsegment
 from asymbpe.orchestrator import emit_report, load_experiment, run_sweep
-from asymbpe.sampler import BinPlan, make_bins, make_sample_plan
+from asymbpe.sampler import quotas
 from asymbpe.sweep import PAPER_NMO_SET, enumerate_grid, tier_report
-from conftest import (FULL_CORPUS_BIN_COUNTS, FULL_CORPUS_TOTAL,
-                      PUBLISHED_TIER_TABLES, QUOTAS_100K, oracle_learn,
+from conftest import (FULL_CORPUS_BIN_COUNTS, PUBLISHED_TIER_TABLES, QUOTAS_100K, oracle_learn,
                       random_word_freqs)
 from test_chrf import TINY_SCORE, oracle_stats
 from test_orchestrator import write_config, write_toy_corpus
@@ -136,13 +135,11 @@ def test_criterion_6_significance_calibration():
 
 
 def test_criterion_7_sampler_replay():
-    plan = BinPlan(make_bins(), list(FULL_CORPUS_BIN_COUNTS), FULL_CORPUS_TOTAL)
-    sample = make_sample_plan(plan, 100_000, seed=1)
+    per_bin_quota = quotas(FULL_CORPUS_BIN_COUNTS, 100_000)
     listed = [34130, 20230, 14060, 10440, 5140, 3370, 5070]
-    got_listed = sample.per_bin_quota[:4] + sample.per_bin_quota[5:]
-    assert got_listed == listed
-    assert sample.per_bin_quota[4] == 7550
-    assert sum(sample.per_bin_quota) == 99_990
+    assert per_bin_quota[:4] + per_bin_quota[5:] == listed
+    assert per_bin_quota[4] == 7550
+    assert sum(per_bin_quota) == 99_990
     report(7, "quotas replay the published 0.1M sample exactly "
               "(incl. derived 26-30 quota 7,550; total 99,990)")
 

@@ -447,9 +447,10 @@ def test_sample_writes_the_bytes_of_a_sweep_cell_sample(tmp_path, capsys, seed):
                    "--out-prefix", prefix)[0] == 0
         assert (Path(prefix + ".manifest.json").read_bytes()
                 == (sample_dir / "manifest.json").read_bytes())
-        plan = sampler.make_sample_plan(sampler.bin_histogram(src, tgt, sampler.make_bins(bins)),
-                                        size, 7 + rep, granularity)
-        for side, lines in zip(("src", "tgt"), oracle_draw(src, tgt, plan)):
+        per_bin_quota = sampler.quotas(sampler.bin_histogram(src, tgt, bins).counts, size,
+                                       granularity)
+        for side, lines in zip(("src", "tgt"), oracle_draw(src, tgt, bins, per_bin_quota,
+                                                           7 + rep)):
             expected = "".join(line + "\n" for line in lines).encode("utf-8")
             assert Path(prefix + "." + side).read_bytes() == expected
             assert (sample_dir / ("train." + side)).read_bytes() == expected

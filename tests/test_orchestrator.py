@@ -233,6 +233,8 @@ class TestLoadExperiment:
         ("backend.timeout", float("inf")),
         ("nmo_set", "1K"), ("nmo_set", [10, 1.5]), ("nmo_set", [True, 20]),
         ("bins", "abc"), ("bins", [10, "x"]), ("bins", [10, True]),
+        # Both equal 1 in Python.
+        ("schema", True), ("schema", 1.0),
     ])
     def test_mistyped_setting_named(self, tmp_path, field, value):
         corpus = write_toy_corpus(str(tmp_path))
@@ -268,6 +270,12 @@ class TestLoadExperiment:
         # An unnamed {} would fail only when the backend runs.
         ({"backend": {"command": "echo {} > /dev/null; " + IDENTITY_BACKEND}},
          "unknown backend placeholders: \\{\\} \\(a literal brace is written \\{\\{ or \\}\\}\\)"),
+        # A format spec failed only once a cell was prepared, and !r quoted a
+        # path holding a space a second time.
+        ({"backend": {"command": "cp {test_src} {hyp_out:x}"}},
+         "take no conversion or format spec: \\{hyp_out:x\\}"),
+        ({"backend": {"command": "cp {test_src} {hyp_out!r}"}},
+         "take no conversion or format spec: \\{hyp_out!r\\}"),
     ])
     def test_mistyped_structure_named(self, tmp_path, overrides, message):
         # None stands for a config whose top level is a list.
