@@ -1,19 +1,22 @@
 """Corpus-level CHRF++ and paired approximate-randomization significance.
 
-CHRF++ here means: character n-grams of orders 1-6 computed on text with
-all whitespace removed, word n-grams of orders 1-2 on whitespace tokens,
+CHRF++ is one metric here, with no switch for another: character n-grams
+of orders 1-6 (``CHAR_ORDER``) computed on text with all whitespace
+removed, word n-grams of orders 1-2 (``WORD_ORDER``) on whitespace tokens,
 clipped matches, uniform averaging of precision/recall across the 8 orders,
-and an F-score with beta = 2. Orders empty on both sides are skipped; an
-order empty on one side only contributes 0. Scores are in [0, 100].
+and an F-score with beta = 2 (``BETA``). Orders empty on both sides are
+skipped; an order empty on one side only contributes 0. Scores are in
+[0, 100].
 The scorer computes precision, recall and the F-score with one masked
 ``np.divide`` each, leaving 0 where the denominator is 0. A skipped order
 has both totals 0 and so adds 0 to both sums: only the count of kept
 orders has to leave it out.
 
 Scores and tests work from per-sentence sufficient statistics: an
-``n x 3·orders`` integer matrix (``stats_matrix``) whose row holds one
-sentence's clipped matches, hypothesis totals and reference totals per
-order. A system's matrix is computed once, scored with ``corpus_chrf``, which
+``n x 24`` integer matrix (``stats_matrix``) whose row holds one sentence's
+clipped matches, hypothesis totals and reference totals of the 8 orders.
+Any other shape is refused, and so is a matrix of no rows, an empty test
+set. A system's matrix is computed once, scored with ``corpus_chrf``, which
 returns a plain float, and handed to ``paired_significance_stats`` without
 rescoring any text. The score and the test share one scorer, so two systems
 whose corpus scores are equal test as a tie, and the test's observed
@@ -44,7 +47,7 @@ swaps every sentence's two system outputs independently with probability
 the observed one; p = (count + 1) / (iterations + 1). Several systems tested
 against one baseline with one seed share each drawn swap mask, so every
 system's p-value equals the one a separate pairwise test gives. The S
-systems' row-swap differences sit side by side in one ``n x S·width`` array,
+systems' row-swap differences sit side by side in one ``n x S·24`` array,
 so each chunk of k masks makes one ``mask @ diff`` product for all systems,
 and each side's shifted sums are scored with one call over ``k·S`` rows.
 Chunks are small (``_SIGNIFICANCE_CHUNK_CELLS``), so besides the difference
@@ -67,15 +70,18 @@ from itertools import zip_longest
 
 CHAR_ORDER = 6
 WORD_ORDER = 2
-DEFAULT_BETA = 2.0
+BETA = 2.0
+# Columns of a statistics row: matched, hypothesis and reference counts of
+# each of the CHAR_ORDER + WORD_ORDER orders.
+WIDTH = 3 * (CHAR_ORDER + WORD_ORDER)
 
 SIGNIFICANCE_METHOD = "paired-approximate-randomization"
 # Float64 cells per significance chunk and array. Each iteration of a chunk
-# draws n mask cells (one per line) and shifts S·width column sums (S
-# systems), so a chunk holds 65,536 // (n + S·width) iterations and each of
+# draws n mask cells (one per line) and shifts S·24 column sums (S
+# systems), so a chunk holds 65,536 // (n + S·24) iterations and each of
 # its draw, float mask and shifted sums stays near 512 KB; but never fewer
 # than _SIGNIFICANCE_CHUNK_MIN_ITERATIONS, because every chunk reads the
-# whole n x S·width difference array once. The draw fills row by row, so
+# whole n x S·24 difference array once. The draw fills row by row, so
 # the chunk size never changes a p-value.
 _SIGNIFICANCE_CHUNK_CELLS = 65_536
 _SIGNIFICANCE_CHUNK_MIN_ITERATIONS = 64
@@ -99,12 +105,11 @@ class SignificanceResult:
     observed_difference: float
 
 
-def sentence_stats(hypothesis: str, reference: str, char_order: int = CHAR_ORDER,
-                   word_order: int = WORD_ORDER) -> np.ndarray:
+def sentence_stats(hypothesis: str, reference: str) -> np.ndarray:
     """One sentence pair's row of ``stats_matrix``. Nothing in the package
     calls it; it stays only because the benchmark's tracer wraps it by
     name, and goes once ROADMAP item 3 re-points that wrapper."""
-    return stats_matrix([hypothesis], [reference], char_order, word_order)[0]
+    return stats_matrix([hypothesis], [reference])[0]
 
 
 def _ngram_stats(ids: np.ndarray, lengths: list, n: int, max_order: int, base: int):
@@ -177,8 +182,7 @@ def _line_blocks(hypotheses, references):
     yield hyps, refs
 
 
-def _block_stats(hypotheses: list, references: list, char_order: int,
-                 word_order: int) -> np.ndarray:
+def _block_stats(hypotheses: list, references: list) -> np.ndarray:
     """The ``stats_matrix`` rows of one block of lines, counted in one
     batch: the characters (whitespace removed) of its lines form one
     code-point array, the words one array of dense word ids, and each
@@ -194,15 +198,14 @@ def _block_stats(hypotheses: list, references: list, char_order: int,
     # surrogatepass: a lone surrogate is one code point, as it is in a str.
     code_points = np.frombuffer("".join(chars).encode("utf-32-le", "surrogatepass"),
                                 dtype="<u4").astype(np.int64)
-    char_stats = _ngram_stats(code_points, [len(c) for c in chars], n, char_order,
+    char_stats = _ngram_stats(code_points, [len(c) for c in chars], n, CHAR_ORDER,
                               int(code_points.max(initial=0)) + 1)
-    word_stats = _ngram_stats(word_ids, [len(w) for w in words], n, word_order, len(vocab))
+    word_stats = _ngram_stats(word_ids, [len(w) for w in words], n, WORD_ORDER, len(vocab))
     return np.hstack([part for pair in zip(char_stats, word_stats) for part in pair])
 
 
-def stats_matrix(hypotheses, references, char_order: int = CHAR_ORDER,
-                 word_order: int = WORD_ORDER) -> np.ndarray:
-    """``n x 3·orders`` int64 matrix of per-sentence statistics: each row is
+def stats_matrix(hypotheses, references) -> np.ndarray:
+    """``n x 24`` int64 matrix of per-sentence statistics: each row is
     one line's matched, hypothesis-total and reference-total counts.
 
     ``hypotheses`` and ``references`` may be any iterables of lines, such as
@@ -212,48 +215,41 @@ def stats_matrix(hypotheses, references, char_order: int = CHAR_ORDER,
     Unequal line counts are refused, both counted to the end.
     """
     import numpy as np
-    if char_order < 0 or word_order < 0:
-        raise ChrfError("n-gram orders must be >= 0, got char %d, word %d"
-                        % (char_order, word_order))
     # Each block's rows are appended to one growing buffer, so the rows are
     # never held twice, as stacking a list of blocks would hold them.
     rows, n = bytearray(), 0
     for hyps, refs in _line_blocks(hypotheses, references):
-        rows += _block_stats(hyps, refs, char_order, word_order).data
+        rows += _block_stats(hyps, refs).data
         n += len(hyps)
-    return np.frombuffer(rows, dtype=np.int64).reshape(n, 3 * (char_order + word_order))
+    return np.frombuffer(rows, dtype=np.int64).reshape(n, WIDTH)
 
 
-def corpus_chrf(stats, beta: float = DEFAULT_BETA) -> float:
+def corpus_chrf(stats) -> float:
     """Aggregate a ``stats_matrix`` into one corpus score in [0, 100]."""
     import numpy as np
-    if not 0 <= beta < np.inf:  # also false for NaN
-        raise ChrfError("beta must be a finite number >= 0, got %r" % (beta,))
-    if len(stats) == 0:
-        raise ChrfError("empty statistics matrix")
     stats = np.asarray(stats, dtype=np.int64)
-    _check_width(stats)
-    sums = stats.sum(axis=0)
-    return float(_scores_from_sum_rows(sums[None, :], len(sums) // 3, beta)[0])
+    _check_shape(stats, "score")
+    return float(_scores_from_sum_rows(stats.sum(axis=0)[None, :])[0])
 
 
-def _check_width(matrix: np.ndarray):
-    """Refuse statistics that are not an ``n x 3·orders`` matrix with at
-    least one order."""
-    if matrix.ndim != 2 or matrix.shape[1] == 0 or matrix.shape[1] % 3:
-        raise ChrfError("statistics of shape %s: the width must be a positive multiple of 3 "
-                        "(matched, hypothesis and reference counts per order)"
-                        % (matrix.shape,))
+def _check_shape(matrix: np.ndarray, task: str):
+    """Refuse statistics that are not an ``n x 24`` matrix of one or more
+    rows; ``task`` says what an empty test set leaves nothing to do."""
+    if matrix.ndim and not len(matrix):
+        raise ChrfError("empty test set: no sentences to %s" % task)
+    if matrix.ndim != 2 or matrix.shape[1] != WIDTH:
+        raise ChrfError("statistics of shape %s: CHRF++ statistics are (n, %d), the "
+                        "matched, hypothesis and reference counts of %d orders"
+                        % (matrix.shape, WIDTH, CHAR_ORDER + WORD_ORDER))
 
 
-def corpus_chrf_from_lines(hypotheses, references, beta: float = DEFAULT_BETA,
-                           char_order: int = CHAR_ORDER,
-                           word_order: int = WORD_ORDER) -> float:
-    return corpus_chrf(stats_matrix(hypotheses, references, char_order, word_order), beta)
+def corpus_chrf_from_lines(hypotheses, references) -> float:
+    return corpus_chrf(stats_matrix(hypotheses, references))
 
 
-def _scores_from_sum_rows(sums: np.ndarray, orders: int, beta: float) -> np.ndarray:
+def _scores_from_sum_rows(sums: np.ndarray) -> np.ndarray:
     import numpy as np
+    orders = CHAR_ORDER + WORD_ORDER
     m = sums[:, :orders]
     h = sums[:, orders:2 * orders]
     r = sums[:, 2 * orders:]
@@ -262,7 +258,7 @@ def _scores_from_sum_rows(sums: np.ndarray, orders: int, beta: float) -> np.ndar
     rec = np.divide(m, r, out=np.zeros(r.shape), where=r > 0).sum(axis=1)
     p = prec / np.maximum(nkept, 1)
     q = rec / np.maximum(nkept, 1)
-    b2 = beta * beta
+    b2 = BETA * BETA
     denom = b2 * p + q
     return np.divide(100.0 * (1.0 + b2) * p * q, denom, out=np.zeros(len(denom)),
                      where=denom > 0)
@@ -281,29 +277,26 @@ def paired_significance_stats(systems, baseline, iterations: int = 10000,
     if seed < 0:
         raise ChrfError("the significance seed must be >= 0, got %d" % seed)
     mat_b = np.asarray(baseline, dtype=np.float64)
-    if mat_b.ndim != 2 or mat_b.shape[0] == 0:
-        raise ChrfError("empty test set: no sentences to compare")
-    _check_width(mat_b)
-    n, width = mat_b.shape
-    orders = width // 3
+    _check_shape(mat_b, "compare")
+    n = len(mat_b)
     base_b = mat_b.sum(axis=0)
-    score_b = _scores_from_sum_rows(base_b[None, :], orders, DEFAULT_BETA)[0]
+    score_b = _scores_from_sum_rows(base_b[None, :])[0]
 
     systems = list(systems)
     if not systems:
         return []
     # Each system's column sums, and its row-swap differences (the mass a
     # swap moves from A to B) side by side: column block j is system j's.
-    base_a = np.empty((len(systems), width))
-    diff = np.empty((n, len(systems) * width))
+    base_a = np.empty((len(systems), WIDTH))
+    diff = np.empty((n, len(systems) * WIDTH))
     for j, system in enumerate(systems):
         mat_a = np.asarray(system, dtype=np.float64)
         if mat_a.shape != mat_b.shape:
             raise ChrfError("statistics shapes differ: system %s, baseline %s"
                             % (mat_a.shape, mat_b.shape))
         base_a[j] = mat_a.sum(axis=0)
-        np.subtract(mat_b, mat_a, out=diff[:, j * width:(j + 1) * width])
-    score_a = _scores_from_sum_rows(base_a, orders, DEFAULT_BETA)
+        np.subtract(mat_b, mat_a, out=diff[:, j * WIDTH:(j + 1) * WIDTH])
+    score_a = _scores_from_sum_rows(base_a)
     observed = np.abs(score_a - score_b) - 1e-12
 
     rng = np.random.default_rng(seed)
@@ -314,9 +307,9 @@ def paired_significance_stats(systems, baseline, iterations: int = 10000,
     while done < iterations:
         k = min(chunk, iterations - done)
         mask = rng.random((k, n)) < 0.5
-        shift = (mask.astype(np.float64) @ diff).reshape(k, len(systems), width)
-        sa = _scores_from_sum_rows((base_a + shift).reshape(-1, width), orders, DEFAULT_BETA)
-        sb = _scores_from_sum_rows((base_b - shift).reshape(-1, width), orders, DEFAULT_BETA)
+        shift = (mask.astype(np.float64) @ diff).reshape(k, len(systems), WIDTH)
+        sa = _scores_from_sum_rows((base_a + shift).reshape(-1, WIDTH))
+        sb = _scores_from_sum_rows((base_b - shift).reshape(-1, WIDTH))
         counts += (np.abs(sa - sb).reshape(k, len(systems)) >= observed).sum(axis=0)
         done += k
 

@@ -67,10 +67,7 @@ def cmd_sample(args):
 
 
 def cmd_chrf(args):
-    score = chrf.corpus_chrf_from_lines(iter_lines(args.hyp), iter_lines(args.ref),
-                                        beta=args.beta,
-                                        char_order=args.char_order,
-                                        word_order=args.word_order)
+    score = chrf.corpus_chrf_from_lines(iter_lines(args.hyp), iter_lines(args.ref))
     print("%.2f" % score)
 
 
@@ -158,12 +155,9 @@ def build_parser():
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("chrf", help="corpus-level CHRF++ score")
+    p = sub.add_parser("chrf", help="corpus-level CHRF++ (char orders 1-6, word 1-2, beta 2)")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--char-order", type=int, default=chrf.CHAR_ORDER)
-    p.add_argument("--word-order", type=int, default=chrf.WORD_ORDER)
-    p.add_argument("--beta", type=float, default=chrf.DEFAULT_BETA)
     p.set_defaults(func=cmd_chrf)
 
     p = sub.add_parser("significance", help="paired significance test of two systems")

@@ -2,8 +2,8 @@
 
 Sentences are binned by source-side token count; samples preserve the bin
 proportions of the full corpus. A set of bins is the list of its upper
-boundaries: (10, 15) is the bins 1-10, 11-15 and >=16, and a line of 0
-tokens goes to the first. Each bin's share is rounded once, to integer
+boundaries: (10, 15) is the bins 0-10, 11-15 and >=16, the first holding
+the lines of 0 tokens too. Each bin's share is rounded once, to integer
 basis points (half to even); ``quotas`` come from them, and a manifest's
 percentages are basis points / 100. Quotas are floored to a configurable
 granularity (default 10), which reproduces the slightly-short round totals
@@ -42,7 +42,7 @@ class SamplerError(ValueError):
 
 
 def make_bins(boundaries=DEFAULT_BOUNDARIES) -> list:
-    """The list of upper bin boundaries, e.g. [10, 15] for 1-10, 11-15 and
+    """The list of upper bin boundaries, e.g. [10, 15] for 0-10, 11-15 and
     >=16. The boundaries must be a list or tuple of positive ints in
     strictly increasing order."""
     if not (isinstance(boundaries, (list, tuple))
@@ -54,7 +54,7 @@ def make_bins(boundaries=DEFAULT_BOUNDARIES) -> list:
 
 
 def _labels(bins) -> list:
-    lowers = [1] + [b + 1 for b in bins]
+    lowers = [0] + [b + 1 for b in bins]
     return ["%d-%d" % pair for pair in zip(lowers, bins)] + [">=%d" % lowers[-1]]
 
 

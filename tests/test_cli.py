@@ -2,6 +2,8 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 from asymbpe import orchestrator, sampler
 from asymbpe.bpe import MergeTable, learn_bpe
 from asymbpe.chrf import corpus_chrf, paired_significance, stats_matrix
-from asymbpe.cli import main
+from asymbpe.cli import build_parser, main
 from asymbpe.textfiles import read_lines
 from conftest import oracle_draw, oracle_segment
 from test_orchestrator import (IDENTITY_BACKEND, planted_backend, write_config,
@@ -262,6 +264,72 @@ def test_significance_on_empty_files_is_an_error(tmp_path, capsys):
     assert code == 1 and err.startswith("error:") and "empty" in err
 
 
+def test_chrf_on_empty_files_names_the_empty_test_set(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    code, out, err = run(capsys, "chrf", "--hyp", str(empty), "--ref", str(empty))
+    assert (code, out, err) == (1, "", "error: empty test set: no sentences to score\n")
+
+
+@pytest.mark.parametrize("flag, value", [("--char-order", "0"), ("--word-order", "0"),
+                                         ("--beta", "1")])
+def test_chrf_takes_no_metric_switch(tmp_path, capsys, flag, value):
+    ref = tmp_path / "ref.txt"
+    ref.write_text("the cat sat\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["chrf", "--hyp", str(ref), "--ref", str(ref), flag, value])
+    assert exc.value.code == 2 and "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
+def test_sweep_scores_and_p_values_are_the_cli_commands(tmp_path, capsys):
+    # The backend keeps each source NMO's segmentation visible ("@@ " -> "@"),
+    # so the runs' hypotheses and scores differ; each record's score and
+    # p-value must be what `asymbpe chrf` and `asymbpe significance` print.
+    corpus = write_toy_corpus(str(tmp_path))
+    config = write_config(str(tmp_path), corpus, nmo_set=[10, 20, 40], repetitions=2,
+                          backend="sed 's/@@ /@/g' {test_src} > {hyp_out}")
+    assert run(capsys, "sweep", "--config", config)[0] == 0
+    cfg = json.loads(Path(config).read_text(encoding="utf-8"))
+    records = orchestrator.collect_records(cfg["output_dir"])
+    done = [r for r in records if r.status == "done"]
+    assert len(done) == len(records) == 18
+
+    def run_dir(r, label):
+        return os.path.join(cfg["output_dir"], "size%d" % r.size, "rep%d" % r.rep, label,
+                            r.testset)
+
+    assert len({r.chrf for r in done}) > 3
+    for r in done:
+        hyp = os.path.join(run_dir(r, r.config_label), "hyp.detok.txt")
+        code, out, _ = run(capsys, "chrf", "--hyp", hyp, "--ref", corpus["test_tgt"])
+        assert code == 0 and abs(float(out) - r.chrf) <= 0.005, (r.config_label, out, r.chrf)
+        baseline = os.path.join(run_dir(r, r.baseline), "hyp.detok.txt")
+        code, out, _ = run(capsys, "significance", "--hyp-a", hyp, "--hyp-b", baseline,
+                           "--ref", corpus["test_tgt"],
+                           "--iterations", str(cfg["significance_iterations"]),
+                           "--seed", str(cfg["seed"] + r.rep))
+        assert code == 0 and "p-value: %.6f\n" % r.p_vs_baseline in out, (r.config_label, out)
+    assert any(r.p_vs_baseline < 1 for r in done)
+
+
+def test_readme_cli_commands_parse():
+    # Every `asymbpe ...` command of README's CLI block, continuation lines
+    # joined and cut at a shell |, < or >, parses: a flag the CLI has lost
+    # fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        start = line.find("asymbpe ")
+        if start >= 0 and not line.lstrip().startswith("#"):
+            commands.append(shlex.split(re.split(r"[|<>]", line[start:])[0])[1:])
+    assert len(commands) >= 9
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.func.__name__ == "cmd_" + argv[0].replace("-", "_"), argv
+
+
 def test_sweep_refuses_workers_below_one(tmp_path, capsys):
     corpus = write_toy_corpus(str(tmp_path))
     config = write_config(str(tmp_path), corpus)
@@ -479,15 +547,6 @@ def test_sample_memory_does_not_grow_with_pool_lines(tmp_path, capsys):
             tracemalloc.stop()
         assert code == 0, capsys.readouterr().err
     assert peaks[1] - peaks[0] <= 64 * 18000, peaks
-
-
-@pytest.mark.parametrize("beta", ["nan", "inf", "-2"])
-def test_chrf_refuses_a_beta_that_is_not_finite_and_at_least_zero(tmp_path, capsys, beta):
-    ref = tmp_path / "ref.txt"
-    ref.write_text("the cat sat\non the mat\n", encoding="utf-8")
-    code, out, err = run(capsys, "chrf", "--hyp", str(ref), "--ref", str(ref), "--beta", beta)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: beta must be a finite number >= 0")
 
 
 def test_significance_refuses_a_negative_seed(tmp_path, capsys):

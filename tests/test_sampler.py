@@ -49,7 +49,7 @@ class TestBins:
     def test_default_bins(self):
         assert make_bins() == [10, 15, 20, 25, 30, 35, 40]
         assert bin_histogram([], []).to_dict()["bins"] == [
-            "1-10", "11-15", "16-20", "21-25", "26-30", "31-35", "36-40", ">=41"]
+            "0-10", "11-15", "16-20", "21-25", "26-30", "31-35", "36-40", ">=41"]
 
     def test_assignment(self):
         histogram = bin_histogram(lines_of([2, 35, 36, 999]), ["t"] * 4)
@@ -62,6 +62,12 @@ class TestBins:
     def test_line_of_no_tokens_goes_to_the_first_bin(self):
         histogram = check_against_oracle(["", "  ", "a b"], bins=(1, 3))
         assert histogram.members == [[0, 1], [2], []]
+
+    def test_first_bin_label_counts_from_0(self):
+        # Its two lines have 0 tokens, so the first bin is 0-1, not 1-1.
+        histogram = bin_histogram(["", "  ", "a b"], ["x", "y", "z"], [1, 3])
+        assert histogram.to_dict() == {"bins": ["0-1", "2-3", ">=4"], "counts": [2, 1, 0],
+                                       "total": 3, "percentages": [66.67, 33.33, 0.0]}
 
 
 class TestBinHistogram:
