@@ -20,11 +20,11 @@ cat > experiment.json <<'JSON'
  "extra_test_sets": [{"name": "dev", "src": "dev.txt", "tgt": "dev.txt"}],
  "direction": "en-hi", "sizes": [40, 30], "nmo_set": [10, 20], "repetitions": 2,
  "backend": "sed 's/@@ //g' {test_src} > {hyp_out}",
- "output_dir": "runs", "significance_iterations": 100}
+ "output_dir": "runs", "significance_iterations": 100, "workers": 2}
 JSON
-asymbpe sweep --config experiment.json --workers 2
+asymbpe sweep --config experiment.json
 if grep -q 'failed$' runs/results.tsv; then exit 1; fi
-# `asymbpe sample` with its default bins and granularity draws the sweep's
+# `asymbpe sample` with the sampling protocol draws the sweep's
 # default sample of a cell: seed 0 + rep 0.
 asymbpe sample --src train.txt --tgt train.txt --size 40 --seed 0 --out-prefix cli40
 cmp cli40.manifest.json runs/size40/rep0/sample/manifest.json

@@ -54,15 +54,10 @@ def cmd_unbpe(args):
 
 
 def cmd_sample(args):
-    try:
-        bins = sampler.make_bins([int(b) if b.isdecimal() else b for b in args.bins.split(",")])
-    except sampler.SamplerError as exc:
-        raise sampler.SamplerError("--bins: %s" % exc) from None
-    histogram = sampler.bin_files(args.src, args.tgt, bins)
+    histogram = sampler.bin_files(args.src, args.tgt)
     prefix = args.out_prefix
-    n = sampler.write_sample(histogram, args.size, args.seed, args.granularity,
-                             (args.src, args.tgt), (prefix + ".src", prefix + ".tgt"),
-                             prefix + ".manifest.json")
+    n = sampler.write_sample(histogram, args.size, args.seed, (args.src, args.tgt),
+                             (prefix + ".src", prefix + ".tgt"), prefix + ".manifest.json")
     print("sampled %d pairs -> %s.{src,tgt}" % (n, prefix), file=sys.stderr)
 
 
@@ -104,11 +99,6 @@ def cmd_report(args):
 def cmd_sweep(args):
     from . import orchestrator
     cfg = orchestrator.load_experiment(args.config)
-    if args.workers is not None:
-        if args.workers < 1:
-            raise orchestrator.OrchestratorError("--workers must be >= 1, got %d"
-                                                 % args.workers)
-        cfg.workers = args.workers
     records = orchestrator.run_sweep(cfg)
     done = sum(1 for r in records if r.status == "done")
     failed = sum(1 for r in records if r.status == "failed")
@@ -144,14 +134,12 @@ def build_parser():
     p.add_argument("--output", default=None, help="default: stdout")
     p.set_defaults(func=cmd_unbpe)
 
-    p = sub.add_parser("sample", help="stratified sample of a parallel corpus")
+    p = sub.add_parser("sample", help="stratified sample of a parallel corpus (source-length "
+                                      "bins 0-10, 11-15, ..., >=41; quotas floored to tens)")
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bins", default=",".join(map(str, sampler.DEFAULT_BOUNDARIES)),
-                   help="comma-separated upper bin boundaries")
-    p.add_argument("--granularity", type=int, default=sampler.DEFAULT_GRANULARITY)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_sample)
 
@@ -178,7 +166,6 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="run a full experiment sweep from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
     return parser

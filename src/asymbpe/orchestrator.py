@@ -13,11 +13,12 @@ into one temporary file per missing NMO, and each is renamed into place
 when complete (``textfiles.write_columns``), so preparation holds word
 types and learner state but no file's lines. The source lines of every
 test set, in config order, form one combined test source per source NMO.
-A size the corpus cannot sample is refused before any backend runs. The
-corpus is read only for a missing sample, through the sampler's one path
-for files (``sampler.bin_files``, once for every cell, then
+The corpus is read only for a missing sample, through the sampler's one
+path for files (``sampler.bin_files``, once for every cell, then
 ``sampler.write_sample`` per cell), which holds one index per corpus line
-and the sample but no corpus line.
+and the sample but no corpus line. Each missing sample's size is checked
+against the binned corpus before the manifest or any cell is written, so a
+size the corpus cannot sample costs no other cell's preparation.
 
 Run: one worker pool takes every (cell, configuration) with a pending run
 and invokes the translation backend once on the cell's shared files, which
@@ -93,7 +94,7 @@ _CONFIG_FIELDS = {
     "schema", "train_src", "train_tgt", "valid_src", "valid_tgt",
     "test_src", "test_tgt", "direction", "sizes", "nmo_set", "backend",
     "output_dir", "seed", "repetitions", "workers",
-    "significance_iterations", "extra_test_sets", "bins", "granularity",
+    "significance_iterations", "extra_test_sets",
 }
 
 _REQUIRED_FIELDS = ("train_src", "train_tgt", "valid_src", "valid_tgt",
@@ -131,13 +132,11 @@ class ExperimentConfig:
     nmo_set: list
     backend_command: str
     output_dir: str
-    bins: list
     seed: int
     repetitions: int
     workers: int
     significance_iterations: int
     backend_timeout: float | None
-    granularity: int
 
     @property
     def src_lang(self) -> str:
@@ -360,11 +359,6 @@ def load_experiment(path) -> ExperimentConfig:
     if len(set(nmo_set)) != len(nmo_set):
         raise OrchestratorError("nmo_set repeats a value: %r" % (raw["nmo_set"],))
 
-    try:
-        bins = sampler.make_bins(raw.get("bins", sampler.DEFAULT_BOUNDARIES))
-    except sampler.SamplerError as exc:
-        raise OrchestratorError(str(exc)) from None
-
     def integer(name, default, least):
         value = raw.get(name, default)
         if not _is_int(value):
@@ -392,7 +386,6 @@ def load_experiment(path) -> ExperimentConfig:
         nmo_set=nmo_set,
         backend_command=backend["command"],
         output_dir=resolve(raw["output_dir"], "output_dir"),
-        bins=bins,
         # Cell seeds also seed the significance test's generator, which
         # takes no negative seed.
         seed=integer("seed", 0, 0),
@@ -400,7 +393,6 @@ def load_experiment(path) -> ExperimentConfig:
         workers=integer("workers", 1, 1),
         significance_iterations=integer("significance_iterations", 10000, 1),
         backend_timeout=timeout,
-        granularity=integer("granularity", sampler.DEFAULT_GRANULARITY, 1),
     )
     for name in ("train_src", "train_tgt", "valid_src", "valid_tgt"):
         if not os.path.exists(getattr(cfg, name)):
@@ -478,9 +470,11 @@ def _save_record(run_dir, record: RunRecord):
     write_json(_record_path(run_dir), record.to_dict())
 
 
-# The ExperimentConfig fields that manifest.json records under their own
-# names and a resume must not change: every record and artifact on disk was
-# made with them. A manifest that lacks one is not compared on it.
+# The manifest.json entries that a resume must not change: every record and
+# artifact on disk was made with them. A manifest that lacks one is not
+# compared on it. ``bins`` and ``granularity`` are the sampler's constants,
+# not ExperimentConfig fields: they are compared because a directory sampled
+# while they were config settings may hold others.
 _RESUME_FIELDS = ("direction", "seed", "significance_iterations", "bins", "granularity",
                   "train_src", "train_tgt", "valid_src", "valid_tgt")
 
@@ -509,9 +503,10 @@ def run_sweep(cfg: ExperimentConfig) -> list:
     directory's lock (``_sweep_lock``) throughout, and refuses records that
     ``_families`` refuses before it writes or runs anything."""
     out = cfg.output_dir
+    settings = {**vars(cfg), "bins": list(sampler.BOUNDARIES), "granularity": sampler.GRANULARITY}
     manifest = {
         "schema": SCHEMA_VERSION,
-        **{key: getattr(cfg, key) for key in _RESUME_FIELDS + ("sizes", "nmo_set", "repetitions")},
+        **{key: settings[key] for key in _RESUME_FIELDS + ("sizes", "nmo_set", "repetitions")},
         "planned_runs": cfg.planned_runs(),
         "test_sets": [asdict(ts) for ts in cfg.test_sets],
         "assumptions": [
@@ -530,8 +525,6 @@ def run_sweep(cfg: ExperimentConfig) -> list:
         lengths = _test_set_lengths(cfg)
         records = collect_records(out)
         _families(records)
-        write_json(os.path.join(out, "manifest.json"), manifest)
-
         finished = {_run_path(out, r) for r in records if r.status != "pending"}
         pending = {}  # (size, rep, src NMO, tgt NMO) -> {test set: run}
         for size in cfg.sizes:
@@ -544,9 +537,17 @@ def run_sweep(cfg: ExperimentConfig) -> list:
                                         seed=cfg.seed + rep)
                         if _run_path(out, run) not in finished:
                             pending.setdefault((size, rep, src, tgt), {})[ts.name] = run
+        cells = dict.fromkeys(key[:2] for key in pending)
+        # The corpus is binned once, and only if a cell lacks its sample.
+        unsampled = [size for size, rep in cells
+                     if not all(map(os.path.exists, _sample_files(_cell_dir(cfg, size, rep))))]
+        histogram = sampler.bin_files(cfg.train_src, cfg.train_tgt) if unsampled else None
+        for size in unsampled:
+            sampler.quotas(histogram.counts, size)
+        write_json(os.path.join(out, "manifest.json"), manifest)
 
         # Every cell is complete before any backend starts: runs need no locks.
-        _prepare_cells(cfg, dict.fromkeys(key[:2] for key in pending))
+        _prepare_cells(cfg, cells, histogram)
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             list(pool.map(lambda records: _run_config(cfg, lengths, records),
                           pending.values()))
@@ -602,32 +603,40 @@ def _test_set_lengths(cfg) -> list:
     return lengths
 
 
+def _cell_dir(cfg, size, rep):
+    return os.path.join(cfg.output_dir, "size%d" % size, "rep%d" % rep)
+
+
+def _sample_files(cell_dir) -> tuple:
+    """A cell's two sample files. ``sampler.write_sample`` writes them last,
+    so the sample is complete once both exist."""
+    sample = os.path.join(cell_dir, "sample", "train.")
+    return sample + "src", sample + "tgt"
+
+
 def _cell_inputs(cfg, cell_dir) -> dict:
     """Backend placeholder -> split, side and raw files of its segmented input;
     {test_src} joins every test set's source lines, named after their list."""
-    sample = os.path.join(cell_dir, "sample", "train.")
-    return {"train_src": ("train", "src", [sample + "src"]),
-            "train_tgt": ("train", "tgt", [sample + "tgt"]),
+    s_src, s_tgt = _sample_files(cell_dir)
+    return {"train_src": ("train", "src", [s_src]),
+            "train_tgt": ("train", "tgt", [s_tgt]),
             "valid_src": ("valid", "src", [cfg.valid_src]),
             "valid_tgt": ("valid", "tgt", [cfg.valid_tgt]),
             "test_src": ("test-" + "+".join(ts.name for ts in cfg.test_sets), "src",
                          [ts.src for ts in cfg.test_sets])}
 
 
-def _prepare_cells(cfg, cells):
+def _prepare_cells(cfg, cells, histogram):
     """Complete the sample, merge tables and segmented files of each (size,
-    rep) of ``cells``, reading the training corpus only for a missing sample."""
-    histogram = None
+    rep) of ``cells``, drawing a missing sample from ``histogram``, the
+    training corpus's ``sampler.bin_files``."""
     for size, rep in cells:
-        cell_dir = os.path.join(cfg.output_dir, "size%d" % size, "rep%d" % rep)
+        cell_dir = _cell_dir(cfg, size, rep)
         inputs = _cell_inputs(cfg, cell_dir)
-        (s_src,), (s_tgt,) = inputs["train_src"][2], inputs["train_tgt"][2]
+        s_src, s_tgt = _sample_files(cell_dir)
         if not (os.path.exists(s_src) and os.path.exists(s_tgt)):
-            if histogram is None:
-                histogram = sampler.bin_files(cfg.train_src, cfg.train_tgt, cfg.bins)
-            # The two sample files, written last, mark the sample complete.
-            sampler.write_sample(histogram, size, cfg.seed + rep, cfg.granularity,
-                                 (cfg.train_src, cfg.train_tgt), (s_src, s_tgt),
+            sampler.write_sample(histogram, size, cfg.seed + rep, (cfg.train_src, cfg.train_tgt),
+                                 (s_src, s_tgt),
                                  os.path.join(cell_dir, "sample", "manifest.json"))
         tables = {"src": _cell_tables(cfg, cell_dir, cfg.src_lang, s_src),
                   "tgt": _cell_tables(cfg, cell_dir, cfg.tgt_lang, s_tgt)}
@@ -813,14 +822,15 @@ def emit_report(records, out_dir) -> dict:
                  "max_trace": os.path.join(out_dir, "src_nmo_max.tsv"),
                  "summary": os.path.join(out_dir, "summary.tsv")}
     max_lines = ["direction\tsize\trep\ttestset\tsrc_nmo\tmax_chrf\tbest_config"]
-    scores = {}  # (direction, size, test set, configuration) -> its scores by repetition
+    scores = {}  # (direction, size, test set, src NMO, tgt NMO, label) -> scores by rep
     for (direction, size, rep, testset), family in families.items():
         cell = [r for r in family.values() if r.status == "done"]
         # Stepped-maximum trace: best score per source NMO within each cell.
         per_src = {}
         for r in cell:
             per_src.setdefault(r.src_nmo, []).append(r)
-            scores.setdefault((direction, size, testset, r.config_label), []).append(r.chrf)
+            scores.setdefault((direction, size, testset, r.src_nmo, r.tgt_nmo, r.config_label),
+                              []).append(r.chrf)
         for src_nmo in sorted(per_src):
             best = min(per_src[src_nmo], key=lambda r: rank_key(r.chrf, r.src_nmo, r.tgt_nmo))
             max_lines.append("%s\t%d\t%d\t%s\t%d\t%.2f\t%s" % (
@@ -838,7 +848,7 @@ def emit_report(records, out_dir) -> dict:
 
     # Mean corpus score per configuration across repetitions.
     lines = ["direction\tsize\ttestset\tconfig\tmean_chrf\trepetitions"]
-    for (direction, size, testset, label), values in sorted(scores.items()):
+    for (direction, size, testset, _, _, label), values in sorted(scores.items()):
         lines.append("%s\t%d\t%s\t%s\t%.2f\t%d" % (
             direction, size, testset, label, sum(values) / len(values), len(values)))
     write_lines(artifacts["summary"], lines)

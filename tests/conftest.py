@@ -153,7 +153,7 @@ def rng():
 
 
 # Full-corpus length-bin counts behind the reference sampling protocol
-# (8,180,584 pairs; bins 1-10 .. >=41).
+# (8,180,584 pairs; bins 0-10 .. >=41).
 FULL_CORPUS_BIN_COUNTS = [2792334, 1655162, 1150396, 854091, 617318, 420583,
                           275774, 414926]
 FULL_CORPUS_TOTAL = 8180584

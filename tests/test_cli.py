@@ -179,8 +179,7 @@ def test_sample_emits_files_and_manifest(tmp_path, capsys):
     tgt.write_text("".join("t%d\n" % i for i in range(200)), encoding="utf-8")
     prefix = str(tmp_path / "sample" / "s100")
     code, _, err = run(capsys, "sample", "--src", str(src), "--tgt", str(tgt),
-                       "--size", "100", "--seed", "5", "--granularity", "1",
-                       "--out-prefix", prefix)
+                       "--size", "100", "--seed", "5", "--out-prefix", prefix)
     assert code == 0
     manifest = json.loads(Path(prefix + ".manifest.json").read_text(encoding="utf-8"))
     assert manifest["seed"] == 5
@@ -195,7 +194,7 @@ def test_failed_sample_manifest_write_leaves_the_earlier_manifest(tmp_path, caps
     src.write_text("".join("w%d x\n" % i for i in range(50)), encoding="utf-8")
     prefix = str(tmp_path / "s20")
     argv = ["sample", "--src", str(src), "--tgt", str(src), "--size", "20", "--seed", "1",
-            "--granularity", "1", "--out-prefix", prefix]
+            "--out-prefix", prefix]
     assert run(capsys, *argv)[0] == 0
     manifest = Path(prefix + ".manifest.json")
     before = manifest.read_bytes()
@@ -330,18 +329,10 @@ def test_readme_cli_commands_parse():
         assert args.func.__name__ == "cmd_" + argv[0].replace("-", "_"), argv
 
 
-def test_sweep_refuses_workers_below_one(tmp_path, capsys):
-    corpus = write_toy_corpus(str(tmp_path))
-    config = write_config(str(tmp_path), corpus)
-    code, _, err = run(capsys, "sweep", "--config", config, "--workers", "-3")
-    assert code == 1 and err.startswith("error:") and "--workers" in err
-    assert not (tmp_path / "out").exists()
-
-
-def test_sweep_workers_flag_runs_every_cell_from_one_pool(tmp_path, capsys):
+def test_sweep_workers_run_every_cell_from_one_pool(tmp_path, capsys):
     # rep0's 20_20 waits for a flag that only a run of rep1 sets, and gives up
     # after 5 s: it finishes only if a second worker takes a run of the next
-    # cell while it waits. The config's one worker is overridden by --workers.
+    # cell while it waits.
     corpus = write_toy_corpus(str(tmp_path))
     script = tmp_path / "wait.py"
     script.write_text(
@@ -359,39 +350,12 @@ def test_sweep_workers_flag_runs_every_cell_from_one_pool(tmp_path, capsys):
         "        time.sleep(0.01)\n"
         "with open(src_path) as src, open(out_path, 'w') as out:\n"
         "    out.writelines(line.replace('@@ ', '') for line in src)\n")
-    config = write_config(str(tmp_path), corpus, repetitions=2, workers=1,
+    config = write_config(str(tmp_path), corpus, repetitions=2, workers=2,
                           backend="python3 %s {model_dir} {test_src} {hyp_out}" % script)
-    code, out, _ = run(capsys, "sweep", "--config", config, "--workers", "2")
+    code, out, _ = run(capsys, "sweep", "--config", config)
     assert code == 0 and "completed 8 runs (0 failed)" in out
     records = orchestrator.collect_records(str(tmp_path / "out"))
     assert len(records) == 8 and all(r.status == "done" for r in records)
-
-
-def test_sample_refuses_granularity_below_one(tmp_path, capsys):
-    src = tmp_path / "all.src"
-    tgt = tmp_path / "all.tgt"
-    src.write_text("a b\nc d e\n", encoding="utf-8")
-    tgt.write_text("x\ny\n", encoding="utf-8")
-    prefix = str(tmp_path / "s1")
-    code, _, err = run(capsys, "sample", "--src", str(src), "--tgt", str(tgt),
-                       "--size", "1", "--seed", "5", "--granularity", "0",
-                       "--out-prefix", prefix)
-    assert code == 1 and err.startswith("error:") and "granularity" in err
-    assert not os.path.exists(prefix + ".src")
-
-
-@pytest.mark.parametrize("bins", ["20,10", "abc", "0,5"])
-def test_sample_refuses_bad_bins(tmp_path, capsys, bins):
-    src = tmp_path / "all.src"
-    tgt = tmp_path / "all.tgt"
-    src.write_text("a b\nc d e\n", encoding="utf-8")
-    tgt.write_text("x\ny\n", encoding="utf-8")
-    prefix = str(tmp_path / "s1")
-    code, _, err = run(capsys, "sample", "--src", str(src), "--tgt", str(tgt),
-                       "--size", "1", "--seed", "5", "--bins", bins,
-                       "--out-prefix", prefix)
-    assert code == 1 and err.startswith("error:") and "--bins" in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["all.src", "all.tgt"]
 
 
 @pytest.mark.parametrize("flags", [
@@ -441,14 +405,23 @@ def test_sweep_refuses_a_size_that_draws_nothing(tmp_path, capsys):
     assert not (tmp_path / "out" / "size5" / "rep0" / "sample").exists()
 
 
+def test_sweep_refuses_an_unsampleable_size_before_writing_anything(tmp_path, capsys):
+    # Size 1000 is checked before size 40's cell is sampled, learned and
+    # segmented, and before manifest.json is written.
+    corpus = write_toy_corpus(str(tmp_path), n_train=60)
+    config = write_config(str(tmp_path), corpus, sizes=[40, 1000])
+    code, _, err = run(capsys, "sweep", "--config", config)
+    assert (code, err) == (1, "error: target size 1000 exceeds corpus size 60\n")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
+
+
 def test_sample_refuses_sides_of_different_line_counts_naming_both(tmp_path, capsys):
     src = tmp_path / "all.src"
     tgt = tmp_path / "all.tgt"
     src.write_text("a b\nc d\n", encoding="utf-8")
     tgt.write_text("x\ny\nz\n", encoding="utf-8")
     code, _, err = run(capsys, "sample", "--src", str(src), "--tgt", str(tgt), "--size", "1",
-                       "--seed", "1", "--granularity", "1", "--out-prefix",
-                       str(tmp_path / "out" / "s1"))
+                       "--seed", "1", "--out-prefix", str(tmp_path / "out" / "s1"))
     assert code == 1
     assert err == ("error: source file %s and target file %s line counts differ: 2 vs 3\n"
                    % (src, tgt))
@@ -488,9 +461,9 @@ def test_sweep_refuses_a_training_corpus_of_different_line_counts_naming_both(tm
 
 @pytest.mark.parametrize("seed", range(3))
 def test_sample_writes_the_bytes_of_a_sweep_cell_sample(tmp_path, capsys, seed):
-    # Random corpora, bins, granularities and sizes: asymbpe sample with a
-    # sweep's settings and seed + rep writes the cell's sample files and
-    # manifest, and both sample files hold the lines of the two-pass oracle draw.
+    # Random corpora and sizes: asymbpe sample with a sweep's seed + rep
+    # writes the cell's sample files and manifest, and both sample files hold
+    # the lines of the two-pass oracle draw.
     rng = random.Random(seed)
     n = rng.randint(60, 300)
     src = [" ".join("w" * rng.randint(1, 3) for _ in range(rng.randint(1, 45)))
@@ -500,25 +473,20 @@ def test_sample_writes_the_bytes_of_a_sweep_cell_sample(tmp_path, capsys, seed):
     for side, lines in (("src", src), ("tgt", tgt)):
         Path(corpus["train_" + side]).write_text("".join(line + "\n" for line in lines),
                                                   encoding="utf-8")
-    bins = sorted(rng.sample(range(1, 50), rng.randint(1, 6)))
-    granularity = rng.randint(1, 3)
     size = rng.randint(n // 2, n)
     config = write_config(str(tmp_path), corpus, sizes=[size], repetitions=2, nmo_set=[10],
-                          bins=bins, granularity=granularity, backend=IDENTITY_BACKEND)
+                          backend=IDENTITY_BACKEND)
     assert run(capsys, "sweep", "--config", config)[0] == 0
     for rep in range(2):
         sample_dir = tmp_path / "out" / ("size%d" % size) / ("rep%d" % rep) / "sample"
         prefix = str(tmp_path / ("cli%d" % rep))
         assert run(capsys, "sample", "--src", corpus["train_src"], "--tgt", corpus["train_tgt"],
-                   "--size", str(size), "--seed", str(7 + rep), "--bins",
-                   ",".join(map(str, bins)), "--granularity", str(granularity),
-                   "--out-prefix", prefix)[0] == 0
+                   "--size", str(size), "--seed", str(7 + rep), "--out-prefix", prefix)[0] == 0
         assert (Path(prefix + ".manifest.json").read_bytes()
                 == (sample_dir / "manifest.json").read_bytes())
-        per_bin_quota = sampler.quotas(sampler.bin_histogram(src, tgt, bins).counts, size,
-                                       granularity)
-        for side, lines in zip(("src", "tgt"), oracle_draw(src, tgt, bins, per_bin_quota,
-                                                           7 + rep)):
+        per_bin_quota = sampler.quotas(sampler.bin_histogram(src, tgt).counts, size)
+        for side, lines in zip(("src", "tgt"), oracle_draw(src, tgt, list(sampler.BOUNDARIES),
+                                                           per_bin_quota, 7 + rep)):
             expected = "".join(line + "\n" for line in lines).encode("utf-8")
             assert Path(prefix + "." + side).read_bytes() == expected
             assert (sample_dir / ("train." + side)).read_bytes() == expected
@@ -540,8 +508,7 @@ def test_sample_memory_does_not_grow_with_pool_lines(tmp_path, capsys):
         try:
             base = tracemalloc.get_traced_memory()[0]
             code = main(["sample", "--src", paths[0], "--tgt", paths[1], "--size", "200",
-                         "--seed", "1", "--granularity", "1",
-                         "--out-prefix", str(tmp_path / ("s%d" % n))])
+                         "--seed", "1", "--out-prefix", str(tmp_path / ("s%d" % n))])
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
@@ -732,7 +699,7 @@ def test_a_lone_carriage_return_does_not_end_a_line(tmp_path, capsys):
     tgt.write_bytes(b"x y\nz\rw v\n")
     prefix = str(tmp_path / "s2")
     assert run(capsys, "sample", "--src", str(src), "--tgt", str(tgt), "--size", "2",
-               "--seed", "1", "--granularity", "1", "--out-prefix", prefix)[0] == 0
+               "--seed", "1", "--out-prefix", prefix)[0] == 0
     sampled = [Path(prefix + side).read_bytes().split(b"\n") for side in (".src", ".tgt")]
     assert sorted(zip(*sampled)) == [(b"", b""), (b"a b\rc d", b"x y"), (b"e f", b"z\rw v")]
 

@@ -119,6 +119,16 @@ class TestLoadExperiment:
         with pytest.raises(OrchestratorError, match="bogus_option"):
             load_experiment(path)
 
+    @pytest.mark.parametrize("field, value", [("bins", [10, 15, 20, 25, 30, 35, 40]),
+                                              ("granularity", 10)])
+    def test_sampling_protocol_is_not_a_config_key(self, tmp_path, field, value):
+        # The length bins and the granularity are the sampler's constants:
+        # naming them, even at their values, is refused like any unknown key.
+        corpus = write_toy_corpus(str(tmp_path))
+        path = write_config(str(tmp_path), corpus, **{field: value})
+        with pytest.raises(OrchestratorError, match="unknown config keys: %s " % field):
+            load_experiment(path)
+
     def test_missing_field_named(self, tmp_path):
         corpus = write_toy_corpus(str(tmp_path))
         path = write_config(str(tmp_path), corpus)
@@ -167,8 +177,7 @@ class TestLoadExperiment:
         ("significance_iterations", 0), ("workers", 0), ("repetitions", 0),
         ("nmo_set", [10, 10]), ("nmo_set", ["1K", 1000]), ("nmo_set", [-5, 10]),
         ("nmo_set", []), ("nmo_set", ["-5"]), ("nmo_set", ["xK"]), ("nmo_set", ["infK"]),
-        ("bins", [10, 10]), ("bins", [0, 5]), ("bins", [20, 10]),
-        ("granularity", 0), ("granularity", -5), ("sizes", []), ("sizes", [40, 40]),
+        ("sizes", []), ("sizes", [40, 40]),
         ("schema", 2),
     ])
     def test_bad_sweep_setting_named(self, tmp_path, field, value):
@@ -227,14 +236,13 @@ class TestLoadExperiment:
         ("seed", "abc"), ("seed", 1.5), ("seed", True), ("seed", -1),
         ("repetitions", 1.7), ("repetitions", "2"), ("workers", True),
         ("workers", 2.0), ("significance_iterations", "100"),
-        ("significance_iterations", False), ("granularity", 2.5), ("granularity", "10"),
+        ("significance_iterations", False),
         ("backend.timeout", "10"), ("backend.timeout", -1), ("backend.timeout", 0),
         ("backend.timeout", True), ("backend.timeout", float("nan")),
         ("backend.timeout", float("inf")),
-        ("nmo_set", "1K"), ("nmo_set", [10, 1.5]), ("nmo_set", [True, 20]),
-        ("bins", "abc"), ("bins", [10, "x"]), ("bins", [10, True]),
         # Both equal 1 in Python.
         ("schema", True), ("schema", 1.0),
+        ("nmo_set", "1K"), ("nmo_set", [10, 1.5]), ("nmo_set", [True, 20]),
     ])
     def test_mistyped_setting_named(self, tmp_path, field, value):
         corpus = write_toy_corpus(str(tmp_path))
@@ -592,7 +600,7 @@ class TestCellArtifacts:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                orchestrator._prepare_cells(cfg, [(size, 0)])
+                orchestrator._prepare_cells(cfg, [(size, 0)], None)
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
             finally:
                 tracemalloc.stop()
@@ -726,8 +734,7 @@ class TestSignificance:
 
 class TestResume:
     @pytest.mark.parametrize("field, value", [
-        ("seed", 5), ("significance_iterations", 50), ("granularity", 5),
-        ("bins", [10, 20, 40]), ("direction", "en-yy")])
+        ("seed", 5), ("significance_iterations", 50), ("direction", "en-yy")])
     def test_changed_input_is_refused_naming_field_and_values(self, tmp_path, field, value):
         corpus = write_toy_corpus(str(tmp_path))
         cfg = load_experiment(write_config(str(tmp_path), corpus))
@@ -740,6 +747,25 @@ class TestResume:
             run_sweep(changed)
         old = json.loads(before)[field]
         assert "%s is %r in its manifest.json but %r in the config" % (field, old, value) \
+            in str(exc.value)
+        assert manifest.read_bytes() == before and record_bytes(cfg) == records
+
+    @pytest.mark.parametrize("field, value", [("bins", [10, 20, 40]), ("granularity", 5)])
+    def test_another_sampling_protocol_is_refused_naming_field(self, tmp_path, field, value):
+        # A directory sampled with other bins or another granularity, which a
+        # sweep that took them as settings could leave, is not resumed.
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(str(tmp_path), corpus))
+        run_sweep(cfg)
+        manifest = Path(cfg.output_dir, "manifest.json")
+        edited = json.loads(manifest.read_text(encoding="utf-8"))
+        protocol, edited[field] = edited[field], value
+        manifest.write_text(json.dumps(edited), encoding="utf-8")
+        before = manifest.read_bytes()
+        records = record_bytes(cfg)
+        with pytest.raises(OrchestratorError) as exc:
+            run_sweep(cfg)
+        assert "%s is %r in its manifest.json but %r in the config" % (field, value, protocol) \
             in str(exc.value)
         assert manifest.read_bytes() == before and record_bytes(cfg) == records
 
@@ -945,13 +971,18 @@ class TestSweepLock:
         assert not os.path.exists(lock)
 
     def test_a_sweep_that_raises_midway_leaves_no_lock(self, tmp_path):
-        corpus = write_toy_corpus(str(tmp_path), n_train=60)
-        cfg = load_experiment(write_config(str(tmp_path), corpus, sizes=[40, 600]))
-        with pytest.raises(sampler.SamplerError, match="target size 600 exceeds"):
+        # The validation source is first read to segment it, after the
+        # manifest is written and the cell sampled.
+        corpus = write_toy_corpus(str(tmp_path))
+        cfg = load_experiment(write_config(str(tmp_path), corpus))
+        valid = Path(corpus["valid_src"])
+        text = valid.read_bytes()
+        valid.write_bytes(b"\xff\n" + text)
+        with pytest.raises(ValueError, match="%s is not UTF-8" % valid):
             run_sweep(cfg)
         assert os.path.exists(os.path.join(cfg.output_dir, "manifest.json"))
         assert not os.path.exists(os.path.join(cfg.output_dir, "sweep.lock"))
-        cfg.sizes = [40]
+        valid.write_bytes(text)
         assert len(run_sweep(cfg)) == 4
 
 
@@ -1013,6 +1044,14 @@ class TestEmitReport:
         summary = Path(artifacts["summary"]).read_text(encoding="utf-8").strip().split("\n")
         assert summary[1].split("\t")[4] == "20.00"
         assert summary[1].split("\t")[5] == "3"
+
+    def test_summary_orders_configurations_by_nmo(self, tmp_path):
+        # By label text, 1K_1K would come first and 500_500 last.
+        records = [make_record(src, tgt, 20.0) for src in (1000, 500) for tgt in (500, 1000)]
+        artifacts = emit_report(records, str(tmp_path))
+        summary = Path(artifacts["summary"]).read_text(encoding="utf-8").strip().split("\n")
+        assert [line.split("\t")[3] for line in summary[1:]] == [
+            "500_500", "500_1K", "1K_500", "1K_1K"]
 
     def test_src_nmo_max_trace(self, tmp_path):
         # Source NMO 2000 ties two target NMOs: the smaller one is its best.

@@ -2,23 +2,23 @@ import random
 
 import pytest
 
-from asymbpe.sampler import (DEFAULT_BOUNDARIES, BinPlan, SamplerError, bin_histogram,
-                             draw_sample, make_bins, quotas)
+from asymbpe.sampler import (BOUNDARIES, GRANULARITY, BinPlan, SamplerError, bin_histogram,
+                             draw_sample, quotas)
 from conftest import (FULL_CORPUS_BIN_COUNTS, FULL_CORPUS_PERCENTAGES,
                       FULL_CORPUS_TOTAL, QUOTAS_100K, oracle_bin, oracle_draw)
 
 
-def counted_histogram(counts, bins=DEFAULT_BOUNDARIES):
+def counted_histogram(counts):
     """A histogram of published per-bin counts: each bin's members are a
     range of that many indices, which is all its counts need."""
-    return BinPlan(list(bins), [range(c) for c in counts])
+    return BinPlan([range(c) for c in counts])
 
 
 def synthetic_corpus(per_bin_counts, seed=0):
     """Parallel corpus with an exact per-bin length distribution."""
     rng = random.Random(seed)
-    lowers = [1] + [b + 1 for b in DEFAULT_BOUNDARIES]
-    uppers = list(DEFAULT_BOUNDARIES) + [lowers[-1] + 5]
+    lowers = [1] + [b + 1 for b in BOUNDARIES]
+    uppers = list(BOUNDARIES) + [lowers[-1] + 5]
     src, tgt = [], []
     for lower, upper, count in zip(lowers, uppers, per_bin_counts):
         for i in range(count):
@@ -34,20 +34,19 @@ def lines_of(lengths):
     return [" ".join(["w"] * n) for n in lengths]
 
 
-def check_against_oracle(src, bins=DEFAULT_BOUNDARIES, seed=0):
+def check_against_oracle(src, seed=0):
     """The histogram of ``src``, after checking that the draw of every line
     of it is the oracle's."""
     tgt = ["t%d" % i for i in range(len(src))]
-    histogram = bin_histogram(src, tgt, bins)
+    histogram = bin_histogram(src, tgt)
     indices = draw_sample(histogram, histogram.counts, seed)
-    assert oracle_draw(src, tgt, list(bins), histogram.counts, seed) == (
+    assert oracle_draw(src, tgt, list(BOUNDARIES), histogram.counts, seed) == (
         [src[i] for i in indices], [tgt[i] for i in indices], indices)
     return histogram
 
 
 class TestBins:
     def test_default_bins(self):
-        assert make_bins() == [10, 15, 20, 25, 30, 35, 40]
         assert bin_histogram([], []).to_dict()["bins"] == [
             "0-10", "11-15", "16-20", "21-25", "26-30", "31-35", "36-40", ">=41"]
 
@@ -60,14 +59,16 @@ class TestBins:
         assert histogram.members == [[0], [1, 2], [3], [], [], [], [4], [5]]
 
     def test_line_of_no_tokens_goes_to_the_first_bin(self):
-        histogram = check_against_oracle(["", "  ", "a b"], bins=(1, 3))
-        assert histogram.members == [[0, 1], [2], []]
+        histogram = check_against_oracle(["", "  ", "a b", " ".join(["w"] * 11)])
+        assert histogram.members == [[0, 1, 2], [3], [], [], [], [], [], []]
 
     def test_first_bin_label_counts_from_0(self):
-        # Its two lines have 0 tokens, so the first bin is 0-1, not 1-1.
-        histogram = bin_histogram(["", "  ", "a b"], ["x", "y", "z"], [1, 3])
-        assert histogram.to_dict() == {"bins": ["0-1", "2-3", ">=4"], "counts": [2, 1, 0],
-                                       "total": 3, "percentages": [66.67, 33.33, 0.0]}
+        # Two of its lines have 0 tokens, so the first bin is 0-10, not 1-10.
+        histogram = bin_histogram(["", "  ", " ".join(["w"] * 11)], ["x", "y", "z"])
+        assert histogram.to_dict() == {
+            "bins": ["0-10", "11-15", "16-20", "21-25", "26-30", "31-35", "36-40", ">=41"],
+            "counts": [2, 1, 0, 0, 0, 0, 0, 0], "total": 3,
+            "percentages": [66.67, 33.33, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}
 
 
 class TestBinHistogram:
@@ -91,8 +92,11 @@ class TestBinHistogram:
 
     def test_manifest_percentages_are_the_quota_basis(self):
         # 99.975 % and 0.025 % round half to even in basis points: 9998 and 2.
-        assert counted_histogram([3999, 1], (10,)).to_dict()["percentages"] == [99.98, 0.02]
-        assert quotas([3999, 1], 3000, granularity=1) == [2999, 0]
+        counts = [39_990, 10, 0, 0, 0, 0, 0, 0]
+        assert counted_histogram(counts).to_dict()["percentages"][:2] == [99.98, 0.02]
+        # 99.98 % of 30,007 is 30,000.0: the unrounded 99.975 % would be
+        # 29,999.5, floored to 29,990.
+        assert quotas(counts, 30_007) == [30_000, 0, 0, 0, 0, 0, 0, 0]
 
 
 class TestSamplePlan:
@@ -117,12 +121,6 @@ class TestSamplePlan:
         with pytest.raises(SamplerError, match="target size must be >= 1"):
             quotas(FULL_CORPUS_BIN_COUNTS, target)
 
-    @pytest.mark.parametrize("granularity", [0, -5])
-    def test_granularity_below_one_error(self, granularity):
-        # It used to be treated as 1 while the manifest recorded the raw value.
-        with pytest.raises(SamplerError, match="granularity must be >= 1"):
-            quotas(FULL_CORPUS_BIN_COUNTS, 100_000, granularity=granularity)
-
     def test_oversized_target_error(self):
         with pytest.raises(SamplerError, match="exceeds corpus size %d" % FULL_CORPUS_TOTAL):
             quotas(FULL_CORPUS_BIN_COUNTS, FULL_CORPUS_TOTAL + 1)
@@ -132,18 +130,19 @@ class TestSamplePlan:
         counts = [30, 0, 0, 0, 0, 0, 0, 0]
         with pytest.raises(SamplerError, match="target size 5 .*granularity 10"):
             quotas(counts, 5)
-        assert quotas(counts, 5, granularity=1)[0] == 5
+        assert quotas(counts, 10)[0] == 10
 
     def test_quotas_capped_by_availability(self):
-        # 15 of 100,000 is 1.5 basis points, which rounds to 2, and 2 basis
-        # points of 99,999 is 19 pairs: more than the bin holds.
-        assert quotas([15, 99_985], 99_999, granularity=1) == [15, 99_979]
+        # 1,980 of 1,000,000 is 19.8 basis points, which rounds to 20, and 20
+        # basis points of 999,999 floor to 1,990 pairs: more than the bin holds.
+        counts = [1_980, 998_020, 0, 0, 0, 0, 0, 0]
+        assert quotas(counts, 999_999) == [1_980, 997_990, 0, 0, 0, 0, 0, 0]
 
 
-def draw(src, tgt, target, seed, granularity=10):
+def draw(src, tgt, target, seed):
     """The quotas of a ``target`` sample and the line indices it draws."""
     histogram = bin_histogram(src, tgt)
-    per_bin_quota = quotas(histogram.counts, target, granularity)
+    per_bin_quota = quotas(histogram.counts, target)
     return per_bin_quota, draw_sample(histogram, per_bin_quota, seed)
 
 
@@ -151,7 +150,7 @@ class TestDrawSample:
     def test_deterministic_for_fixed_seed(self):
         src, tgt = synthetic_corpus([40, 25, 15, 10, 5, 3, 1, 1])
         histogram = bin_histogram(src, tgt)
-        per_bin_quota = quotas(histogram.counts, 50, granularity=1)
+        per_bin_quota = quotas(histogram.counts, 50)
         assert (draw_sample(histogram, per_bin_quota, 99)
                 == draw_sample(histogram, per_bin_quota, 99))
 
@@ -164,50 +163,51 @@ class TestDrawSample:
         # ~1/8180 scale: per-bin counts rounded from the full-corpus table.
         counts = [round(c / 8180) for c in FULL_CORPUS_BIN_COUNTS]
         src, tgt = synthetic_corpus(counts, seed=5)
-        _, indices = draw(src, tgt, 100, seed=11, granularity=1)
+        _, indices = draw(src, tgt, 100, seed=11)
         by_bin = [0] * 8
         for i in indices:
-            by_bin[oracle_bin(DEFAULT_BOUNDARIES, src[i])] += 1
+            by_bin[oracle_bin(BOUNDARIES, src[i])] += 1
+        # Of 100 pairs, a bin's share is its percentage, floored to the granularity.
         for share, pct in zip(by_bin, FULL_CORPUS_PERCENTAGES):
-            assert abs(share - pct * sum(by_bin) / 100) <= 1.0 + 1e-9
+            assert pct - GRANULARITY < share <= pct
 
     def test_alignment_and_uniqueness(self):
         src, tgt = synthetic_corpus([30, 20, 10, 5, 5, 3, 2, 5])
-        per_bin_quota, indices = draw(src, tgt, 40, seed=21, granularity=1)
+        per_bin_quota, indices = draw(src, tgt, 40, seed=21)
         assert len(set(indices)) == len(indices) == sum(per_bin_quota)
-        assert oracle_draw(src, tgt, make_bins(), per_bin_quota, 21) == (
+        assert oracle_draw(src, tgt, list(BOUNDARIES), per_bin_quota, 21) == (
             [src[i] for i in indices], [tgt[i] for i in indices], indices)
 
     def test_per_bin_counts_match_quota_exactly_no_leakage(self):
         src, tgt = synthetic_corpus([50, 30, 12, 8, 4, 3, 2, 6])
-        per_bin_quota, indices = draw(src, tgt, 60, seed=4, granularity=1)
+        per_bin_quota, indices = draw(src, tgt, 60, seed=4)
         got = [0] * 8
         for i in indices:
-            got[oracle_bin(DEFAULT_BOUNDARIES, src[i])] += 1
+            got[oracle_bin(BOUNDARIES, src[i])] += 1
         assert got == per_bin_quota
 
     @pytest.mark.parametrize("seed", range(12))
     def test_indices_match_the_two_pass_draw(self, seed):
-        # Random corpora, bins and targets: binning once in bin_histogram
-        # draws the lines that binning again in the draw drew.
+        # Random corpora and quotas: binning once in bin_histogram draws the
+        # lines that binning again in the draw drew. The quotas are drawn per
+        # bin, since the protocol's tens draw nothing from a bin of fewer than
+        # 10 lines, and a corpus here may have no larger bin.
         rng = random.Random(seed)
         src = [" ".join("w" * rng.randint(1, 3) for _ in range(rng.randint(0, 45)))
                for _ in range(rng.randint(1, 400))]
         tgt = ["t%d" % i for i in range(len(src))]
-        bins = sorted(rng.sample(range(1, 50), rng.randint(0, 7)))
-        histogram = bin_histogram(src, tgt, bins)
-        per_bin_quota = quotas(histogram.counts, rng.randint(len(src) // 2, len(src)),
-                               granularity=rng.randint(1, 3))
+        histogram = bin_histogram(src, tgt)
+        per_bin_quota = [rng.randint(0, count) for count in histogram.counts]
         draw_seed = rng.randrange(1 << 32)
         indices = draw_sample(histogram, per_bin_quota, draw_seed)
-        assert oracle_draw(src, tgt, bins, per_bin_quota, draw_seed) == (
+        assert oracle_draw(src, tgt, list(BOUNDARIES), per_bin_quota, draw_seed) == (
             [src[i] for i in indices], [tgt[i] for i in indices], indices)
 
     def test_histogram_keeps_line_indices_out_of_the_manifest(self):
         src, tgt = synthetic_corpus([3, 2, 0, 0, 0, 0, 0, 1])
         histogram = bin_histogram(src, tgt)
         assert histogram.members == [[i for i, line in enumerate(src)
-                                      if oracle_bin(DEFAULT_BOUNDARIES, line) == b]
+                                      if oracle_bin(BOUNDARIES, line) == b]
                                      for b in range(8)]
         assert set(histogram.to_dict()) == {"bins", "counts", "total", "percentages"}
 
